@@ -7,6 +7,16 @@ is rewritten to the Poincare-Birkhoff-Witt normal form ordered by basis
 declaration order; an odd generator squares to half its self-bracket, so
 odd letters never repeat in a normal word.
 
+Terms are stored on graded keys ``{(slot words..., k): coeff}``, where
+``k`` is the degree in the graded parameters of the truncation order.
+With a single graded parameter its power is implied by ``k`` and
+factored out, so ``coeff`` is a ``Fraction``, or a ``Poly`` in the
+spectator (non-graded) parameters only.  Products and PBW rewriting read
+the degrees off the keys and never multiply a pair, or keep a rewrite
+term, whose degrees add up past the order; truncating before multiplying
+is exactly truncating afterwards.  The public ``terms`` mapping
+``{slot words: Poly}`` is assembled from the graded keys on first use.
+
 On top of the arithmetic the module builds the jordanian twist
 F = exp(h (x) sigma) with sigma = (1/2)log(1 + 2 xi x) over the solvable
 pair {h, x | [h, x] = 2x}, its extension over sl(N), the twist 2-cocycle
@@ -18,7 +28,7 @@ extraction of the classical r-matrix from the first deformation order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Union
 
 from .catalog import cartan_name, make_borel, make_sl, pair_name
 from .liealg import Element, LieSuperAlgebra, Tensor
@@ -54,6 +64,13 @@ __all__ = [
 ]
 
 Word = tuple[int, ...]
+# A stored coefficient: the scalar at one graded degree (see the module
+# docstring).
+Coeff = Union[Fraction, Poly]
+# A graded key: the slot words followed by the graded degree.
+Key = tuple
+
+_ONE = Fraction(1)
 
 
 def _accumulate(store: dict, key, value) -> None:
@@ -72,17 +89,56 @@ class UEA:
 
     Words are tuples of basis indices; the normal form is weakly
     increasing in the basis declaration order with odd indices appearing
-    at most once.  Rewriting results are memoised per instance.
+    at most once.  Rewriting results are memoised per instance, split by
+    graded degree and untruncated, so algebras that differ only in the
+    order can share the memo.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, order: TruncationOrder):
         self.algebra = algebra
         self.order = order
-        self._normal: dict[Word, dict[Word, Poly]] = {}
+        graded = sorted(order.graded)
+        # A lone graded parameter's power is implied by a term's degree,
+        # so stored coefficients leave it out.
+        self._factored = graded[0] if len(graded) == 1 else None
+        self._odd = any(algebra.basis.parities)
+        self._normal: dict[Word, dict[tuple[Word, int], Coeff]] = {}
         self._delta: dict[Word, "TensorUEA"] = {}
 
     def __repr__(self):
         return f"UEA({self.algebra.name}, order {self.order.degree})"
+
+    def _at_order(self, degree: int) -> "UEA":
+        """The same algebra truncated at a lower degree, sharing the PBW
+        memo; the coproduct memo is truncated and starts empty."""
+        if degree > self.order.degree:
+            raise ValueError("cannot raise a truncation order after the fact")
+        lower = UEA(self.algebra, TruncationOrder(degree, self.order.graded))
+        lower._normal = self._normal
+        return lower
+
+    # -- scalars ------------------------------------------------------------
+
+    def _split(self, scalar) -> dict[int, Coeff]:
+        """A scalar as {graded degree: stored coefficient}, every degree
+        kept."""
+        graded, factored = self.order.graded, self._factored
+        parts: dict[int, dict] = {}
+        for mono, c in as_poly(scalar).items():
+            k = sum(e for name, e in mono if name in graded)
+            if k and factored:
+                mono = tuple(p for p in mono if p[0] != factored)
+            parts.setdefault(k, {})[mono] = c
+        return {k: monos[()] if len(monos) == 1 and () in monos else Poly(monos)
+                for k, monos in parts.items()}
+
+    def _monomials(self, k: int, coeff: Coeff) -> dict:
+        """The monomials of the scalar stored at graded degree k."""
+        items = coeff.items() if isinstance(coeff, Poly) else [((), coeff)]
+        if not (k and self._factored):
+            return dict(items)
+        power = ((self._factored, k),)
+        return {tuple(sorted(mono + power)): c for mono, c in items}
 
     # -- elements -----------------------------------------------------------
 
@@ -123,15 +179,16 @@ class UEA:
 
     # -- PBW rewriting -------------------------------------------------------
 
-    def normalize_word(self, word: Word) -> Mapping[Word, Poly]:
-        """Expand a raw word as {normal word: coefficient}."""
+    def normalize_word(self, word: Word) -> Mapping[tuple[Word, int], Coeff]:
+        """Expand a raw word as {(normal word, graded degree): coefficient},
+        untruncated."""
         cached = self._normal.get(word)
         if cached is None:
             cached = self._rewrite(word)
             self._normal[word] = cached
         return cached
 
-    def _rewrite(self, word: Word) -> dict[Word, Poly]:
+    def _rewrite(self, word: Word) -> dict[tuple[Word, int], Coeff]:
         parities = self.algebra.basis.parities
         names = self.algebra.basis.names
         index = self.algebra.basis.index
@@ -140,12 +197,12 @@ class UEA:
             if a < b or (a == b and parities[a] == 0):
                 continue
             head, tail = word[:i], word[i + 2:]
-            out: dict[Word, Poly] = {}
+            out: dict[tuple[Word, int], Coeff] = {}
             if a > b:
                 # x_a x_b = (-1)^{|a||b|} x_b x_a + [x_a, x_b]
-                swap_sign = -1 if parities[a] and parities[b] else 1
-                for w, c in self.normalize_word(head + (b, a) + tail).items():
-                    _accumulate(out, w, c * swap_sign)
+                odd_swap = parities[a] and parities[b]
+                for key, c in self.normalize_word(head + (b, a) + tail).items():
+                    _accumulate(out, key, -c if odd_swap else c)
                 reduced = self.algebra.bracket_basis(names[a], names[b])
                 scale = Fraction(1)
             else:
@@ -153,12 +210,12 @@ class UEA:
                 reduced = self.algebra.bracket_basis(names[a], names[a])
                 scale = Fraction(1, 2)
             for target, c in reduced.coeffs.items():
-                coeff = c * scale
                 shorter = head + (index(target),) + tail
-                for w, c2 in self.normalize_word(shorter).items():
-                    _accumulate(out, w, c2 * coeff)
+                for k, coeff in self._split(c * scale).items():
+                    for (w, kw), c2 in self.normalize_word(shorter).items():
+                        _accumulate(out, (w, k + kw), c2 * coeff)
             return out
-        return {word: Poly.one()}
+        return {(word, 0): _ONE}
 
     def coproduct_of_word(self, word: Word) -> "TensorUEA":
         """The coproduct of one PBW word as a rank-2 tensor."""
@@ -172,29 +229,131 @@ class UEA:
         return cached
 
 
-class UEAElement:
-    """Truncated enveloping-algebra element in PBW normal form.
+# -- the shared term kernel ------------------------------------------------------
 
-    The constructor accepts arbitrary words and normalises them, so any
-    {word: scalar} mapping is a valid input.
-    """
 
-    __slots__ = ("uea", "terms")
+def _extend(uea: UEA, partial: list, word: Word) -> list:
+    """Append the normal form of one raw slot word to each partial key
+    (words so far, degree, coefficient), dropping terms past the order."""
+    top = uea.order.degree
+    normal = uea.normalize_word(word).items()
+    grown = []
+    for words, d, c in partial:
+        for (w, dw), nc in normal:
+            if d + dw <= top:
+                # Normal words map to themselves times the shared _ONE,
+                # so most steps skip a Fraction multiplication.
+                grown.append((words + (w,), d + dw,
+                              c if nc is _ONE else c * nc))
+    return grown
 
-    def __init__(self, uea: UEA, terms: Mapping[Word, object]):
-        self.uea = uea
-        clean: dict[Word, Poly] = {}
-        for word, coeff in terms.items():
-            poly = as_poly(coeff).truncate(uea.order)
-            if not poly:
-                continue
-            for w, c in uea.normalize_word(tuple(word)).items():
-                _accumulate(clean, w, (poly * c).truncate(uea.order))
-        self.terms = {w: c for w, c in clean.items() if c}
+
+def _normal_terms(uea: UEA, terms: Iterable[tuple[tuple[Word, ...], object]]
+                  ) -> dict[Key, Coeff]:
+    """Graded terms of {raw slot words: scalar} input: each scalar is
+    truncated, split by degree, and every slot word normalised."""
+    out: dict[Key, Coeff] = {}
+    for words, coeff in terms:
+        poly = as_poly(coeff).truncate(uea.order)
+        for k, c in uea._split(poly).items():
+            partial = [((), k, c)]
+            for w in words:
+                partial = _extend(uea, partial, w)
+            for done, d, c2 in partial:
+                _accumulate(out, done + (d,), c2)
+    return out
+
+
+def _koszul_odd(uea: UEA, key1: Key, key2: Key, rank: int) -> bool:
+    """Whether moving the right factor's slots past the left factor's
+    later slots is an odd permutation of odd words."""
+    parity = uea.word_parity
+    crossings = sum(parity(key2[i]) * parity(key1[j])
+                    for i in range(rank) for j in range(i + 1, rank))
+    return crossings % 2 == 1
+
+
+def _product(left: "_GradedTerms", right: "_GradedTerms") -> dict[Key, Coeff]:
+    """Slot-wise product of graded terms with Koszul signs.  The right
+    factor's terms are visited by degree, so a pair whose degrees add up
+    past the order is never formed."""
+    uea, rank = left.uea, left.rank
+    top = uea.order.degree
+    by_degree: list[list] = [[] for _ in range(top + 1)]
+    for key, c in right._data.items():
+        by_degree[key[-1]].append((key, c))
+    signed = uea._odd and rank > 1
+    out: dict[Key, Coeff] = {}
+    for key1, c1 in left._data.items():
+        d1 = key1[-1]
+        for bucket in by_degree[:top - d1 + 1]:
+            for key2, c2 in bucket:
+                coeff = c1 * c2
+                if signed and _koszul_odd(uea, key1, key2, rank):
+                    coeff = -coeff
+                partial = [((), d1 + key2[-1], coeff)]
+                for i in range(rank):
+                    partial = _extend(uea, partial, key1[i] + key2[i])
+                for words, d, c in partial:
+                    _accumulate(out, words + (d,), c)
+    return out
+
+
+def _coproduct_terms(uea: UEA, data: Mapping[Key, Coeff], slot: int
+                     ) -> dict[Key, Coeff]:
+    """Apply the coproduct to one slot of graded terms."""
+    top = uea.order.degree
+    out: dict[Key, Coeff] = {}
+    for key, c in data.items():
+        k = key[-1]
+        for dkey, c2 in uea.coproduct_of_word(key[slot])._data.items():
+            d = k + dkey[-1]
+            if d <= top:
+                _accumulate(out, key[:slot] + dkey[:2] + key[slot + 1:-1] + (d,),
+                            c * c2)
+    return out
+
+
+class _GradedTerms:
+    """Storage and arithmetic shared by UEAElement and TensorUEA: nonzero
+    coefficients on graded keys (slot words..., degree), every word in
+    normal form and every degree within the order."""
+
+    __slots__ = ("uea", "rank", "_data", "_view")
+
+    @classmethod
+    def _trusted(cls, uea: UEA, rank: int, data: dict[Key, Coeff]):
+        """Wrap terms that are already normal and truncated."""
+        out = object.__new__(cls)
+        out.uea = uea
+        out.rank = rank
+        out._data = data
+        out._view = None
+        return out
+
+    def _like(self, data: dict[Key, Coeff]):
+        return self._trusted(self.uea, self.rank, data)
+
+    @staticmethod
+    def _slot_key(key: Key):
+        return key[:-1]
+
+    @property
+    def terms(self) -> Mapping:
+        """{slot words: Poly}, assembled from the graded keys."""
+        if self._view is None:
+            groups: dict = {}
+            for key, c in self._data.items():
+                groups.setdefault(self._slot_key(key), {}).update(
+                    self.uea._monomials(key[-1], c))
+            self._view = {key: Poly(monos) for key, monos in groups.items()}
+        return self._view
 
     # -- structure -----------------------------------------------------------
 
-    def _check_compatible(self, other: "UEAElement"):
+    def _check_compatible(self, other: "_GradedTerms"):
+        if self.rank != other.rank:
+            raise ValueError("tensor ranks differ")
         if self.uea is other.uea:
             return
         if (self.uea.algebra != other.uea.algebra
@@ -202,63 +361,88 @@ class UEAElement:
             raise ValueError("operands live in different enveloping algebras")
 
     def __bool__(self):
-        return bool(self.terms)
-
-    def unit_coefficient(self) -> Poly:
-        return self.terms.get((), Poly.zero())
+        return bool(self._data)
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, UEAElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
-        return UEAElement(self.uea, out)
+        out = dict(self._data)
+        for key, c in other._data.items():
+            _accumulate(out, key, c)
+        return self._like(out)
 
     def __sub__(self, other):
-        if not isinstance(other, UEAElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self + other.scaled(-1)
+        return self + (-other)
 
     def __neg__(self):
-        return self.scaled(-1)
+        return self._like({key: -c for key, c in self._data.items()})
 
-    def scaled(self, scalar) -> "UEAElement":
-        poly = as_poly(scalar)
-        return UEAElement(self.uea,
-                          {w: c * poly for w, c in self.terms.items()})
+    def scaled(self, scalar):
+        top = self.uea.order.degree
+        out: dict[Key, Coeff] = {}
+        for ks, s in self.uea._split(scalar).items():
+            for key, c in self._data.items():
+                d = key[-1] + ks
+                if d <= top:
+                    _accumulate(out, key[:-1] + (d,), c * s)
+        return self._like(out)
 
     def __mul__(self, other):
-        if isinstance(other, UEAElement):
+        if isinstance(other, type(self)):
             self._check_compatible(other)
-            order = self.uea.order
-            out: dict[Word, Poly] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    coeff = (c1 * c2).truncate(order)
-                    if not coeff:
-                        continue
-                    for w, c in self.uea.normalize_word(w1 + w2).items():
-                        _accumulate(out, w, (coeff * c).truncate(order))
-            return UEAElement(self.uea, out)
+            return self._like(_product(self, other))
         return self.scaled(other)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
 
-    # -- comparison and rendering ---------------------------------------------
+    # -- comparison -------------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, UEAElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return (self.uea.algebra == other.uea.algebra
+        return (self.rank == other.rank
+                and self.uea.algebra == other.uea.algebra
                 and self.uea.order == other.uea.order
-                and self.terms == other.terms)
+                and self._data == other._data)
 
     __hash__ = None
+
+
+class UEAElement(_GradedTerms):
+    """Truncated enveloping-algebra element in PBW normal form.
+
+    The constructor accepts arbitrary words and normalises them, so any
+    {word: scalar} mapping is a valid input.  ``terms`` maps each normal
+    word to its coefficient.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, uea: UEA, terms: Mapping[Word, object]):
+        self.uea = uea
+        self.rank = 1
+        self._data = _normal_terms(
+            uea, (((tuple(word),), c) for word, c in terms.items()))
+        self._view = None
+
+    @staticmethod
+    def _slot_key(key: Key):
+        return key[0]
+
+    # Each class owns its product entry point, so the two can be timed
+    # apart.
+    __mul__ = _GradedTerms.__mul__
+
+    def unit_coefficient(self) -> Poly:
+        return self.terms.get((), Poly.zero())
+
+    # -- rendering ------------------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
@@ -284,121 +468,38 @@ class UEAElement:
         return f"UEAElement({self})"
 
 
-class TensorUEA:
+class TensorUEA(_GradedTerms):
     """A rank-n tensor power of the enveloping algebra (slot-wise PBW).
 
     Multiplication is slot-wise with Koszul signs: moving the right
     factor's slot i past the left factor's slots j > i contributes
     (-1)^{|w_i||u_j|}.  For purely even algebras this is plain slot-wise
-    multiplication.
+    multiplication.  ``terms`` maps each tuple of normal slot words to its
+    coefficient.
     """
 
-    __slots__ = ("uea", "rank", "terms")
+    __slots__ = ()
 
     def __init__(self, uea: UEA, rank: int,
                  terms: Mapping[tuple[Word, ...], object]):
         if rank < 1:
             raise ValueError("tensor rank must be at least 1")
-        self.uea = uea
-        self.rank = rank
-        order = uea.order
-        clean: dict[tuple[Word, ...], Poly] = {}
+        keyed = []
         for key, coeff in terms.items():
-            poly = as_poly(coeff).truncate(order)
-            if not poly:
-                continue
             key = tuple(tuple(w) for w in key)
             if len(key) != rank:
                 raise ValueError(f"key {key!r} does not have rank {rank}")
-            partial: list[tuple[tuple[Word, ...], Poly]] = [((), poly)]
-            for w in key:
-                grown = []
-                for done, c in partial:
-                    for nw, nc in uea.normalize_word(w).items():
-                        c2 = (c * nc).truncate(order)
-                        if c2:
-                            grown.append((done + (nw,), c2))
-                partial = grown
-            for done, c in partial:
-                _accumulate(clean, done, c)
-        self.terms = {k: c for k, c in clean.items() if c}
+            keyed.append((key, coeff))
+        self.uea = uea
+        self.rank = rank
+        self._data = _normal_terms(uea, keyed)
+        self._view = None
 
     @classmethod
     def unit(cls, uea: UEA, rank: int = 2) -> "TensorUEA":
         return cls(uea, rank, {((),) * rank: Poly.one()})
 
-    # -- structure -----------------------------------------------------------
-
-    def _check_compatible(self, other: "TensorUEA"):
-        if self.rank != other.rank:
-            raise ValueError("tensor ranks differ")
-        if self.uea is other.uea:
-            return
-        if (self.uea.algebra != other.uea.algebra
-                or self.uea.order != other.uea.order):
-            raise ValueError("operands live in different enveloping algebras")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, TensorUEA):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        return TensorUEA(self.uea, self.rank, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorUEA):
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, scalar) -> "TensorUEA":
-        poly = as_poly(scalar)
-        return TensorUEA(self.uea, self.rank,
-                         {k: c * poly for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorUEA):
-            self._check_compatible(other)
-            uea = self.uea
-            order = uea.order
-            out: dict[tuple[Word, ...], Poly] = {}
-            for k1, c1 in self.terms.items():
-                left_par = [uea.word_parity(w) for w in k1]
-                for k2, c2 in other.terms.items():
-                    coeff = (c1 * c2).truncate(order)
-                    if not coeff:
-                        continue
-                    right_par = [uea.word_parity(w) for w in k2]
-                    crossings = sum(right_par[i] * left_par[j]
-                                    for i in range(self.rank)
-                                    for j in range(i + 1, self.rank))
-                    if crossings % 2:
-                        coeff = -coeff
-                    partial: list[tuple[tuple[Word, ...], Poly]] = [((), coeff)]
-                    for i in range(self.rank):
-                        grown = []
-                        for done, c in partial:
-                            for w, nc in uea.normalize_word(k1[i] + k2[i]).items():
-                                c2w = (c * nc).truncate(order)
-                                if c2w:
-                                    grown.append((done + (w,), c2w))
-                        partial = grown
-                    for done, c in partial:
-                        _accumulate(out, done, c)
-            return TensorUEA(self.uea, self.rank, out)
-        return self.scaled(other)
-
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
+    __mul__ = _GradedTerms.__mul__
 
     # -- slot operations --------------------------------------------------------
 
@@ -407,12 +508,9 @@ class TensorUEA:
         if self.rank != 2:
             raise ValueError("flip is defined for rank-2 tensors")
         parity = self.uea.word_parity
-        out: dict[tuple[Word, ...], Poly] = {}
-        for (w1, w2), c in self.terms.items():
-            if parity(w1) and parity(w2):
-                c = -c
-            _accumulate(out, (w2, w1), c)
-        return TensorUEA(self.uea, 2, out)
+        return self._like({
+            (w2, w1, k): -c if parity(w1) and parity(w2) else c
+            for (w1, w2, k), c in self._data.items()})
 
     def embed(self, rank: int, slots: tuple[int, ...]) -> "TensorUEA":
         """Place the slots at the given (increasing) positions of a larger
@@ -422,44 +520,35 @@ class TensorUEA:
             raise ValueError("need one target position per slot")
         if list(slots) != sorted(set(slots)) or slots[-1] >= rank:
             raise ValueError("positions must be strictly increasing and fit")
-        out: dict[tuple[Word, ...], Poly] = {}
-        for key, c in self.terms.items():
-            new_key: list[Word] = [()] * rank
+        out: dict[Key, Coeff] = {}
+        for key, c in self._data.items():
+            new_key: list = [()] * rank + [key[-1]]
             for pos, w in zip(slots, key):
                 new_key[pos] = w
-            _accumulate(out, tuple(new_key), c)
-        return TensorUEA(self.uea, rank, out)
+            out[tuple(new_key)] = c
+        return TensorUEA._trusted(self.uea, rank, out)
 
     def coproduct_slot(self, slot: int) -> "TensorUEA":
         """Apply the coproduct to one slot, raising the rank by one."""
-        order = self.uea.order
-        out: dict[tuple[Word, ...], Poly] = {}
-        for key, c in self.terms.items():
-            for (wa, wb), c2 in self.uea.coproduct_of_word(key[slot]).terms.items():
-                new_key = key[:slot] + (wa, wb) + key[slot + 1:]
-                _accumulate(out, new_key, (c * c2).truncate(order))
-        return TensorUEA(self.uea, self.rank + 1, out)
+        return TensorUEA._trusted(self.uea, self.rank + 1,
+                                  _coproduct_terms(self.uea, self._data, slot))
 
     def counit_slot(self, slot: int):
         """Apply the counit to one slot (the rank drops by one); a rank-2
         tensor collapses to an enveloping-algebra element."""
-        out: dict = {}
-        for key, c in self.terms.items():
-            if key[slot]:
-                continue
-            reduced = key[:slot] + key[slot + 1:]
-            _accumulate(out, reduced, c)
-        if self.rank == 2:
-            return UEAElement(self.uea, {k[0]: c for k, c in out.items()})
-        return TensorUEA(self.uea, self.rank - 1, out)
+        if self.rank == 1:
+            raise ValueError("tensor rank must be at least 1")
+        out = {key[:slot] + key[slot + 1:]: c
+               for key, c in self._data.items() if not key[slot]}
+        kind = UEAElement if self.rank == 2 else TensorUEA
+        return kind._trusted(self.uea, self.rank - 1, out)
 
     def truncated(self, degree: int) -> "TensorUEA":
-        """Re-truncate to a lower total deformation degree."""
-        if degree > self.uea.order.degree:
-            raise ValueError("cannot raise a truncation order after the fact")
-        uea = UEA(self.uea.algebra,
-                  TruncationOrder(degree, self.uea.order.graded))
-        return TensorUEA(uea, self.rank, self.terms)
+        """Re-truncate to a lower total deformation degree, keeping the PBW
+        memo."""
+        return TensorUEA._trusted(
+            self.uea._at_order(degree), self.rank,
+            {key: c for key, c in self._data.items() if key[-1] <= degree})
 
     def leading_term(self) -> tuple[tuple[str, ...], Poly] | None:
         """(rendered slot words, coefficient) of the least term, or None."""
@@ -468,17 +557,7 @@ class TensorUEA:
         key = min(self.terms, key=lambda k: (sum(map(len, k)), k))
         return (tuple(self.uea.render_word(w) for w in key), self.terms[key])
 
-    # -- comparison and rendering ---------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorUEA):
-            return NotImplemented
-        return (self.rank == other.rank
-                and self.uea.algebra == other.uea.algebra
-                and self.uea.order == other.uea.order
-                and self.terms == other.terms)
-
-    __hash__ = None
+    # -- rendering ------------------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
@@ -522,26 +601,23 @@ def tensor_product(*factors: UEAElement) -> TensorUEA:
     if not factors:
         raise ValueError("tensor_product needs at least one factor")
     uea = factors[0].uea
-    order = uea.order
-    terms: dict[tuple[Word, ...], Poly] = {(): Poly.one()}
+    top = uea.order.degree
+    terms: dict[Key, Coeff] = {(0,): _ONE}
     for factor in factors:
         factors[0]._check_compatible(factor)
-        grown: dict[tuple[Word, ...], Poly] = {}
+        grown: dict[Key, Coeff] = {}
         for key, c in terms.items():
-            for w, c2 in factor.terms.items():
-                prod = (c * c2).truncate(order)
-                if prod:
-                    _accumulate(grown, key + (w,), prod)
+            for (w, k), c2 in factor._data.items():
+                d = key[-1] + k
+                if d <= top:
+                    _accumulate(grown, key[:-1] + (w, d), c * c2)
         terms = grown
-    return TensorUEA(uea, len(factors), terms)
+    return TensorUEA._trusted(uea, len(factors), terms)
 
 
 def coproduct(u: UEAElement) -> TensorUEA:
     """The coproduct: an algebra map with every generator primitive."""
-    out = TensorUEA(u.uea, 2, {})
-    for word, c in u.terms.items():
-        out = out + u.uea.coproduct_of_word(word).scaled(c)
-    return out
+    return TensorUEA._trusted(u.uea, 2, _coproduct_terms(u.uea, u._data, 0))
 
 
 def counit(u: UEAElement) -> Poly:
@@ -559,11 +635,9 @@ def _one_like(u):
 
 
 def _require_positive_degree(u, what: str) -> None:
-    graded = u.uea.order.graded
-    for coeff in u.terms.values():
-        if coeff.graded_part(graded, 0):
-            raise UnsupportedInputError(
-                f"{what} needs every term to carry positive deformation degree")
+    if any(key[-1] == 0 for key in u._data):
+        raise UnsupportedInputError(
+            f"{what} needs every term to carry positive deformation degree")
 
 
 def exp_trunc(u):
@@ -724,22 +798,21 @@ def classical_limit(R: TensorUEA) -> Tensor:
     if R.rank != 2:
         raise ValueError("classical limits are taken of rank-2 tensors")
     uea = R.uea
-    graded = uea.order.graded
     basis = uea.algebra.basis
     delta = R - TensorUEA.unit(uea, 2)
+    if any(key[-1] == 0 for key in delta._data):
+        raise UnsupportedInputError(
+            "R does not reduce to the unit tensor at deformation degree 0")
     coeffs: dict[tuple[str, str], Poly] = {}
-    for (w1, w2), c in delta.terms.items():
-        if c.graded_part(graded, 0):
-            raise UnsupportedInputError(
-                "R does not reduce to the unit tensor at deformation degree 0")
-        first = c.graded_part(graded, 1)
-        if not first:
+    for (w1, w2, k), c in delta._data.items():
+        if k != 1:
             continue
         if len(w1) != 1 or len(w2) != 1:
             raise UnsupportedInputError(
                 "first-order term is not linear in each tensor slot: "
                 f"{uea.render_word(w1)}(x){uea.render_word(w2)}")
-        coeffs[(basis.names[w1[0]], basis.names[w2[0]])] = first
+        coeffs[(basis.names[w1[0]], basis.names[w2[0]])] = Poly(
+            uea._monomials(1, c))
     return Tensor(basis, 2, coeffs)
 
 

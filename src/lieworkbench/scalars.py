@@ -24,8 +24,6 @@ __all__ = [
     "declare_params",
     "declared_params",
     "as_poly",
-    "poly_substitute",
-    "poly_truncate",
     "poly_divmod",
     "scalar_str",
 ]
@@ -577,16 +575,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def poly_substitute(p: Poly, assignment: Mapping[str, int | Fraction]) -> Poly:
-    """Evaluate declared parameters of ``p`` at exact rational values."""
-    return as_poly(p).substitute(assignment)
-
-
-def poly_truncate(p: Poly, order: TruncationOrder) -> Poly:
-    """Drop terms of ``p`` whose graded degree exceeds the truncation order."""
-    return as_poly(p).truncate(order)
 
 
 def scalar_str(value) -> str:

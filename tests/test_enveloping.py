@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieworkbench.bialgebra import proportionality_constant
 from lieworkbench.catalog import (
@@ -17,6 +20,7 @@ from lieworkbench.catalog import (
 from lieworkbench.enveloping import (
     TensorUEA,
     UEA,
+    UEAElement,
     build_extended_twist,
     build_jordanian_twist,
     classical_limit,
@@ -34,6 +38,7 @@ from lieworkbench.enveloping import (
     twist_counit_ok,
     universal_R,
 )
+from lieworkbench.liealg import GradedBasis, LieSuperAlgebra
 from lieworkbench.scalars import (
     Poly,
     TruncationOrder,
@@ -42,6 +47,7 @@ from lieworkbench.scalars import (
 )
 
 XI = param("xi")
+T = param("t")
 
 UNTRUNCATED = TruncationOrder(0, frozenset())
 
@@ -81,6 +87,56 @@ def test_multiplication_is_associative():
         for _ in range(6):
             u, v, w = (_random_element(rng, U) for _ in range(3))
             assert (u * v) * w == u * (v * w)
+
+
+ALGEBRAS = {
+    "borel": make_borel,
+    "osp12": lambda: make_osp12()[0],
+    "sl3": lambda: make_sl(3),
+    # a deformed bracket, so PBW rewrites themselves raise the degree
+    "borel.xi": lambda: LieSuperAlgebra(
+        "borel.xi", GradedBasis(("h", "x")), {("h", "x"): {"x": XI * 2}}),
+}
+
+
+@st.composite
+def _products(draw):
+    """An algebra, an order, and two raw operands of a common rank 1-3:
+    lists of (slot words in any letter order, coefficient mixing the
+    graded xi and the spectator t)."""
+    algebra = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]()
+    order = draw(st.integers(0, 3))
+    rank = draw(st.integers(1, 3))
+    letters = st.integers(0, len(algebra.basis.names) - 1)
+    words = st.tuples(*[st.lists(letters, max_size=2).map(tuple)] * rank)
+    monomials = st.tuples(st.integers(-2, 2), st.integers(0, 3),
+                          st.integers(0, 1))
+    coeffs = st.lists(monomials, min_size=1, max_size=3).map(
+        lambda ms: sum((XI ** i * T ** j * c for c, i, j in ms), Poly.zero()))
+    operand = st.lists(st.tuples(words, coeffs), min_size=1, max_size=3)
+    return algebra, order, rank, draw(operand), draw(operand)
+
+
+def _operand(uea: UEA, rank: int, raw):
+    terms: dict = {}
+    for key, coeff in raw:
+        terms[key] = terms.get(key, Poly.zero()) + coeff
+    if rank == 1:
+        return UEAElement(uea, {key[0]: c for key, c in terms.items()})
+    return TensorUEA(uea, rank, terms)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_products())
+def test_truncated_products_match_products_cut_afterwards(case):
+    algebra, order, rank, left, right = case
+    cut = UEA(algebra, TruncationOrder(order, frozenset({"xi"})))
+    full = UEA(algebra, UNTRUNCATED)  # xi is a spectator here
+    product = _operand(cut, rank, left) * _operand(cut, rank, right)
+    reference = _operand(full, rank, left) * _operand(full, rank, right)
+    expected = {key: c.truncate(cut.order)
+                for key, c in reference.terms.items()}
+    assert product.terms == {key: c for key, c in expected.items() if c}
 
 
 def test_lift_is_linear():
@@ -185,6 +241,34 @@ def test_extended_twist_produces_the_jordanian_limit_on_sl3():
     assert classical_limit(R) == make_rjordan(3)
 
 
+def test_twist_renderings_are_frozen():
+    assert str(universal_R(build_jordanian_twist(3))) == (
+        "1(x)1 - xi*h(x)x + xi*x(x)h + xi^2*h(x)x^2 + 2*xi^2*x(x)h*x"
+        " - xi^2*x^2(x)h - 4/3*xi^3*h(x)x^3 + 1/2*xi^2*h^2(x)x^2"
+        " - xi^2*h*x(x)h*x + 1/2*xi^2*x^2(x)h^2 - 4*xi^3*x^2(x)h*x"
+        " + 4/3*xi^3*x^3(x)h - xi^3*h^2(x)x^3 - xi^3*h*x(x)h*x^2"
+        " + xi^3*h*x^2(x)h*x + 2*xi^3*x^2(x)h^2*x - xi^3*x^3(x)h^2"
+        " - 1/6*xi^3*h^3(x)x^3 + 1/2*xi^3*h^2*x(x)h*x^2"
+        " - 1/2*xi^3*h*x^2(x)h^2*x + 1/6*xi^3*x^3(x)h^3")
+    assert str(build_extended_twist(3, 2)) == (
+        "1(x)1 + xi*H1(x)E13 + xi*H2(x)E13 + 2*xi*E12(x)E23"
+        " - xi^2*H1(x)E13^2 - xi^2*H2(x)E13^2 - 4*xi^2*E12(x)E13*E23"
+        " + 1/2*xi^2*H1^2(x)E13^2 + xi^2*H1*H2(x)E13^2"
+        " + 2*xi^2*H1*E12(x)E13*E23 + 1/2*xi^2*H2^2(x)E13^2"
+        " + 2*xi^2*H2*E12(x)E13*E23 + 2*xi^2*E12^2(x)E23^2")
+
+
+def test_non_solution_fails_qybe_with_a_leading_witness():
+    A, _, _, _ = make_osp12()
+    U = UEA(A, TruncationOrder(2, frozenset({"xi"})))
+    R = TensorUEA.unit(U, 2) + tensor_product(U.gen("vp"), U.gen("vm")).scaled(XI)
+    residual = qybe_check(R)
+    assert residual.leading_term() == (("Xp", "vm", "vm"),
+                                       XI * XI * Fraction(-1, 2))
+    assert str(residual) == ("-1/2*xi^2*Xp(x)vm(x)vm - 1/4*xi^2*vp(x)h(x)vm"
+                             " + 1/2*xi^2*vp(x)vp(x)Xm")
+
+
 def test_factored_r_matrix_matches_the_twist_route():
     assert factored_R_compare(3, 2)
     R_direct = universal_R(build_extended_twist(3, 2))
@@ -247,7 +331,14 @@ def test_embedding_into_three_slots():
 def test_truncation_drops_high_degree_terms():
     U = UEA(make_borel(), TruncationOrder(3, frozenset({"xi"})))
     t = TensorUEA.unit(U, 2) + tensor_product(U.gen("x"), U.gen("x")).scaled(XI * XI)
+    coproduct(U.gen("x") * U.gen("h"))
     cut = t.truncated(1)
     assert cut.uea.order.degree == 1
     assert cut == TensorUEA.unit(cut.uea, 2)
     assert t.truncated(2).terms == t.terms
+    # PBW rewrites are memoised untruncated, so the lower order reuses
+    # them; coproducts are memoised truncated, so it does not.
+    assert cut.uea._normal is U._normal
+    assert U._delta and not cut.uea._delta
+    with pytest.raises(ValueError):
+        t.truncated(4)
