@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .liealg import Element, GradedBasis, LieSuperAlgebra, Tensor, pencil
+from .liealg import Element, LieSuperAlgebra, Tensor, accumulate
 from .scalars import Poly, RatFunc, UnsupportedInputError, as_poly
 
 __all__ = [
@@ -43,17 +43,9 @@ def flip2(t: Tensor) -> Tensor:
     """Graded transposition of a rank-2 tensor: a(x)b -> (-1)^{|a||b|} b(x)a."""
     if t.rank != 2:
         raise ValueError("flip2 expects a rank-2 tensor")
-    basis = t.basis
-    out: dict[tuple, Poly] = {}
-    for (a, b), c in t.coeffs.items():
-        sign = (-1) ** (basis.parity(a) * basis.parity(b))
-        key = (b, a)
-        acc = out.get(key, Poly.zero()) + c * sign
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return Tensor(basis, 2, out)
+    parity = t.basis.parity
+    return Tensor(t.basis, 2, {(b, a): c * (-1) ** (parity(a) * parity(b))
+                               for (a, b), c in t.coeffs.items()})
 
 
 def sym_part(t: Tensor) -> Tensor:
@@ -71,19 +63,15 @@ def ad_action(A: LieSuperAlgebra, x: Element, t: Tensor) -> Tensor:
     if px is None:
         raise ValueError("ad_action requires a parity-homogeneous element")
     basis = t.basis
-    out = Tensor(basis, t.rank)
+    out: dict[tuple, Poly] = {}
     for key, coeff in t.coeffs.items():
         for slot in range(t.rank):
             sign = (-1) ** (px * sum(basis.parity(n) for n in key[:slot]))
             image = A.bracket(x, Element.basis_vector(basis, key[slot]))
-            if not image:
-                continue
-            partial: dict[tuple, Poly] = {}
             for target, c in image.coeffs.items():
-                new_key = key[:slot] + (target,) + key[slot + 1:]
-                partial[new_key] = coeff * c * sign
-            out = out + Tensor(basis, t.rank, partial)
-    return out
+                accumulate(out, key[:slot] + (target,) + key[slot + 1:],
+                           coeff * c * sign)
+    return Tensor(basis, t.rank, out)
 
 
 def check_invariant(A: LieSuperAlgebra, t: Tensor) -> bool:
@@ -105,7 +93,7 @@ def schouten(A: LieSuperAlgebra, r: Tensor) -> Tensor:
             raise UnsupportedInputError(
                 f"schouten bracket requires parity-even terms; got {key}")
 
-    out = Tensor(basis, 3)
+    out: dict[tuple, Poly] = {}
     items = list(r.coeffs.items())
     for (a, b), c1 in items:
         for (c, d), c2 in items:
@@ -113,16 +101,14 @@ def schouten(A: LieSuperAlgebra, r: Tensor) -> Tensor:
             sign_bc = (-1) ** (basis.parity(b) * basis.parity(c))
             # [r12, r13]: bracket on slot 1, spectators b, d.
             for target, k in A.bracket_basis(a, c).coeffs.items():
-                out = out + Tensor(basis, 3,
-                                   {(target, b, d): coeff * k * sign_bc})
+                accumulate(out, (target, b, d), coeff * k * sign_bc)
             # [r12, r23]: bracket on slot 2, spectators a, d.
             for target, k in A.bracket_basis(b, c).coeffs.items():
-                out = out + Tensor(basis, 3, {(a, target, d): coeff * k})
+                accumulate(out, (a, target, d), coeff * k)
             # [r13, r23]: bracket on slot 3, spectators a, c.
             for target, k in A.bracket_basis(b, d).coeffs.items():
-                out = out + Tensor(basis, 3,
-                                   {(a, c, target): coeff * k * sign_bc})
-    return out
+                accumulate(out, (a, c, target), coeff * k * sign_bc)
+    return Tensor(basis, 3, out)
 
 
 def check_cybe(A: LieSuperAlgebra, r: Tensor) -> bool:
@@ -155,12 +141,13 @@ class Cobracket:
         self.values = clean
 
     def apply(self, x: Element) -> Tensor:
-        out = Tensor(self.algebra.basis, 2)
+        out: dict[tuple, Poly] = {}
         for name, c in x.coeffs.items():
             value = self.values.get(name)
             if value is not None:
-                out = out + value.scaled(c)
-        return out
+                for key, v in value.coeffs.items():
+                    accumulate(out, key, v * c)
+        return Tensor(self.algebra.basis, 2, out)
 
     def __call__(self, x: Element) -> Tensor:
         return self.apply(x)
@@ -234,17 +221,10 @@ def check_cocycle_compat(B: LieBialgebra) -> tuple[bool, tuple[str, str] | None]
 
 def _cyclic3(t: Tensor) -> Tensor:
     """Graded cyclic shift (a,b,c) -> (c,a,b) with sign (-1)^{|c|(|a|+|b|)}."""
-    basis = t.basis
-    out: dict[tuple, Poly] = {}
-    for (a, b, c), coeff in t.coeffs.items():
-        sign = (-1) ** (basis.parity(c) * (basis.parity(a) + basis.parity(b)))
-        key = (c, a, b)
-        acc = out.get(key, Poly.zero()) + coeff * sign
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return Tensor(basis, 3, out)
+    parity = t.basis.parity
+    return Tensor(t.basis, 3,
+                  {(c, a, b): coeff * (-1) ** (parity(c) * (parity(a) + parity(b)))
+                   for (a, b, c), coeff in t.coeffs.items()})
 
 
 def check_cojacobi(B: LieBialgebra) -> tuple[bool, str | None]:
@@ -252,16 +232,12 @@ def check_cojacobi(B: LieBialgebra) -> tuple[bool, str | None]:
     A, delta = B.algebra, B.cobracket
     basis = A.basis
     for name in basis.names:
-        dd = Tensor(basis, 3)
+        terms: dict[tuple, Poly] = {}
         for (a, b), coeff in delta(A.gen(name)).coeffs.items():
             for (p, q), inner in delta(A.gen(a)).coeffs.items():
-                dd = dd + Tensor(basis, 3, {(p, q, b): coeff * inner})
-        total = dd
-        shifted = dd
-        for _ in range(2):
-            shifted = _cyclic3(shifted)
-            total = total + shifted
-        if total:
+                accumulate(terms, (p, q, b), coeff * inner)
+        dd = Tensor(basis, 3, terms)
+        if dd + _cyclic3(dd) + _cyclic3(_cyclic3(dd)):
             return False, name
     return True, None
 

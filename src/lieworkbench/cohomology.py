@@ -19,16 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .bialgebra import Cobracket, ad_action, cobracket_from_r
-from .liealg import Element, GradedBasis, LieSuperAlgebra, Tensor
+from .liealg import (Element, GradedBasis, LieSuperAlgebra, accumulate,
+                     common_parity, render_sum)
 from .linsolve import (
     RatFunc,
-    matrix_rank,
     rank_at_point,
+    rref,
     solve_linear,
     verify_rank_generically,
 )
-from .scalars import Poly, as_poly, param, poly_divmod
+from .scalars import Poly, as_poly, param, poly_divmod, scalar_str
 
 __all__ = [
     "Cochain1",
@@ -41,7 +41,6 @@ __all__ = [
     "compatible_pair",
     "solve_coboundary",
     "CoboundaryOutcome",
-    "coboundary_in_wedge",
     "h2_dim",
     "CohomologyReport",
     "Cochain2Comparison",
@@ -65,25 +64,15 @@ def _vec(entries: Mapping[str, object] | None = None) -> Vector:
     return out
 
 
-def _vadd(a: Vector, b: Vector) -> Vector:
-    out = dict(a)
-    for name, value in b.items():
-        acc = out.get(name, Poly.zero()) + value
-        if acc:
-            out[name] = acc
-        else:
-            out.pop(name, None)
-    return out
+def _signed(vec: Mapping, sign: int) -> Vector:
+    """A copy of vec, negated when sign is -1."""
+    return {n: -v for n, v in vec.items()} if sign < 0 else dict(vec)
 
 
-def _vscale(vec: Vector, scalar) -> Vector:
-    if not scalar:
-        return {}
-    return {n: v * scalar for n, v in vec.items()}
-
-
-def _vneg(vec: Vector) -> Vector:
-    return {n: -v for n, v in vec.items()}
+def _add_signed(out: Vector, vec: Mapping, sign: int) -> None:
+    """out += sign * vec, in place."""
+    for name, value in vec.items():
+        accumulate(out, name, -value if sign < 0 else value)
 
 
 def _veq(a: Vector, b: Vector) -> bool:
@@ -95,48 +84,23 @@ def _veq(a: Vector, b: Vector) -> bool:
     return True
 
 
-def _vec_from_element(x: Element) -> Vector:
-    return dict(x.coeffs)
-
-
 def _vec_str(vec: Vector, basis: GradedBasis) -> str:
-    if not vec:
-        return "0"
-    parts = []
-    for name in basis.names:
-        if name not in vec:
-            continue
-        text = str(vec[name])
-        if text == "1":
-            parts.append(name)
-        elif text == "-1":
-            parts.append(f"-{name}")
-        elif " " in text or "/" in text:
-            parts.append(f"({text})*{name}")
-        else:
-            parts.append(f"{text}*{name}")
-    return " + ".join(parts).replace("+ -", "- ")
+    """The vector as a signed sum in basis order; besides the rules of
+    ``render_sum``, a bare quotient is parenthesised: ``(1/2)*x``."""
+    def coefficient(text: str) -> str:
+        return f"({text})" if "/" in text and " " not in text else text
+    return render_sum((coefficient(scalar_str(vec[name])), name)
+                      for name in basis.names if name in vec)
 
 
-def _bracket_vec(A: LieSuperAlgebra, name: str, vec: Vector) -> Vector:
-    """[e_name, vec] extended linearly over possibly-rational scalars."""
-    out: Vector = {}
+def _add_bracket(out: Vector, A: LieSuperAlgebra, name: str, vec: Mapping,
+                 sign: int) -> None:
+    """out += sign * [e_name, vec], over possibly-rational scalars."""
     for target, scalar in vec.items():
-        image = A.bracket_basis(name, target)
-        for t, c in image.coeffs.items():
-            acc = out.get(t, Poly.zero()) + c * scalar
-            if acc:
-                out[t] = acc
-            else:
-                out.pop(t, None)
-    return out
-
-
-def _vector_parity(basis: GradedBasis, vec: Vector) -> int | None:
-    parities = {basis.parity(n) for n in vec}
-    if len(parities) == 1:
-        return parities.pop()
-    return None if parities else 0
+        if sign < 0:
+            scalar = -scalar
+        for t, c in A.bracket_basis(name, target).coeffs.items():
+            accumulate(out, t, c * scalar)
 
 
 class Cochain1:
@@ -152,10 +116,10 @@ class Cochain1:
         clean: dict[str, Vector] = {}
         for name, value in (values or {}).items():
             basis.index(name)
-            vec = _vec_from_element(value) if isinstance(value, Element) else _vec(value)
+            vec = dict(value.coeffs) if isinstance(value, Element) else _vec(value)
             if not vec:
                 continue
-            vp = _vector_parity(basis, vec)
+            vp = common_parity(basis.parity(n) for n in vec)
             if vp is None or vp != (basis.parity(name) + self.parity) % 2:
                 raise ValueError(
                     f"cochain value at {name!r} violates the declared parity")
@@ -166,10 +130,11 @@ class Cochain1:
         self.basis.index(name)
         return dict(self.values.get(name, {}))
 
-    def apply_vec(self, vec: Vector) -> Vector:
+    def apply_vec(self, vec: Mapping) -> Vector:
         out: Vector = {}
         for name, scalar in vec.items():
-            out = _vadd(out, _vscale(self.apply_name(name), scalar))
+            for target, value in self.apply_name(name).items():
+                accumulate(out, target, value * scalar)
         return out
 
     def __bool__(self):
@@ -212,12 +177,12 @@ class Cochain2:
         canonical: dict[tuple[int, int], Vector] = {}
         for (a, b), value in (values or {}).items():
             i, j = basis.index(a), basis.index(b)
-            vec = _vec_from_element(value) if isinstance(value, Element) else _vec(value)
+            vec = dict(value.coeffs) if isinstance(value, Element) else _vec(value)
             if i < j:
                 key, entry = (i, j), vec
             elif i > j:
                 sign = (-1) ** (basis.parities[i] * basis.parities[j])
-                key, entry = (j, i), _vscale(vec, -sign)
+                key, entry = (j, i), _signed(vec, -sign)
             else:
                 if basis.parities[i] == 0:
                     if vec:
@@ -233,7 +198,7 @@ class Cochain2:
                 canonical[key] = entry
         for (i, j), entry in canonical.items():
             expected = (basis.parities[i] + basis.parities[j] + self.parity) % 2
-            vp = _vector_parity(basis, entry)
+            vp = common_parity(basis.parity(n) for n in entry)
             if vp is None or vp != expected:
                 raise ValueError(
                     f"value at pair ({basis.names[i]}, {basis.names[j]}) "
@@ -251,13 +216,14 @@ class Cochain2:
         if i < j or i == j:
             return dict(self.values.get((i, j), {}))
         sign = (-1) ** (self.basis.parities[i] * self.basis.parities[j])
-        return _vscale(self.values.get((j, i), {}), -sign)
+        return _signed(self.values.get((j, i), {}), -sign)
 
-    def apply_vec_name(self, vec: Vector, b: str) -> Vector:
+    def apply_vec_name(self, vec: Mapping, b: str) -> Vector:
         """phi(vec, e_b) extended linearly in the first argument."""
         out: Vector = {}
         for name, scalar in vec.items():
-            out = _vadd(out, _vscale(self.apply_names(name, b), scalar))
+            for target, value in self.apply_names(name, b).items():
+                accumulate(out, target, value * scalar)
         return out
 
     def __bool__(self):
@@ -273,15 +239,10 @@ class Cochain2:
                 return False
         return True
 
-    def canonical_pairs(self) -> list[tuple[int, int]]:
-        n = len(self.basis)
-        return [(i, j) for i in range(n) for j in range(i, n)
-                if i != j or self.basis.parities[i]]
-
     def table_lines(self) -> list[str]:
         lines = []
         names = self.basis.names
-        for (i, j) in self.canonical_pairs():
+        for (i, j) in _canonical_pairs(self.basis):
             vec = self.values.get((i, j), {})
             lines.append(f"({names[i]}, {names[j]}) -> {_vec_str(vec, self.basis)}")
         return lines
@@ -325,11 +286,10 @@ def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
     for (i, j) in _canonical_pairs(basis):
         a, b = basis.names[i], basis.names[j]
         pa, pb = basis.parities[i], basis.parities[j]
-        term = _vscale(_bracket_vec(A, a, psi.apply_name(b)), (-1) ** (pa * p))
-        term = _vadd(term, _vscale(_bracket_vec(A, b, psi.apply_name(a)),
-                                   -((-1) ** (pb * p + pa * pb))))
-        term = _vadd(term, _vneg(psi.apply_vec(
-            _vec_from_element(A.bracket_basis(a, b)))))
+        term: Vector = {}
+        _add_bracket(term, A, a, psi.apply_name(b), (-1) ** (pa * p))
+        _add_bracket(term, A, b, psi.apply_name(a), -((-1) ** (pb * p + pa * pb)))
+        _add_signed(term, psi.apply_vec(A.bracket_basis(a, b).coeffs), -1)
         if term:
             values[(a, b)] = term
     return Cochain2(basis, values, parity=p)
@@ -348,18 +308,15 @@ def d2_residual(A: LieSuperAlgebra, phi: Cochain2,
     basis = A.basis
     p = phi.parity
     px, py, pz = basis.parity(x), basis.parity(y), basis.parity(z)
-    out = _vscale(_bracket_vec(A, x, phi.apply_names(y, z)), (-1) ** (px * p))
-    out = _vadd(out, _vscale(_bracket_vec(A, y, phi.apply_names(x, z)),
-                             -((-1) ** (py * (p + px)))))
-    out = _vadd(out, _vscale(_bracket_vec(A, z, phi.apply_names(x, y)),
-                             (-1) ** (pz * (p + px + py))))
-    out = _vadd(out, _vneg(phi.apply_vec_name(
-        _vec_from_element(A.bracket_basis(x, y)), z)))
-    out = _vadd(out, _vscale(phi.apply_vec_name(
-        _vec_from_element(A.bracket_basis(x, z)), y), (-1) ** (py * pz)))
-    out = _vadd(out, _vscale(phi.apply_vec_name(
-        _vec_from_element(A.bracket_basis(y, z)), x),
-        -((-1) ** (px * (py + pz)))))
+    out: Vector = {}
+    _add_bracket(out, A, x, phi.apply_names(y, z), (-1) ** (px * p))
+    _add_bracket(out, A, y, phi.apply_names(x, z), -((-1) ** (py * (p + px))))
+    _add_bracket(out, A, z, phi.apply_names(x, y), (-1) ** (pz * (p + px + py)))
+    _add_signed(out, phi.apply_vec_name(A.bracket_basis(x, y).coeffs, z), -1)
+    _add_signed(out, phi.apply_vec_name(A.bracket_basis(x, z).coeffs, y),
+                (-1) ** (py * pz))
+    _add_signed(out, phi.apply_vec_name(A.bracket_basis(y, z).coeffs, x),
+                -((-1) ** (px * (py + pz))))
     return out
 
 
@@ -439,6 +396,22 @@ def _unknown_slots(basis: GradedBasis, parity: int) -> list[tuple[int, int]]:
             if (basis.parities[j] + parity) % 2 == basis.parities[k]]
 
 
+def _d1_matrix(A: LieSuperAlgebra, parity: int, coords) -> list[list]:
+    """The matrix of d1 on parity-p 1-cochains: one column per unit cochain
+    of ``_unknown_slots``, one row per coordinate (i, j, t), the coefficient
+    of basis element t at canonical pair (i, j)."""
+    basis = A.basis
+    columns = []
+    for (j, k) in _unknown_slots(basis, parity):
+        unit = Cochain1(basis, {basis.names[j]: {basis.names[k]: 1}},
+                        parity=parity)
+        image = d1(A, unit)
+        columns.append([image.values.get((i, jj), {}).get(basis.names[t],
+                                                          Poly.zero())
+                        for (i, jj, t) in coords])
+    return [[col[r] for col in columns] for r in range(len(coords))]
+
+
 def _as_assumed_polys(assume_nonzero) -> list[Poly]:
     polys = []
     for entry in assume_nonzero:
@@ -472,13 +445,24 @@ def _solution_denominators(solution) -> list[Poly]:
     return [dens[key] for key in sorted(dens)]
 
 
+def _linear_root(poly: Poly, var: str) -> Fraction | None:
+    """The root of poly if it has degree 1 in var and no other variable."""
+    if poly.parameters() != {var} or poly.total_degree() != 1:
+        return None
+    return -poly.constant_term() / poly.coefficient(((var, 1),))
+
+
 def _obstruction_point(matrix, rhs, dens, assumed):
     """A rational point where rank(M) < rank(M|b), or None.
 
     Such a point proves that no solution avoiding the listed denominators
     exists: a solution regular at the point would specialize to a solution
     of the specialized system.  Points are searched on the vanishing locus
-    of each denominator, keeping the assumed-nonzero polynomials nonzero.
+    of each denominator, keeping the assumed-nonzero polynomials nonzero:
+    first each variable of a denominator at 0 and the others at small
+    fillers, then each variable at the denominator's root where, with the
+    others at a filler, the denominator is linear in it.  The search is not
+    complete: a rank gap elsewhere on the zero locus is missed.
     """
     params: set[str] = set()
     for row in matrix:
@@ -492,22 +476,29 @@ def _obstruction_point(matrix, rhs, dens, assumed):
         params |= poly.parameters()
     names = sorted(params)
     aug = [row + [rhs[i]] for i, row in enumerate(matrix)]
-    for den in dens:
-        for var in sorted(den.parameters()):
-            for filler in (1, 2, 3, 5, 7, 11):
-                point = {n: Fraction(filler) for n in names}
-                point[var] = Fraction(0)
-                if den.substitute(point):
-                    continue  # not on this denominator's zero locus
-                if any(not a.substitute(point) for a in assumed):
-                    continue
-                try:
-                    rank = rank_at_point(matrix, point)
-                    rank_aug = rank_at_point(aug, point)
-                except (ValueError, ZeroDivisionError):
-                    continue
-                if rank < rank_aug:
-                    return point, rank, rank_aug
+    tried = set()
+    for at_root in (False, True):
+        for den in dens:
+            for var in sorted(den.parameters()):
+                for filler in (1, 2, 3, 5, 7, 11):
+                    point = {n: Fraction(filler) for n in names if n != var}
+                    point[var] = (_linear_root(den.substitute(point), var)
+                                  if at_root else Fraction(0))
+                    if point[var] is None or den.substitute(point):
+                        continue  # not on this denominator's zero locus
+                    if any(not a.substitute(point) for a in assumed):
+                        continue
+                    key = tuple(sorted(point.items()))
+                    if key in tried:
+                        continue  # the ranks depend on the point alone
+                    tried.add(key)
+                    try:
+                        rank = rank_at_point(matrix, point)
+                        rank_aug = rank_at_point(aug, point)
+                    except (ValueError, ZeroDivisionError):
+                        continue
+                    if rank < rank_aug:
+                        return point, rank, rank_aug
     return None
 
 
@@ -543,19 +534,9 @@ def solve_coboundary(A: LieSuperAlgebra, phi: Cochain2,
                                  witness[0])
     parity = phi.parity
     slots = _unknown_slots(basis, parity)
-    pairs = _canonical_pairs(basis)
-    # Rows: canonical pair x target; columns: d1 of unit cochains.
-    columns = []
-    coords = [(i, j, t) for (i, j) in pairs for t in range(len(basis))]
-    for (j, k) in slots:
-        unit = Cochain1(basis, {basis.names[j]: {basis.names[k]: 1}},
-                        parity=parity)
-        image = d1(A, unit)
-        columns.append([image.values.get((i, jj), {}).get(basis.names[t],
-                                                          Poly.zero())
-                        for (i, jj, t) in coords])
-    matrix = [[columns[c][r] for c in range(len(columns))]
-              for r in range(len(coords))]
+    coords = [(i, j, t) for (i, j) in _canonical_pairs(basis)
+              for t in range(len(basis))]
+    matrix = _d1_matrix(A, parity, coords)
     rhs = [phi.values.get((i, j), {}).get(basis.names[t], Poly.zero())
            for (i, j, t) in coords]
     outcome = solve_linear(matrix, rhs)
@@ -596,20 +577,6 @@ def solve_coboundary(A: LieSuperAlgebra, phi: Cochain2,
                              outcome.rank_augmented, solved_assumptions)
 
 
-def coboundary_in_wedge(A: LieSuperAlgebra, r: Tensor) -> Cobracket:
-    """The degree-0 coboundary of r with coefficients in the tensor square.
-
-    This is x -> (ad_x (x) 1 + 1 (x) ad_x)(r), the same map produced by
-    cobracket_from_r; the agreement is asserted to tie the two readings
-    together.
-    """
-    result = Cobracket(A, {name: ad_action(A, A.gen(name), r)
-                           for name in A.basis.names})
-    if result != cobracket_from_r(A, r):  # pragma: no cover
-        raise AssertionError("coboundary and cobracket readings disagree")
-    return result
-
-
 @dataclass(frozen=True)
 class CohomologyReport:
     kernel_dim: int
@@ -646,18 +613,8 @@ def h2_dim(A: LieSuperAlgebra, max_dim: int = 12) -> CohomologyReport:
         pair_coords = [(i, j, t) for (i, j) in pairs for t in range(n)
                        if (basis.parities[i] + basis.parities[j] + parity) % 2
                        == basis.parities[t]]
-        # d1 matrix: columns are unit 1-cochains.
-        d1_cols = []
-        for (j, k) in _unknown_slots(basis, parity):
-            unit = Cochain1(basis, {basis.names[j]: {basis.names[k]: 1}},
-                            parity=parity)
-            image = d1(A, unit)
-            d1_cols.append([image.values.get((i, jj), {}).get(basis.names[t],
-                                                              Poly.zero())
-                            for (i, jj, t) in pair_coords])
-        if d1_cols:
-            d1_matrix = [[col[r] for col in d1_cols]
-                         for r in range(len(pair_coords))]
+        d1_matrix = _d1_matrix(A, parity, pair_coords)
+        if d1_matrix and d1_matrix[0]:
             res = verify_and_rank(d1_matrix)
             image_dim += res.rank
             assumptions.extend(str(p) for p in res.assumptions)
@@ -687,7 +644,7 @@ def h2_dim(A: LieSuperAlgebra, max_dim: int = 12) -> CohomologyReport:
 
 def verify_and_rank(matrix):
     """Symbolic rank with the random-point genericity cross-check."""
-    res = matrix_rank(matrix)
+    res = rref(matrix)
     verify_rank_generically(matrix, res.rank, res.assumptions)
     return res
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .catalog import cartan_name, make_borel, make_sl, pair_name
-from .liealg import Element, LieSuperAlgebra, Tensor
+from .liealg import Element, LieSuperAlgebra, Tensor, accumulate, render_sum
 from .scalars import (
     Poly,
     TruncationOrder,
@@ -71,17 +71,6 @@ Coeff = Union[Fraction, Poly]
 Key = tuple
 
 _ONE = Fraction(1)
-
-
-def _accumulate(store: dict, key, value) -> None:
-    if not value:
-        return
-    total = store.get(key)
-    total = value if total is None else total + value
-    if total:
-        store[key] = total
-    else:
-        del store[key]
 
 
 class UEA:
@@ -202,7 +191,7 @@ class UEA:
                 # x_a x_b = (-1)^{|a||b|} x_b x_a + [x_a, x_b]
                 odd_swap = parities[a] and parities[b]
                 for key, c in self.normalize_word(head + (b, a) + tail).items():
-                    _accumulate(out, key, -c if odd_swap else c)
+                    accumulate(out, key, -c if odd_swap else c)
                 reduced = self.algebra.bracket_basis(names[a], names[b])
                 scale = Fraction(1)
             else:
@@ -213,7 +202,7 @@ class UEA:
                 shorter = head + (index(target),) + tail
                 for k, coeff in self._split(c * scale).items():
                     for (w, kw), c2 in self.normalize_word(shorter).items():
-                        _accumulate(out, (w, k + kw), c2 * coeff)
+                        accumulate(out, (w, k + kw), c2 * coeff)
             return out
         return {(word, 0): _ONE}
 
@@ -260,7 +249,7 @@ def _normal_terms(uea: UEA, terms: Iterable[tuple[tuple[Word, ...], object]]
             for w in words:
                 partial = _extend(uea, partial, w)
             for done, d, c2 in partial:
-                _accumulate(out, done + (d,), c2)
+                accumulate(out, done + (d,), c2)
     return out
 
 
@@ -295,7 +284,7 @@ def _product(left: "_GradedTerms", right: "_GradedTerms") -> dict[Key, Coeff]:
                 for i in range(rank):
                     partial = _extend(uea, partial, key1[i] + key2[i])
                 for words, d, c in partial:
-                    _accumulate(out, words + (d,), c)
+                    accumulate(out, words + (d,), c)
     return out
 
 
@@ -309,8 +298,8 @@ def _coproduct_terms(uea: UEA, data: Mapping[Key, Coeff], slot: int
         for dkey, c2 in uea.coproduct_of_word(key[slot])._data.items():
             d = k + dkey[-1]
             if d <= top:
-                _accumulate(out, key[:slot] + dkey[:2] + key[slot + 1:-1] + (d,),
-                            c * c2)
+                accumulate(out, key[:slot] + dkey[:2] + key[slot + 1:-1] + (d,),
+                           c * c2)
     return out
 
 
@@ -371,7 +360,7 @@ class _GradedTerms:
         self._check_compatible(other)
         out = dict(self._data)
         for key, c in other._data.items():
-            _accumulate(out, key, c)
+            accumulate(out, key, c)
         return self._like(out)
 
     def __sub__(self, other):
@@ -389,7 +378,7 @@ class _GradedTerms:
             for key, c in self._data.items():
                 d = key[-1] + ks
                 if d <= top:
-                    _accumulate(out, key[:-1] + (d,), c * s)
+                    accumulate(out, key[:-1] + (d,), c * s)
         return self._like(out)
 
     def __mul__(self, other):
@@ -445,24 +434,10 @@ class UEAElement(_GradedTerms):
     # -- rendering ------------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word, coeff in sorted(self.terms.items(),
-                                  key=lambda kv: (len(kv[0]), kv[0])):
-            body = self.uea.render_word(word)
-            text = scalar_str(coeff)
-            if body == "1":
-                parts.append(f"({text})" if " " in text else text)
-            elif text == "1":
-                parts.append(body)
-            elif text == "-1":
-                parts.append(f"-{body}")
-            elif " " in text:
-                parts.append(f"({text})*{body}")
-            else:
-                parts.append(f"{text}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_sum(
+            (scalar_str(coeff), self.uea.render_word(word))
+            for word, coeff in sorted(self.terms.items(),
+                                      key=lambda kv: (len(kv[0]), kv[0])))
 
     def __repr__(self):
         return f"UEAElement({self})"
@@ -560,22 +535,10 @@ class TensorUEA(_GradedTerms):
     # -- rendering ------------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, coeff in sorted(self.terms.items(),
-                                 key=lambda kv: (sum(map(len, kv[0])), kv[0])):
-            body = "(x)".join(self.uea.render_word(w) for w in key)
-            text = scalar_str(coeff)
-            if text == "1":
-                parts.append(body)
-            elif text == "-1":
-                parts.append(f"-{body}")
-            elif " " in text:
-                parts.append(f"({text})*{body}")
-            else:
-                parts.append(f"{text}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_sum(
+            (scalar_str(coeff), "(x)".join(self.uea.render_word(w) for w in key))
+            for key, coeff in sorted(self.terms.items(),
+                                     key=lambda kv: (sum(map(len, kv[0])), kv[0])))
 
     def __repr__(self):
         return f"TensorUEA({self})"
@@ -610,7 +573,7 @@ def tensor_product(*factors: UEAElement) -> TensorUEA:
             for (w, k), c2 in factor._data.items():
                 d = key[-1] + k
                 if d <= top:
-                    _accumulate(grown, key[:-1] + (w, d), c * c2)
+                    accumulate(grown, key[:-1] + (w, d), c * c2)
         terms = grown
     return TensorUEA._trusted(uea, len(factors), terms)
 

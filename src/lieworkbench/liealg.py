@@ -5,6 +5,10 @@ constants with polynomial coefficients.  Elements and tensors are sparse
 dictionaries over basis labels.  All sign conventions follow the Koszul
 rule: transposing two homogeneous factors of parities p and q contributes
 ``(-1)**(p*q)``.
+
+Every sparse sum above ``Poly`` (here, in ``cohomology`` and in
+``enveloping``) adds a term in place with :func:`accumulate`, which drops
+a cancelled key, and prints with :func:`render_sum`.
 """
 
 from __future__ import annotations
@@ -24,9 +28,51 @@ __all__ = [
     "wedge",
     "otimes",
     "pencil",
-    "bracket",
-    "verify_jacobi",
+    "accumulate",
+    "render_sum",
 ]
+
+
+def accumulate(store: dict, key, value) -> None:
+    """Add value to store[key] in place, dropping the key if it cancels."""
+    if not value:
+        return
+    total = store.get(key)
+    total = value if total is None else total + value
+    if total:
+        store[key] = total
+    else:
+        del store[key]
+
+
+def render_sum(pairs: Iterable[tuple[str, str]]) -> str:
+    """A signed sum of ``(coefficient text, body)`` pairs, in the given order.
+
+    A unit body ``"1"`` prints the bare coefficient, else a coefficient of 1
+    or -1 is left out.  A coefficient of several terms is parenthesised,
+    ``+ -`` folds to ``-``, and the empty sum is ``0``.
+    """
+    parts = []
+    for text, body in pairs:
+        if body == "1":
+            parts.append(f"({text})" if " " in text else text)
+        elif text == "1":
+            parts.append(body)
+        elif text == "-1":
+            parts.append(f"-{body}")
+        elif " " in text:
+            parts.append(f"({text})*{body}")
+        else:
+            parts.append(f"{text}*{body}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def common_parity(parities: Iterable[int]) -> int | None:
+    """The parity all the given ones share: 0 for none, None if mixed."""
+    found = set(parities)
+    if len(found) == 1:
+        return found.pop()
+    return None if found else 0
 
 
 class GradedBasis:
@@ -118,10 +164,7 @@ class Element:
 
     def parity(self) -> int | None:
         """Common parity of all supported labels, or None if mixed/zero."""
-        parities = {self.basis.parity(n) for n in self.coeffs}
-        if len(parities) == 1:
-            return parities.pop()
-        return None if parities else 0
+        return common_parity(self.basis.parity(n) for n in self.coeffs)
 
     def _check_same_basis(self, other: "Element"):
         if self.basis != other.basis:
@@ -133,11 +176,7 @@ class Element:
         self._check_same_basis(other)
         out = dict(self.coeffs)
         for name, c in other.coeffs.items():
-            acc = out.get(name, Poly.zero()) + c
-            if acc:
-                out[name] = acc
-            else:
-                out.pop(name, None)
+            accumulate(out, name, c)
         result = Element(self.basis)
         result.coeffs = out
         return result
@@ -176,23 +215,8 @@ class Element:
         return self.basis == other.basis and self.coeffs == other.coeffs
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for name in self.basis.names:
-            if name not in self.coeffs:
-                continue
-            coeff = self.coeffs[name]
-            text = scalar_str(coeff)
-            if text == "1":
-                parts.append(name)
-            elif text == "-1":
-                parts.append(f"-{name}")
-            elif " " in text:
-                parts.append(f"({text})*{name}")
-            else:
-                parts.append(f"{text}*{name}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_sum((scalar_str(self.coeffs[name]), name)
+                          for name in self.basis.names if name in self.coeffs)
 
     def __repr__(self):
         return f"Element({self})"
@@ -237,10 +261,7 @@ class Tensor:
         return sum(self.basis.parity(n) for n in key) % 2
 
     def parity(self) -> int | None:
-        parities = {self.key_parity(k) for k in self.coeffs}
-        if len(parities) == 1:
-            return parities.pop()
-        return None if parities else 0
+        return common_parity(self.key_parity(k) for k in self.coeffs)
 
     def _check_compatible(self, other: "Tensor"):
         if self.basis != other.basis or self.rank != other.rank:
@@ -252,11 +273,7 @@ class Tensor:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            acc = out.get(key, Poly.zero()) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            accumulate(out, key, c)
         result = Tensor(self.basis, self.rank)
         result.coeffs = out
         return result
@@ -301,21 +318,8 @@ class Tensor:
                 and self.coeffs == other.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for key, coeff in self.items():
-            body = "(x)".join(key)
-            text = scalar_str(coeff)
-            if text == "1":
-                parts.append(body)
-            elif text == "-1":
-                parts.append(f"-{body}")
-            elif " " in text:
-                parts.append(f"({text})*{body}")
-            else:
-                parts.append(f"{text}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_sum((scalar_str(coeff), "(x)".join(key))
+                          for key, coeff in self.items())
 
     def __repr__(self):
         return f"Tensor({self})"
@@ -442,11 +446,14 @@ class LieSuperAlgebra:
 
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the basis bracket."""
-        result = self.zero()
+        out: dict[str, Poly] = {}
         for a, ca in x.coeffs.items():
             for b, cb in y.coeffs.items():
-                term = self.bracket_basis(a, b).scaled(ca * cb)
-                result = result + term
+                scale = ca * cb
+                for target, c in self.bracket_basis(a, b).coeffs.items():
+                    accumulate(out, target, c * scale)
+        result = self.zero()
+        result.coeffs = out
         return result
 
     def ad(self, x: Element):
@@ -521,23 +528,8 @@ def pencil(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra, a1, a2,
         a, b = mu1.basis.names[i], mu1.basis.names[j]
         combo: dict[str, Poly] = {}
         for source, c in ((mu1, c1), (mu2, c2)):
-            entry = source.table.get((i, j), {})
-            for target, coeff in entry.items():
-                acc = combo.get(target, Poly.zero()) + coeff * c
-                if acc:
-                    combo[target] = acc
-                else:
-                    combo.pop(target, None)
+            for target, coeff in source.table.get((i, j), {}).items():
+                accumulate(combo, target, coeff * c)
         if combo:
             table[(a, b)] = combo
     return LieSuperAlgebra(name, mu1.basis, table)
-
-
-def bracket(A: LieSuperAlgebra, x: Element, y: Element) -> Element:
-    """Module-level alias for :meth:`LieSuperAlgebra.bracket`."""
-    return A.bracket(x, y)
-
-
-def verify_jacobi(A: LieSuperAlgebra) -> JacobiReport:
-    """Module-level alias for :meth:`LieSuperAlgebra.verify_jacobi`."""
-    return A.verify_jacobi()

@@ -25,7 +25,6 @@ __all__ = [
     "rref",
     "LinearSolveResult",
     "solve_linear",
-    "matrix_rank",
     "rank_at_point",
     "sample_points",
     "verify_rank_generically",
@@ -45,6 +44,36 @@ def as_ratfunc(value) -> RatFunc:
 
 def _pivot_complexity(entry: RatFunc) -> tuple[int, int]:
     return (len(entry.num), len(entry.den))
+
+
+def _gauss_jordan(m: list[list], pivot_key) -> list[tuple[int, object]]:
+    """Reduce the rows of m in place to reduced row echelon form.
+
+    In each column the pivot is the first candidate row (from the current
+    one down) with a nonzero entry of least ``pivot_key(entry)``.  Returns
+    (column, pivot value before scaling) for every pivot, in order.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[tuple[int, object]] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        candidates = [i for i in range(r, nrows) if m[i][c]]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: pivot_key(m[i][c]))
+        m[r], m[best] = m[best], m[r]
+        pivot = m[r][c]
+        m[r] = [e / pivot for e in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append((c, pivot))
+        r += 1
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -67,35 +96,11 @@ def rref(matrix: Sequence[Sequence]) -> RrefResult:
     assumptions.
     """
     m = [[as_ratfunc(e) for e in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivot_cols: list[int] = []
-    assumptions: list[Poly] = []
-    seen_assumptions: set[str] = set()
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        candidates = [i for i in range(r, nrows) if m[i][c]]
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda i: (*_pivot_complexity(m[i][c]), i))
-        m[r], m[best] = m[best], m[r]
-        pivot = m[r][c]
-        if not pivot.num.is_constant():
-            key = str(pivot.num)
-            if key not in seen_assumptions:
-                seen_assumptions.add(key)
-                assumptions.append(pivot.num)
-        m[r] = [e / pivot for e in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-    return RrefResult(tuple(tuple(row) for row in m), tuple(pivot_cols),
-                      tuple(assumptions))
+    pivots = _gauss_jordan(m, _pivot_complexity)
+    assumptions = {str(p.num): p.num for _, p in pivots
+                   if not p.num.is_constant()}
+    return RrefResult(tuple(tuple(row) for row in m),
+                      tuple(c for c, _ in pivots), tuple(assumptions.values()))
 
 
 @dataclass(frozen=True)
@@ -130,10 +135,6 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolveResult
                              free, result.assumptions)
 
 
-def matrix_rank(matrix: Sequence[Sequence]) -> RrefResult:
-    return rref(matrix)
-
-
 def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction]) -> int:
     """Rank after substituting exact rationals for every parameter."""
     rows: list[list[Fraction]] = []
@@ -146,25 +147,8 @@ def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction]) -> int
                 raise ValueError("point does not evaluate all parameters")
             vals.append(poly.as_fraction())
         rows.append(vals)
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [v / pivot for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank
+    # The first nonzero entry is the pivot: every one costs the same.
+    return len(_gauss_jordan(rows, lambda entry: 0))
 
 
 def sample_points(params: Sequence[str], avoid: Sequence[Poly],

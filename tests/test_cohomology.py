@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from lieworkbench.bialgebra import cobracket_from_r
 from lieworkbench.catalog import (
     make_borel,
     make_dual_jordanian,
     make_dual_standard,
     make_osp12,
-    make_rjordan,
     make_sl,
 )
 from lieworkbench.cohomology import (
     Cochain1,
     Cochain2,
-    coboundary_in_wedge,
     cocycle2_witness,
     compare_cochain2,
     compatible_pair,
@@ -27,8 +25,8 @@ from lieworkbench.cohomology import (
     mixed_jacobiator,
     solve_coboundary,
 )
-from lieworkbench.liealg import LieSuperAlgebra
-from lieworkbench.scalars import Poly, as_poly
+from lieworkbench.liealg import GradedBasis, LieSuperAlgebra
+from lieworkbench.scalars import Poly, as_poly, param
 
 
 def _random_cochain1(rng: random.Random, A: LieSuperAlgebra, parity: int) -> Cochain1:
@@ -151,6 +149,13 @@ def test_published_candidate_differs_from_the_solver_answer_in_one_entry():
     assert table.splitlines()[-1].endswith("<== differs")
 
 
+def test_cochain_tables_parenthesise_bare_quotients():
+    A = make_borel()
+    psi = Cochain1(A.basis, {"h": {"h": Fraction(1, 2), "x": -1},
+                             "x": {"x": Fraction(-1, 2)}})
+    assert psi.table_lines() == ["h -> (1/2)*h - x", "x -> (-1/2)*x"]
+
+
 def test_obstructed_case_reports_a_specialization_certificate():
     out = solve_coboundary(make_dual_standard(2),
                            Cochain2.from_algebra(make_dual_jordanian(2)))
@@ -163,6 +168,19 @@ def test_obstructed_case_reports_a_specialization_certificate():
         "every solution inverts h; at h = 0, xi = 1 the system has rank 0 "
         "but augmented rank 1, so no solution regular there exists"
     )
+
+
+def test_obstruction_search_tries_the_root_of_a_linear_denominator():
+    # [x, y] = c*y with c vanishing away from h = 0: the only solution
+    # inverts c, and at its root the system has no solution.
+    basis = GradedBasis(("x", "y"))
+    h = param("h")
+    for c, root in ((h - 1, "h = 1"), (h + 2, "h = -2")):
+        A = LieSuperAlgebra("a", basis, {("x", "y"): {"y": c}})
+        out = solve_coboundary(A, Cochain2(basis, {("x", "y"): {"y": 1}}))
+        assert out.status == "obstructed" and out.psi is None
+        assert (out.rank, out.rank_augmented) == (0, 1)
+        assert f"at {root} the system has rank 0" in out.obstruction
 
 
 def test_assuming_the_pivot_nonzero_unlocks_the_rational_solution():
@@ -211,12 +229,3 @@ def test_h2_dimensions_are_frozen():
         report = h2_dim(algebra)
         assert (report.kernel_dim, report.image_dim, report.quotient_dim) == dims
         assert report.parameter_assumptions == assumptions
-
-
-# -- tensor-valued coboundaries agree with the cobracket ---------------------------------
-
-
-def test_wedge_coboundary_agrees_with_the_cobracket():
-    A = make_sl(2)
-    r = make_rjordan(2)
-    assert coboundary_in_wedge(A, r) == cobracket_from_r(A, r)

@@ -241,6 +241,13 @@ def test_extended_twist_produces_the_jordanian_limit_on_sl3():
     assert classical_limit(R) == make_rjordan(3)
 
 
+def test_unit_word_prints_its_bare_coefficient():
+    U = UEA(make_borel(), UNTRUNCATED)
+    assert str(U.one().scaled(3) - U.gen("x")) == "3 - x"
+    assert str(U.one().scaled(T + 1) - U.gen("h")) == "(1 + t) - h"
+    assert str(U.one().scaled(-1)) == "-1"
+
+
 def test_twist_renderings_are_frozen():
     assert str(universal_R(build_jordanian_twist(3))) == (
         "1(x)1 - xi*h(x)x + xi*x(x)h + xi^2*h(x)x^2 + 2*xi^2*x(x)h*x"

@@ -66,6 +66,16 @@ def test_element_arithmetic_and_str():
     assert x.scaled(param("h")).coeffs["E12"] == param("h")
 
 
+def test_sums_fold_signs_and_render_zero():
+    A = make_sl(2)
+    x = A.gen("H1") - A.gen("E12") + A.gen("E21").scaled(param("h") - 1)
+    assert str(x) == "H1 - E12 + (-1 + h)*E21"
+    assert str(x - x) == str(A.zero()) == "0"
+    t = otimes(A.gen("E12"), A.gen("H1")) - otimes(A.gen("H1"), A.gen("E12")).scaled(3)
+    assert str(t) == "E12(x)H1 - 3*H1(x)E12"
+    assert str(t - t) == str(Tensor(A.basis, 2)) == "0"
+
+
 def test_element_parity_detection():
     _, mu1, _, _ = make_osp12()
     assert mu1.gen("vp_hat").parity() == 1
