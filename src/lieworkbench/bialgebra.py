@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .liealg import Element, LieSuperAlgebra, Tensor, accumulate
+from .liealg import Element, LieSuperAlgebra, Tensor, accumulate, canonical_pairs
 from .scalars import Poly, RatFunc, UnsupportedInputError, as_poly
 
 __all__ = [
@@ -253,20 +253,11 @@ def dual_algebra(B: LieBialgebra, suffix: str = "_hat") -> LieSuperAlgebra:
     A, delta = B.algebra, B.cobracket
     basis = A.basis
     dual_basis = basis.renamed(suffix)
-    table: dict[tuple[str, str], dict[str, Poly]] = {}
-    for i, a in enumerate(basis.names):
-        for j, b in enumerate(basis.names):
-            if j < i:
-                continue  # canonical pairs; antisymmetry covers the rest
-            if i == j and not basis.parities[i]:
-                continue
-            entry: dict[str, Poly] = {}
-            for k, target in enumerate(basis.names):
-                coeff = delta(A.gen(target)).coefficient((a, b))
-                if coeff:
-                    entry[dual_basis.names[k]] = coeff
-            if entry:
-                table[(dual_basis.names[i], dual_basis.names[j])] = entry
+    deltas = [delta(x) for x in A.gens()]
+    table = {(dual_basis.names[i], dual_basis.names[j]):
+             {dual: d.coefficient((basis.names[i], basis.names[j]))
+              for dual, d in zip(dual_basis.names, deltas)}
+             for (i, j) in canonical_pairs(basis)}
     return LieSuperAlgebra(f"dual({A.name})", dual_basis, table)
 
 

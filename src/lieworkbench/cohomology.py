@@ -2,8 +2,10 @@
 
 Cochains take values in the adjoint module.  Degree-1 cochains are linear
 maps g -> g; degree-2 cochains are graded-antisymmetric bilinear maps
-g x g -> g (the same symmetry type as a bracket, so any candidate bracket
-can be viewed as a 2-cochain).  The differentials carry Koszul signs for
+g x g -> g, stored in the bracket's own ``liealg.PairTable``, so a bracket
+is a 2-cochain as it stands.  d2 of one bracket over another is their
+mixed jacobiator: two brackets are compatible exactly when each is a
+2-cocycle of the other.  The differentials carry Koszul signs for
 both the argument parities and the parity of the cochain itself; in the
 purely even case they reduce to the classical formulas.
 
@@ -15,14 +17,18 @@ which polynomials were assumed nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
-from .liealg import (Element, GradedBasis, LieSuperAlgebra, accumulate,
-                     common_parity, render_sum)
+from .liealg import (Element, GradedBasis, LieSuperAlgebra, PairTable,
+                     accumulate, as_vector, canonical_pairs, common_parity,
+                     render_sum, vectors_equal)
 from .linsolve import (
     RatFunc,
+    distinct_up_to_scale,
     rank_at_point,
     rref,
     solve_linear,
@@ -51,37 +57,10 @@ __all__ = [
 Vector = dict
 
 
-def _vec(entries: Mapping[str, object] | None = None) -> Vector:
-    out: Vector = {}
-    for name, value in (entries or {}).items():
-        if isinstance(value, RatFunc):
-            if value:
-                out[name] = value
-        else:
-            poly = as_poly(value)
-            if poly:
-                out[name] = poly
-    return out
-
-
-def _signed(vec: Mapping, sign: int) -> Vector:
-    """A copy of vec, negated when sign is -1."""
-    return {n: -v for n, v in vec.items()} if sign < 0 else dict(vec)
-
-
 def _add_signed(out: Vector, vec: Mapping, sign: int) -> None:
     """out += sign * vec, in place."""
     for name, value in vec.items():
         accumulate(out, name, -value if sign < 0 else value)
-
-
-def _veq(a: Vector, b: Vector) -> bool:
-    for name in set(a) | set(b):
-        x = a.get(name, Poly.zero())
-        y = b.get(name, Poly.zero())
-        if not (x == y):
-            return False
-    return True
 
 
 def _vec_str(vec: Vector, basis: GradedBasis) -> str:
@@ -116,7 +95,7 @@ class Cochain1:
         clean: dict[str, Vector] = {}
         for name, value in (values or {}).items():
             basis.index(name)
-            vec = dict(value.coeffs) if isinstance(value, Element) else _vec(value)
+            vec = as_vector(value)
             if not vec:
                 continue
             vp = common_parity(basis.parity(n) for n in vec)
@@ -143,12 +122,9 @@ class Cochain1:
     def __eq__(self, other):
         if not isinstance(other, Cochain1):
             return NotImplemented
-        if self.basis != other.basis or self.parity != other.parity:
-            return False
-        for name in set(self.values) | set(other.values):
-            if not _veq(self.values.get(name, {}), other.values.get(name, {})):
-                return False
-        return True
+        return (self.basis == other.basis and self.parity == other.parity
+                and all(vectors_equal(self.values.get(n, {}), other.values.get(n, {}))
+                        for n in set(self.values) | set(other.values)))
 
     def table_lines(self) -> list[str]:
         return [f"{name} -> {_vec_str(self.values.get(name, {}), self.basis)}"
@@ -158,118 +134,39 @@ class Cochain1:
         return f"Cochain1({'; '.join(self.table_lines())})"
 
 
-class Cochain2:
+class Cochain2(PairTable):
     """A parity-homogeneous graded-antisymmetric bilinear map g x g -> g.
 
-    Canonical storage mirrors a bracket table: one vector per index pair
-    (i, j) with i < j, plus diagonal (i, i) for odd generators.  Any bracket
-    candidate is therefore representable, and a Lie algebra's own bracket
-    converts via :meth:`from_algebra`.
+    It is stored as the :class:`PairTable` a bracket is stored as (values
+    may also be ``RatFunc``), so a Lie algebra's own bracket is a 2-cochain
+    as it stands, and :meth:`from_algebra` shares the algebra's table.
     """
 
-    __slots__ = ("basis", "parity", "values")
-
-    def __init__(self, basis: GradedBasis,
-                 values: Mapping[tuple, Mapping | Element] | None = None,
-                 parity: int = 0):
-        self.basis = basis
-        self.parity = int(parity) % 2
-        canonical: dict[tuple[int, int], Vector] = {}
-        for (a, b), value in (values or {}).items():
-            i, j = basis.index(a), basis.index(b)
-            vec = dict(value.coeffs) if isinstance(value, Element) else _vec(value)
-            if i < j:
-                key, entry = (i, j), vec
-            elif i > j:
-                sign = (-1) ** (basis.parities[i] * basis.parities[j])
-                key, entry = (j, i), _signed(vec, -sign)
-            else:
-                if basis.parities[i] == 0:
-                    if vec:
-                        raise ValueError(
-                            f"value at even diagonal pair ({a}, {a}) must vanish")
-                    continue
-                key, entry = (i, i), vec
-            if key in canonical:
-                if not _veq(canonical[key], entry):
-                    raise ValueError(f"conflicting values for pair ({a}, {b})")
-                continue
-            if entry:
-                canonical[key] = entry
-        for (i, j), entry in canonical.items():
-            expected = (basis.parities[i] + basis.parities[j] + self.parity) % 2
-            vp = common_parity(basis.parity(n) for n in entry)
-            if vp is None or vp != expected:
-                raise ValueError(
-                    f"value at pair ({basis.names[i]}, {basis.names[j]}) "
-                    f"violates the declared parity")
-        self.values = canonical
+    __slots__ = ()
 
     @classmethod
     def from_algebra(cls, A: LieSuperAlgebra) -> "Cochain2":
-        values = {(A.basis.names[i], A.basis.names[j]): dict(entry)
-                  for (i, j), entry in A.table.items()}
-        return cls(A.basis, values, parity=0)
-
-    def apply_names(self, a: str, b: str) -> Vector:
-        i, j = self.basis.index(a), self.basis.index(b)
-        if i < j or i == j:
-            return dict(self.values.get((i, j), {}))
-        sign = (-1) ** (self.basis.parities[i] * self.basis.parities[j])
-        return _signed(self.values.get((j, i), {}), -sign)
-
-    def apply_vec_name(self, vec: Mapping, b: str) -> Vector:
-        """phi(vec, e_b) extended linearly in the first argument."""
-        out: Vector = {}
-        for name, scalar in vec.items():
-            for target, value in self.apply_names(name, b).items():
-                accumulate(out, target, value * scalar)
-        return out
+        cochain = cls(A.basis)
+        cochain.table = A.table
+        return cochain
 
     def __bool__(self):
-        return any(self.values.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain2):
-            return NotImplemented
-        if self.basis != other.basis:
-            return False
-        for key in set(self.values) | set(other.values):
-            if not _veq(self.values.get(key, {}), other.values.get(key, {})):
-                return False
-        return True
+        return bool(self.table)
 
     def table_lines(self) -> list[str]:
-        lines = []
         names = self.basis.names
-        for (i, j) in _canonical_pairs(self.basis):
-            vec = self.values.get((i, j), {})
-            lines.append(f"({names[i]}, {names[j]}) -> {_vec_str(vec, self.basis)}")
-        return lines
+        return [f"({names[i]}, {names[j]}) -> "
+                f"{_vec_str(self.table.get((i, j), {}), self.basis)}"
+                for (i, j) in canonical_pairs(self.basis)]
 
     def __repr__(self):
         body = "; ".join(line for line in self.table_lines() if not line.endswith(" 0"))
         return f"Cochain2({body or '0'})"
 
 
-def _canonical_pairs(basis: GradedBasis) -> list[tuple[int, int]]:
-    n = len(basis)
-    return [(i, j) for i in range(n) for j in range(i, n)
-            if i != j or basis.parities[i]]
-
-
 def _canonical_triples(basis: GradedBasis) -> list[tuple[int, int, int]]:
-    n = len(basis)
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j and not basis.parities[i]:
-                continue
-            for k in range(j, n):
-                if j == k and not basis.parities[j]:
-                    continue
-                out.append((i, j, k))
-    return out
+    return [(i, j, k) for (i, j) in canonical_pairs(basis)
+            for k in range(j, len(basis)) if j != k or basis.parities[j]]
 
 
 def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
@@ -283,7 +180,7 @@ def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
         raise ValueError("cochain is not over the algebra's basis")
     p = psi.parity
     values: dict[tuple, Vector] = {}
-    for (i, j) in _canonical_pairs(basis):
+    for (i, j) in canonical_pairs(basis):
         a, b = basis.names[i], basis.names[j]
         pa, pb = basis.parities[i], basis.parities[j]
         term: Vector = {}
@@ -295,9 +192,12 @@ def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
     return Cochain2(basis, values, parity=p)
 
 
-def d2_residual(A: LieSuperAlgebra, phi: Cochain2,
+def d2_residual(A: LieSuperAlgebra, phi: PairTable,
                 x: str, y: str, z: str) -> Vector:
     """(d2 phi)(x, y, z) for basis labels, with graded signs.
+
+    ``phi`` is any :class:`PairTable`: a :class:`Cochain2`, or a bracket,
+    which is a parity-0 cochain (see :func:`mixed_jacobiator`).
 
     (d2 phi)(x,y,z) = (-1)^{|x|p}[x, phi(y,z)]
                     - (-1)^{|y|(p+|x|)}[y, phi(x,z)]
@@ -322,13 +222,10 @@ def d2_residual(A: LieSuperAlgebra, phi: Cochain2,
 
 def cocycle2_witness(A: LieSuperAlgebra, phi: Cochain2):
     """First basis triple where d2(phi) fails to vanish, or None."""
-    names = A.basis.names
-    for x in names:
-        for y in names:
-            for z in names:
-                residual = d2_residual(A, phi, x, y, z)
-                if residual:
-                    return (x, y, z), residual
+    for x, y, z in product(A.basis.names, repeat=3):
+        residual = d2_residual(A, phi, x, y, z)
+        if residual:
+            return (x, y, z), residual
     return None
 
 
@@ -342,26 +239,21 @@ def mixed_jacobiator(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra,
     """The cross term of the jacobiator of the pencil mu1 + t*mu2.
 
     Vanishing for all triples is exactly the condition for mu1 + t*mu2 to
-    satisfy Jacobi identically in t (given that mu1 and mu2 each do).
+    satisfy Jacobi identically in t (given that mu1 and mu2 each do).  The
+    cross term is the Nijenhuis-Richardson bracket [mu1, mu2] = d_{mu1} mu2
+    (Gerstenhaber 1964; Nijenhuis and Richardson 1967): the d2 residual of
+    mu2, a parity-0 2-cochain, over mu1.  So "mu2 is compatible with mu1"
+    and "mu2 is a 2-cocycle of mu1" are one condition.
     """
     if mu1.basis != mu2.basis:
         raise ValueError("mixed jacobiator requires a shared basis")
-    basis = mu1.basis
-    sign = (-1) ** (basis.parity(x) * basis.parity(y))
-    result = Element(basis)
-    for outer, inner in ((mu1, mu2), (mu2, mu1)):
-        gx, gy, gz = (Element.basis_vector(basis, n) for n in (x, y, z))
-        result = result + outer.bracket(gx, inner.bracket(gy, gz))
-        result = result - outer.bracket(inner.bracket(gx, gy), gz)
-        result = result - outer.bracket(gy, inner.bracket(gx, gz)).scaled(sign)
-    return result
+    return Element(mu1.basis, d2_residual(mu1, mu2, x, y, z))
 
 
 def compatible_pair(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra) -> bool:
     """True iff the mixed jacobiator of the two brackets vanishes identically."""
-    names = mu1.basis.names
     return all(not mixed_jacobiator(mu1, mu2, x, y, z)
-               for x in names for y in names for z in names)
+               for x, y, z in product(mu1.basis.names, repeat=3))
 
 
 @dataclass(frozen=True)
@@ -406,7 +298,7 @@ def _d1_matrix(A: LieSuperAlgebra, parity: int, coords) -> list[list]:
         unit = Cochain1(basis, {basis.names[j]: {basis.names[k]: 1}},
                         parity=parity)
         image = d1(A, unit)
-        columns.append([image.values.get((i, jj), {}).get(basis.names[t],
+        columns.append([image.table.get((i, jj), {}).get(basis.names[t],
                                                           Poly.zero())
                         for (i, jj, t) in coords])
     return [[col[r] for col in columns] for r in range(len(coords))]
@@ -445,11 +337,49 @@ def _solution_denominators(solution) -> list[Poly]:
     return [dens[key] for key in sorted(dens)]
 
 
-def _linear_root(poly: Poly, var: str) -> Fraction | None:
-    """The root of poly if it has degree 1 in var and no other variable."""
-    if poly.parameters() != {var} or poly.total_degree() != 1:
-        return None
-    return -poly.constant_term() / poly.coefficient(((var, 1),))
+_ROOT_COEFF_BOUND = 10**6  # see _rational_roots
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n > 0 (a square root's twice)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def _rational_roots(poly: Poly, var: str) -> list[Fraction]:
+    """The rational roots of poly in var, ascending, if var is its only
+    variable (rational-root theorem).
+
+    With the denominators cleared and the power of var that divides poly
+    taken out, a nonzero root p/q in lowest terms has p dividing the
+    constant coefficient and q the leading one.  If either of those
+    integers exceeds ``_ROOT_COEFF_BOUND`` in absolute value, no root is
+    returned.
+    """
+    if poly.parameters() != {var}:
+        return []
+    degrees = {dict(mono).get(var, 0): c for mono, c in poly.items()}
+    scale = math.lcm(*(c.denominator for c in degrees.values()))
+    low, n = min(degrees), max(degrees) - min(degrees)
+    ints = {k - low: int(c * scale) for k, c in degrees.items()}
+    if max(abs(ints[n]), abs(ints[0])) > _ROOT_COEFF_BOUND:
+        return []
+    # By Gauss's lemma q*x - p divides the integer polynomial f, so q - p
+    # divides f(1) and q + p divides f(-1): a cheap filter before the
+    # exact test q^n f(p/q) = 0.
+    at_one = sum(ints.values())
+    at_minus_one = sum(c * (-1) ** k for k, c in ints.items())
+    roots = {Fraction(0)} if low else set()
+    for q in _divisors(abs(ints[n])):
+        for d in _divisors(abs(ints[0])):
+            for p in (d, -d):
+                if (math.gcd(p, q) == 1
+                        and (q == p or at_one % (q - p) == 0)
+                        and (q == -p or at_minus_one % (q + p) == 0)
+                        and not sum(c * p ** k * q ** (n - k)
+                                    for k, c in ints.items())):
+                    roots.add(Fraction(p, q))
+    return sorted(roots)
 
 
 def _obstruction_point(matrix, rhs, dens, assumed):
@@ -460,45 +390,40 @@ def _obstruction_point(matrix, rhs, dens, assumed):
     of the specialized system.  Points are searched on the vanishing locus
     of each denominator, keeping the assumed-nonzero polynomials nonzero:
     first each variable of a denominator at 0 and the others at small
-    fillers, then each variable at the denominator's root where, with the
-    others at a filler, the denominator is linear in it.  The search is not
-    complete: a rank gap elsewhere on the zero locus is missed.
+    fillers, then, with the others at a filler, each variable at the
+    denominator's rational roots in it, ascending (:func:`_rational_roots`).
+    The search is not complete: a rank gap elsewhere on the zero locus is
+    missed, and so is a root that is irrational or that a leading or
+    constant coefficient above ``_ROOT_COEFF_BOUND`` hides.
     """
-    params: set[str] = set()
-    for row in matrix:
-        for e in row:
-            params |= e.parameters()
-    for e in rhs:
-        params |= e.parameters()
-    for den in dens:
-        params |= den.parameters()
-    for poly in assumed:
-        params |= poly.parameters()
-    names = sorted(params)
+    scalars = [e for row in matrix for e in row] + list(rhs) + dens + assumed
+    names = sorted(set().union(*(e.parameters() for e in scalars)))
     aug = [row + [rhs[i]] for i, row in enumerate(matrix)]
     tried = set()
     for at_root in (False, True):
         for den in dens:
             for var in sorted(den.parameters()):
                 for filler in (1, 2, 3, 5, 7, 11):
-                    point = {n: Fraction(filler) for n in names if n != var}
-                    point[var] = (_linear_root(den.substitute(point), var)
-                                  if at_root else Fraction(0))
-                    if point[var] is None or den.substitute(point):
-                        continue  # not on this denominator's zero locus
-                    if any(not a.substitute(point) for a in assumed):
-                        continue
-                    key = tuple(sorted(point.items()))
-                    if key in tried:
-                        continue  # the ranks depend on the point alone
-                    tried.add(key)
-                    try:
-                        rank = rank_at_point(matrix, point)
-                        rank_aug = rank_at_point(aug, point)
-                    except (ValueError, ZeroDivisionError):
-                        continue
-                    if rank < rank_aug:
-                        return point, rank, rank_aug
+                    others = {n: Fraction(filler) for n in names if n != var}
+                    values = (_rational_roots(den.substitute(others), var)
+                              if at_root else [Fraction(0)])
+                    for value in values:
+                        point = {**others, var: value}
+                        if den.substitute(point):
+                            continue  # not on this denominator's zero locus
+                        if any(not a.substitute(point) for a in assumed):
+                            continue
+                        key = tuple(sorted(point.items()))
+                        if key in tried:
+                            continue  # the ranks depend on the point alone
+                        tried.add(key)
+                        try:
+                            rank = rank_at_point(matrix, point)
+                            rank_aug = rank_at_point(aug, point)
+                        except (ValueError, ZeroDivisionError):
+                            continue
+                        if rank < rank_aug:
+                            return point, rank, rank_aug
     return None
 
 
@@ -534,10 +459,10 @@ def solve_coboundary(A: LieSuperAlgebra, phi: Cochain2,
                                  witness[0])
     parity = phi.parity
     slots = _unknown_slots(basis, parity)
-    coords = [(i, j, t) for (i, j) in _canonical_pairs(basis)
+    coords = [(i, j, t) for (i, j) in canonical_pairs(basis)
               for t in range(len(basis))]
     matrix = _d1_matrix(A, parity, coords)
-    rhs = [phi.values.get((i, j), {}).get(basis.names[t], Poly.zero())
+    rhs = [phi.table.get((i, j), {}).get(basis.names[t], Poly.zero())
            for (i, j, t) in coords]
     outcome = solve_linear(matrix, rhs)
     assumptions = tuple(str(p) for p in outcome.assumptions)
@@ -571,8 +496,8 @@ def solve_coboundary(A: LieSuperAlgebra, phi: Cochain2,
     psi = Cochain1(basis, values, parity=parity)
     if d1(A, psi) != phi:
         raise AssertionError("solver produced a non-solution")  # pragma: no cover
-    solved_assumptions = tuple(dict.fromkeys(
-        list(assumptions) + [str(d) for d in dens]))
+    solved_assumptions = tuple(str(p) for p in distinct_up_to_scale(
+        list(outcome.assumptions) + dens))
     return CoboundaryOutcome("solved", psi, outcome.rank,
                              outcome.rank_augmented, solved_assumptions)
 
@@ -601,12 +526,12 @@ def h2_dim(A: LieSuperAlgebra, max_dim: int = 12) -> CohomologyReport:
     basis = A.basis
     if A.dim > max_dim:
         raise ValueError(f"h2_dim guard: dim {A.dim} exceeds {max_dim}")
-    pairs = _canonical_pairs(basis)
+    pairs = canonical_pairs(basis)
     triples = _canonical_triples(basis)
     n = len(basis)
     kernel_dim = 0
     image_dim = 0
-    assumptions: list[str] = []
+    assumptions: list[Poly] = []
 
     for parity in (0, 1):
         # Coordinates of C^2 at this cochain parity.
@@ -617,7 +542,7 @@ def h2_dim(A: LieSuperAlgebra, max_dim: int = 12) -> CohomologyReport:
         if d1_matrix and d1_matrix[0]:
             res = verify_and_rank(d1_matrix)
             image_dim += res.rank
-            assumptions.extend(str(p) for p in res.assumptions)
+            assumptions.extend(res.assumptions)
         # d2 matrix: columns are unit 2-cochains.
         d2_cols = []
         for (i, j, t) in pair_coords:
@@ -635,9 +560,9 @@ def h2_dim(A: LieSuperAlgebra, max_dim: int = 12) -> CohomologyReport:
                          for r in range(len(d2_cols[0]))]
             res = verify_and_rank(d2_matrix)
             kernel_dim += len(pair_coords) - res.rank
-            assumptions.extend(str(p) for p in res.assumptions)
+            assumptions.extend(res.assumptions)
 
-    unique = tuple(dict.fromkeys(assumptions))
+    unique = tuple(str(p) for p in distinct_up_to_scale(assumptions))
     return CohomologyReport(kernel_dim, image_dim, kernel_dim - image_dim,
                             unique)
 
@@ -673,11 +598,10 @@ def compare_cochain2(left: Cochain2, right: Cochain2) -> Cochain2Comparison:
     basis = left.basis
     lines = []
     mismatches = []
-    for (i, j) in _canonical_pairs(basis):
+    for (i, j) in canonical_pairs(basis):
         pair = f"({basis.names[i]}, {basis.names[j]})"
-        lv = _vec_str(left.values.get((i, j), {}), basis)
-        rv = _vec_str(right.values.get((i, j), {}), basis)
-        lines.append((pair, lv, rv))
-        if not _veq(left.values.get((i, j), {}), right.values.get((i, j), {})):
+        left_vec, right_vec = left.table.get((i, j), {}), right.table.get((i, j), {})
+        lines.append((pair, _vec_str(left_vec, basis), _vec_str(right_vec, basis)))
+        if not vectors_equal(left_vec, right_vec):
             mismatches.append(pair)
     return Cochain2Comparison(not mismatches, tuple(lines), tuple(mismatches))

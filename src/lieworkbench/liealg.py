@@ -6,6 +6,11 @@ dictionaries over basis labels.  All sign conventions follow the Koszul
 rule: transposing two homogeneous factors of parities p and q contributes
 ``(-1)**(p*q)``.
 
+A bracket and a 2-cochain are stored alike, as a :class:`PairTable`: one
+vector per canonical index pair, the other orderings read through graded
+antisymmetry.  :class:`LieSuperAlgebra` is its parity-0 case, so a bracket
+is a 2-cochain as it stands.
+
 Every sparse sum above ``Poly`` (here, in ``cohomology`` and in
 ``enveloping``) adds a term in place with :func:`accumulate`, which drops
 a cancelled key, and prints with :func:`render_sum`.
@@ -14,16 +19,17 @@ a cancelled key, and prints with :func:`render_sum`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import Poly, as_poly, scalar_str
+from .scalars import Poly, RatFunc, as_poly, scalar_str
 
 __all__ = [
     "GradedBasis",
     "Element",
     "Tensor",
+    "PairTable",
     "LieSuperAlgebra",
+    "canonical_pairs",
     "JacobiReport",
     "wedge",
     "otimes",
@@ -371,51 +377,116 @@ class JacobiReport:
                 f"({self.triples_checked} triples checked)")
 
 
-class LieSuperAlgebra:
-    """A Lie superalgebra given by structure constants over the scalar ring.
+def canonical_pairs(basis: GradedBasis) -> list[tuple[int, int]]:
+    """The index pairs a :class:`PairTable` stores: i < j, and (i, i) for odd i."""
+    n = len(basis)
+    return [(i, j) for i in range(n) for j in range(i, n)
+            if i != j or basis.parities[i]]
 
-    The table is stored canonically: one entry per basis pair (i, j) with
-    i < j, plus diagonal entries (i, i) for odd generators (which encode the
-    symmetric bracket {x, x}).  Other orderings are derived from graded
-    antisymmetry.  Construction validates that every stored bracket is
-    parity-homogeneous of the expected parity; it does not verify Jacobi
-    (use :meth:`verify_jacobi`).
+
+def as_vector(value) -> dict:
+    """The nonzero coefficients of an Element or of a label-keyed mapping;
+    a ``RatFunc`` stays one, any other scalar becomes a ``Poly``."""
+    if isinstance(value, Element):
+        return dict(value.coeffs)
+    scalars = {name: c if isinstance(c, RatFunc) else as_poly(c)
+               for name, c in value.items()}
+    return {name: c for name, c in scalars.items() if c}
+
+
+def vectors_equal(a: Mapping, b: Mapping) -> bool:
+    """Equality of two sparse vectors whose scalars may be Poly or RatFunc."""
+    return all(a.get(name, Poly.zero()) == b.get(name, Poly.zero())
+               for name in set(a) | set(b))
+
+
+class PairTable:
+    """A parity-homogeneous graded-antisymmetric bilinear map g x g -> g.
+
+    ``table`` holds one vector (``Poly`` or ``RatFunc`` scalars) per index
+    pair of :func:`canonical_pairs`; (b, a) reads as -(-1)^{|a||b|} (a, b).
+    Construction takes either ordering of a pair.  It rejects two that
+    disagree (an explicit zero included), a nonzero even diagonal value,
+    and a value at (a, b) whose parity is not |a| + |b| + ``parity``.  A
+    bracket (:class:`LieSuperAlgebra`) is the parity-0 case.
     """
 
-    __slots__ = ("name", "basis", "table")
+    __slots__ = ("basis", "parity", "table")
+
+    def __init__(self, basis: GradedBasis,
+                 entries: Mapping[tuple[str, str], Mapping | Element] | None = None,
+                 parity: int = 0):
+        self.basis = basis
+        self.parity = int(parity) % 2
+        odd = basis.parities
+        seen: dict[tuple[int, int], dict] = {}
+        for (a, b), value in (entries or {}).items():
+            i, j = basis.index(a), basis.index(b)
+            vec = as_vector(value)
+            if i > j:
+                i, j = j, i
+                if not (odd[i] and odd[j]):
+                    vec = {n: -c for n, c in vec.items()}
+            elif i == j and not odd[i]:
+                if vec:
+                    raise ValueError(
+                        f"[{a}, {a}] must vanish for even {a!r}; got {vec}")
+                continue
+            if (i, j) in seen and not vectors_equal(seen[(i, j)], vec):
+                raise ValueError(
+                    f"conflicting table entries for pair {a!r}, {b!r}")
+            seen[(i, j)] = vec
+        for (i, j), vec in seen.items():
+            expected = (odd[i] + odd[j] + self.parity) % 2
+            for target in vec:
+                if basis.parity(target) != expected:
+                    raise ValueError(
+                        f"bracket of {basis.names[i]!r} and {basis.names[j]!r}"
+                        f" hits {target!r} of wrong parity")
+        self.table = {key: vec for key, vec in seen.items() if vec}
+
+    def apply_names(self, a: str, b: str) -> dict:
+        """The value at (e_a, e_b), resolved through graded antisymmetry."""
+        i, j = self.basis.index(a), self.basis.index(b)
+        if i <= j:
+            return dict(self.table.get((i, j), {}))
+        entry = self.table.get((j, i), {})
+        if self.basis.parities[i] and self.basis.parities[j]:
+            return dict(entry)
+        return {n: -c for n, c in entry.items()}
+
+    def apply_vec_name(self, vec: Mapping, b: str) -> dict:
+        """The value at (vec, e_b), extended linearly in the first argument."""
+        out: dict = {}
+        for name, scalar in vec.items():
+            for target, value in self.apply_names(name, b).items():
+                accumulate(out, target, value * scalar)
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, PairTable):
+            return NotImplemented
+        return self.basis == other.basis and all(
+            vectors_equal(self.table.get(key, {}), other.table.get(key, {}))
+            for key in set(self.table) | set(other.table))
+
+
+class LieSuperAlgebra(PairTable):
+    """A Lie superalgebra given by structure constants over the scalar ring.
+
+    The bracket is the parity-0 :class:`PairTable`: ``table[(i, j)]`` is
+    [x_i, x_j] for the canonical pairs.  Construction validates the
+    table's symmetry and parities; it does not verify Jacobi (use
+    :meth:`verify_jacobi`).
+    """
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str, basis: GradedBasis,
                  table: Mapping[tuple[str, str], Mapping[str, object]]):
         self.name = name
-        self.basis = basis
-        canonical: dict[tuple[int, int], dict[str, Poly]] = {}
-        for (a, b), coeffs in table.items():
-            i, j = basis.index(a), basis.index(b)
-            clean = _clean(coeffs)
-            if not clean:
-                continue
-            if i < j:
-                key, entry = (i, j), clean
-            elif i > j:
-                sign = (-1) ** (basis.parities[i] * basis.parities[j])
-                entry = {n: c * (-sign) for n, c in clean.items()}
-                key = (j, i)
-            else:
-                if basis.parities[i] == 0:
-                    raise ValueError(
-                        f"[{a}, {a}] must vanish for even {a!r}; got {clean}")
-                key, entry = (i, i), clean
-            if key in canonical and canonical[key] != entry:
-                raise ValueError(f"conflicting table entries for pair {a!r}, {b!r}")
-            canonical[key] = entry
-        for (i, j), entry in canonical.items():
-            expected = (basis.parities[i] + basis.parities[j]) % 2
-            for target in entry:
-                if basis.parity(target) != expected:
-                    raise ValueError(
-                        f"bracket of {basis.names[i]!r} and {basis.names[j]!r} "
-                        f"hits {target!r} of wrong parity")
-        self.table = canonical
+        # Structure constants are polynomials: _clean rejects a RatFunc.
+        super().__init__(basis, {pair: _clean(v) for pair, v in table.items()})
 
     @property
     def dim(self) -> int:
@@ -432,17 +503,9 @@ class LieSuperAlgebra:
 
     def bracket_basis(self, a: str, b: str) -> Element:
         """[x_a, x_b] for basis labels, resolved through graded antisymmetry."""
-        i, j = self.basis.index(a), self.basis.index(b)
-        if i < j or i == j:
-            entry = self.table.get((i, j))
-            if i == j and self.basis.parities[i] == 0:
-                return self.zero()
-            return Element(self.basis, entry or {})
-        entry = self.table.get((j, i))
-        if not entry:
-            return self.zero()
-        sign = (-1) ** (self.basis.parities[i] * self.basis.parities[j])
-        return Element(self.basis, {n: c * (-sign) for n, c in entry.items()})
+        result = self.zero()
+        result.coeffs = self.apply_names(a, b)
+        return result
 
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the basis bracket."""
@@ -486,16 +549,11 @@ class LieSuperAlgebra:
         return JacobiReport(True, None, None, checked)
 
     def substitute(self, assignment, name: str | None = None) -> "LieSuperAlgebra":
-        table = {}
-        for (i, j), entry in self.table.items():
-            a, b = self.basis.names[i], self.basis.names[j]
-            table[(a, b)] = {n: c.substitute(assignment) for n, c in entry.items()}
-        return LieSuperAlgebra(name or self.name, self.basis, table)
-
-    def __eq__(self, other):
-        if not isinstance(other, LieSuperAlgebra):
-            return NotImplemented
-        return self.basis == other.basis and self.table == other.table
+        names = self.basis.names
+        return LieSuperAlgebra(name or self.name, self.basis, {
+            (names[i], names[j]): {n: c.substitute(assignment)
+                                   for n, c in entry.items()}
+            for (i, j), entry in self.table.items()})
 
     def __repr__(self):
         return f"LieSuperAlgebra({self.name!r}, dim={self.dim})"
@@ -522,14 +580,11 @@ def pencil(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra, a1, a2,
         raise ValueError("pencil requires brackets on the same basis")
     c1, c2 = as_poly(a1), as_poly(a2)
     name = name or f"pencil({mu1.name}, {mu2.name})"
+    names = mu1.basis.names
     table: dict[tuple[str, str], dict[str, Poly]] = {}
-    keys = set(mu1.table) | set(mu2.table)
-    for (i, j) in keys:
-        a, b = mu1.basis.names[i], mu1.basis.names[j]
-        combo: dict[str, Poly] = {}
-        for source, c in ((mu1, c1), (mu2, c2)):
-            for target, coeff in source.table.get((i, j), {}).items():
+    for source, c in ((mu1, c1), (mu2, c2)):
+        for (i, j), entry in source.table.items():
+            combo = table.setdefault((names[i], names[j]), {})
+            for target, coeff in entry.items():
                 accumulate(combo, target, coeff * c)
-        if combo:
-            table[(a, b)] = combo
     return LieSuperAlgebra(name, mu1.basis, table)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .scalars import Poly, RatFunc, as_poly
 
 __all__ = [
     "as_ratfunc",
+    "distinct_up_to_scale",
     "RrefResult",
     "rref",
     "LinearSolveResult",
@@ -40,6 +41,15 @@ def as_ratfunc(value) -> RatFunc:
     if isinstance(value, RatFunc):
         return value
     return RatFunc(as_poly(value))
+
+
+def distinct_up_to_scale(polys: Iterable[Poly]) -> list[Poly]:
+    """The first of each class of nonzero polynomials equal up to a nonzero
+    constant factor, in order: p and -2*p assume the same thing nonzero."""
+    kept: dict[Poly, Poly] = {}
+    for poly in polys:
+        kept.setdefault(poly * (1 / poly.leading_coefficient()), poly)
+    return list(kept.values())
 
 
 def _pivot_complexity(entry: RatFunc) -> tuple[int, int]:
@@ -93,14 +103,14 @@ def rref(matrix: Sequence[Sequence]) -> RrefResult:
     Pivot choice: among candidate rows, the entry with the fewest numerator
     terms (then fewest denominator terms, then lowest row index).  Pivots
     whose numerator is a nonconstant polynomial are recorded as nonvanishing
-    assumptions.
+    assumptions, one per class up to a constant factor.
     """
     m = [[as_ratfunc(e) for e in row] for row in matrix]
     pivots = _gauss_jordan(m, _pivot_complexity)
-    assumptions = {str(p.num): p.num for _, p in pivots
-                   if not p.num.is_constant()}
+    assumptions = distinct_up_to_scale(p.num for _, p in pivots
+                                       if not p.num.is_constant())
     return RrefResult(tuple(tuple(row) for row in m),
-                      tuple(c for c, _ in pivots), tuple(assumptions.values()))
+                      tuple(c for c, _ in pivots), tuple(assumptions))
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,10 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self._terms.get((), Fraction(0))
 
+    def leading_coefficient(self) -> Fraction:
+        """The coefficient of the largest monomial in the canonical order."""
+        return max(self._terms.items())[1] if self._terms else Fraction(0)
+
     def parameters(self) -> frozenset[str]:
         return frozenset(name for mono in self._terms for name, _ in mono)
 
@@ -387,12 +391,6 @@ def _content(poly: Poly) -> Fraction:
     return Fraction(g, l) if g else Fraction(1)
 
 
-def _leading_coefficient(poly: Poly) -> Fraction:
-    # Leading = coefficient of the largest monomial in the canonical order.
-    items = list(poly.items())
-    return items[-1][1] if items else Fraction(0)
-
-
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
     exps = dict(b)
     return all(exps.get(name, 0) >= e for name, e in a)
@@ -483,7 +481,7 @@ class RatFunc:
             return q, Poly.one()
         # Normalise the denominator: integer coefficients, positive leading.
         scale = _content(den)
-        if _leading_coefficient(den) < 0:
+        if den.leading_coefficient() < 0:
             scale = -scale
         return num * (1 / scale), den * (1 / scale)
 

@@ -72,7 +72,7 @@ from .enveloping import (
     twist_counit_ok,
     universal_R,
 )
-from .liealg import GradedBasis, LieSuperAlgebra, pencil
+from .liealg import Element, GradedBasis, LieSuperAlgebra, pencil
 from .scalars import Poly, TruncationOrder, param, scalar_str
 
 __all__ = [
@@ -197,8 +197,7 @@ def criterion_double() -> CriterionResult:
     factorizes = delta == split
     dual = dual_algebra(LieBialgebra(combined, delta))
     expected = pencil(g1dual, g2dual, a1, a2)
-    dual_matches = (dual.basis == expected.basis
-                    and dual.table == expected.table)
+    dual_matches = dual == expected
     lines = [
         f"cobracket of the pencil = alpha1 * (first piece) + alpha2 * "
         f"(second piece): {factorizes}",
@@ -348,10 +347,8 @@ def criterion_negative_controls() -> CriterionResult:
         lines.append("non-cocycle 2-cochain: UNEXPECTEDLY closed")
     else:
         (a, b, c), vec = witness
-        rendered = " + ".join(f"{scalar_str(v)}*{n}"
-                              for n, v in sorted(vec.items()))
         lines.append(f"non-cocycle 2-cochain on sl(2): fails at "
-                     f"({a}, {b}, {c}) with residual {rendered}")
+                     f"({a}, {b}, {c}) with residual {Element(sl2.basis, vec)}")
 
     return _result(11, "negative controls fail with concrete witnesses",
                    ok, lines)

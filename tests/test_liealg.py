@@ -17,7 +17,7 @@ from lieworkbench.liealg import (
     pencil,
     wedge,
 )
-from lieworkbench.scalars import Poly, param
+from lieworkbench.scalars import Poly, RatFunc, param
 
 
 def _random_element(rng: random.Random, A: LieSuperAlgebra) -> Element:
@@ -92,6 +92,20 @@ def test_table_canonicalization_resolves_reversed_pairs():
     forward = LieSuperAlgebra("f", basis, {("h", "x"): {"x": 2}})
     backward = LieSuperAlgebra("b", basis, {("x", "h"): {"x": -2}})
     assert forward.table == backward.table
+
+
+def test_explicit_zero_beside_a_nonzero_reversed_entry_is_rejected():
+    basis = GradedBasis(("h", "x"))
+    for table in ({("h", "x"): {}, ("x", "h"): {"x": -2}},
+                  {("x", "h"): {"x": -2}, ("h", "x"): {"x": 0}}):
+        with pytest.raises(ValueError, match="conflicting table entries"):
+            LieSuperAlgebra("bad", basis, table)
+
+
+def test_structure_constants_must_be_polynomials():
+    basis = GradedBasis(("h", "x"))
+    with pytest.raises(TypeError):
+        LieSuperAlgebra("bad", basis, {("h", "x"): {"x": RatFunc(1, param("h"))}})
 
 
 def test_even_self_bracket_must_vanish():

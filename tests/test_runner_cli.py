@@ -71,6 +71,24 @@ def test_empty_files_run_no_checks():
     assert exit_code([]) == 0
 
 
+def test_cocycle_and_compatible_checks_print_one_residual():
+    # P is a 2-cochain of sl(2) exactly when it is compatible with sl(2):
+    # both checks scan the same d2 residual and must print it alike.
+    src = """
+param h;
+algebra P { basis H1:even E12:even E21:even;
+            bracket [H1,E12] = E12; bracket [E12,E21] = h*E12; }
+check cocycle P over sl2;
+check compatible sl2 P;
+"""
+    cocycle, compatible = run_source(src)
+    assert cocycle.status == compatible.status == "fail"
+    assert cocycle.details == ("witness triple (H1, E12, E21)",
+                               "residual -H1 + 2*h*E12")
+    assert compatible.details == ("witness triple (H1, E12, E21)",
+                                  "mixed jacobiator -H1 + 2*h*E12")
+
+
 def test_coboundary_check_reports_the_solution_and_comparison():
     (result,) = run_source("check coboundary mu2star over mu1star compare psi;")
     assert result.status == "pass"
