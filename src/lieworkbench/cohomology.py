@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Mapping
 
 from .liealg import (Element, GradedBasis, LieSuperAlgebra, PairTable,
-                     accumulate, as_vector, canonical_pairs, common_parity,
-                     render_sum, vectors_equal)
+                     accumulate, as_vector, canonical_pairs, canonical_triples,
+                     common_parity, render_sum, vectors_equal)
 from .linsolve import (
     RatFunc,
     distinct_up_to_scale,
@@ -164,11 +163,6 @@ class Cochain2(PairTable):
         return f"Cochain2({body or '0'})"
 
 
-def _canonical_triples(basis: GradedBasis) -> list[tuple[int, int, int]]:
-    return [(i, j, k) for (i, j) in canonical_pairs(basis)
-            for k in range(j, len(basis)) if j != k or basis.parities[j]]
-
-
 def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
     """The degree-1 CE differential with adjoint coefficients.
 
@@ -221,11 +215,11 @@ def d2_residual(A: LieSuperAlgebra, phi: PairTable,
 
 
 def cocycle2_witness(A: LieSuperAlgebra, phi: Cochain2):
-    """First basis triple where d2(phi) fails to vanish, or None."""
-    for x, y, z in product(A.basis.names, repeat=3):
-        residual = d2_residual(A, phi, x, y, z)
+    """First canonical triple where d2(phi) fails, with its residual; or None."""
+    for triple in canonical_triples(A.basis):
+        residual = d2_residual(A, phi, *triple)
         if residual:
-            return (x, y, z), residual
+            return triple, residual
     return None
 
 
@@ -251,9 +245,9 @@ def mixed_jacobiator(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra,
 
 
 def compatible_pair(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra) -> bool:
-    """True iff the mixed jacobiator of the two brackets vanishes identically."""
-    return all(not mixed_jacobiator(mu1, mu2, x, y, z)
-               for x, y, z in product(mu1.basis.names, repeat=3))
+    """True iff the mixed jacobiator vanishes on every canonical triple."""
+    return all(not mixed_jacobiator(mu1, mu2, *triple)
+               for triple in canonical_triples(mu1.basis))
 
 
 @dataclass(frozen=True)
@@ -527,7 +521,7 @@ def h2_dim(A: LieSuperAlgebra, max_dim: int = 12) -> CohomologyReport:
     if A.dim > max_dim:
         raise ValueError(f"h2_dim guard: dim {A.dim} exceeds {max_dim}")
     pairs = canonical_pairs(basis)
-    triples = _canonical_triples(basis)
+    triples = canonical_triples(basis)
     n = len(basis)
     kernel_dim = 0
     image_dim = 0
@@ -549,9 +543,8 @@ def h2_dim(A: LieSuperAlgebra, max_dim: int = 12) -> CohomologyReport:
             unit = Cochain2(basis, {(basis.names[i], basis.names[j]):
                                     {basis.names[t]: 1}}, parity=parity)
             col = []
-            for (x, y, z) in triples:
-                residual = d2_residual(A, unit, basis.names[x],
-                                       basis.names[y], basis.names[z])
+            for triple in triples:
+                residual = d2_residual(A, unit, *triple)
                 col.extend(residual.get(basis.names[m], Poly.zero())
                            for m in range(n))
             d2_cols.append(col)

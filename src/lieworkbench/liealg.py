@@ -11,6 +11,11 @@ vector per canonical index pair, the other orderings read through graded
 antisymmetry.  :class:`LieSuperAlgebra` is its parity-0 case, so a bracket
 is a 2-cochain as it stands.
 
+The trilinear residuals (the jacobiator, d2 of a 2-cochain, the mixed
+jacobiator) are graded-alternating, so every scan of them visits only
+:func:`canonical_triples`, about n^3/6 of the n^3 ordered triples, and still
+finds the first failing ordered triple.
+
 Every sparse sum above ``Poly`` (here, in ``cohomology`` and in
 ``enveloping``) adds a term in place with :func:`accumulate`, which drops
 a cancelled key, and prints with :func:`render_sum`.
@@ -30,6 +35,7 @@ __all__ = [
     "PairTable",
     "LieSuperAlgebra",
     "canonical_pairs",
+    "canonical_triples",
     "JacobiReport",
     "wedge",
     "otimes",
@@ -116,9 +122,6 @@ class GradedBasis:
 
     def parity(self, name: str) -> int:
         return self.parities[self.index(name)]
-
-    def is_even(self) -> bool:
-        return not any(self.parities)
 
     def renamed(self, suffix: str) -> "GradedBasis":
         return GradedBasis(tuple(n + suffix for n in self.names), self.parities)
@@ -384,6 +387,19 @@ def canonical_pairs(basis: GradedBasis) -> list[tuple[int, int]]:
             if i != j or basis.parities[i]]
 
 
+def canonical_triples(basis: GradedBasis) -> list[tuple[str, str, str]]:
+    """Name triples of i <= j <= k in lexicographic order, an index repeated
+    only when its generator is odd.
+
+    A graded-alternating map is +- its value at the sorted triple, which
+    comes no later, and vanishes at a repeated even index: so the first
+    ordered triple where it fails is in this list.
+    """
+    names = basis.names
+    return [(names[i], names[j], names[k]) for (i, j) in canonical_pairs(basis)
+            for k in range(j, len(basis)) if j != k or basis.parities[j]]
+
+
 def as_vector(value) -> dict:
     """The nonzero coefficients of an Element or of a label-keyed mapping;
     a ``RatFunc`` stays one, any other scalar becomes a ``Poly``."""
@@ -519,9 +535,6 @@ class LieSuperAlgebra(PairTable):
         result.coeffs = out
         return result
 
-    def ad(self, x: Element):
-        return lambda y: self.bracket(x, y)
-
     def jacobiator(self, x: Element, y: Element, z: Element) -> Element:
         """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] for homogeneous x, y."""
         px, py = x.parity(), y.parity()
@@ -533,20 +546,15 @@ class LieSuperAlgebra(PairTable):
                 - self.bracket(y, self.bracket(x, z)).scaled(sign))
 
     def verify_jacobi(self) -> JacobiReport:
-        """Check the graded Jacobi identity on every ordered basis triple."""
-        names = self.basis.names
-        checked = 0
-        for a in names:
-            x = self.gen(a)
-            for b in names:
-                y = self.gen(b)
-                for c in names:
-                    z = self.gen(c)
-                    residual = self.jacobiator(x, y, z)
-                    checked += 1
-                    if residual:
-                        return JacobiReport(False, (a, b, c), residual, checked)
-        return JacobiReport(True, None, None, checked)
+        """Check graded Jacobi on :func:`canonical_triples`, which suffice as
+        the jacobiator is graded-alternating; the witness is the first
+        failing ordered triple."""
+        triples = canonical_triples(self.basis)
+        for checked, (a, b, c) in enumerate(triples, 1):
+            residual = self.jacobiator(self.gen(a), self.gen(b), self.gen(c))
+            if residual:
+                return JacobiReport(False, (a, b, c), residual, checked)
+        return JacobiReport(True, None, None, len(triples))
 
     def substitute(self, assignment, name: str | None = None) -> "LieSuperAlgebra":
         names = self.basis.names

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 __all__ = [
     "UnknownParameterError",
@@ -186,11 +186,6 @@ class Poly:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
         return self.constant_term()
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self._terms)
 
     def graded_degrees(self, graded: frozenset[str]) -> tuple[int, int]:
         """(min, max) degree over the graded parameters; (0, 0) for zero."""

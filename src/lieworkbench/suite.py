@@ -31,11 +31,9 @@ from .bialgebra import (
     dual_algebra,
     limit_r,
     proportionality_constant,
-    schouten,
     sym_part,
 )
 from .catalog import (
-    cartan_name,
     catalog_get,
     make_borel,
     make_double_pieces,
@@ -73,7 +71,7 @@ from .enveloping import (
     universal_R,
 )
 from .liealg import Element, GradedBasis, LieSuperAlgebra, pencil
-from .scalars import Poly, TruncationOrder, param, scalar_str
+from .scalars import TruncationOrder, param, scalar_str
 
 __all__ = [
     "CriterionResult",

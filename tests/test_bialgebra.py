@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from lieworkbench.bialgebra import (
+    Cobracket,
     LieBialgebra,
     ad_action,
     adjoint_twist_r,
@@ -39,7 +41,7 @@ from lieworkbench.catalog import (
     make_rjordan,
     make_sl,
 )
-from lieworkbench.liealg import LieSuperAlgebra, Tensor, otimes, wedge
+from lieworkbench.liealg import GradedBasis, LieSuperAlgebra, Tensor, otimes, wedge
 from lieworkbench.scalars import Poly, RatFunc, UnsupportedInputError, param
 
 XI = param("xi")
@@ -157,6 +159,44 @@ def test_coboundary_cobracket_is_a_cocycle_with_cojacobi():
         assert ok and witness is None
         ok, witness = check_cojacobi(B)
         assert ok and witness is None
+
+
+def _ordered_cocycle_witness(B: LieBialgebra):
+    """The first ordered basis pair where the 1-cocycle defect is nonzero."""
+    A, delta = B.algebra, B.cobracket
+    for a, b in product(A.basis.names, repeat=2):
+        x, y = A.gen(a), A.gen(b)
+        sign = (-1) ** (A.basis.parity(a) * A.basis.parity(b))
+        if (delta(A.bracket(x, y)) - ad_action(A, x, delta(y))
+                + ad_action(A, y, delta(x)).scaled(sign)):
+            return a, b
+    return None
+
+
+def test_cocycle_compat_witness_matches_an_ordered_scan():
+    rng = random.Random(5)
+    failures = 0
+    for A, base in ((make_sl(2), cobracket_from_r(make_sl(2), make_rjordan(2))),
+                    (make_borel(), cobracket_from_r(make_borel(), make_rborel())),
+                    (make_osp12()[0], None)):
+        names = A.basis.names
+        for _ in range(8):
+            extra = Tensor(A.basis, 2, {(rng.choice(names), rng.choice(names)):
+                                        rng.randint(-2, 2) for _ in range(2)})
+            bad = Cobracket(A, {rng.choice(names): extra})
+            B = LieBialgebra(A, bad if base is None else base + bad)
+            ok, witness = check_cocycle_compat(B)
+            assert witness == _ordered_cocycle_witness(B)
+            assert ok == (witness is None)
+            failures += not ok
+    assert failures
+    # An odd generator squared: only the diagonal pair (u, u) fails.
+    square = LieSuperAlgebra("odd.square", GradedBasis(("h", "u"), (0, 1)),
+                             {("u", "u"): {"h": 1}})
+    h = square.gen("h")
+    B = LieBialgebra(square, Cobracket(square, {"h": otimes(h, h)}))
+    assert check_cocycle_compat(B) == (False, ("u", "u"))
+    assert _ordered_cocycle_witness(B) == ("u", "u")
 
 
 def test_cobracket_values_on_the_borel_pair():

@@ -182,7 +182,7 @@ def test_transcription_at_rank_two_closes():
     t = mu_prime_transcription(2)
     assert t.conflicts == ()
     assert t.jacobi.ok
-    assert t.jacobi.triples_checked == 64
+    assert t.jacobi.triples_checked == 4
     assert t.compatible_with_standard_dual
     assert t.algebra.basis.names == ("Y11", "Y12", "Y21", "Y22")
 
@@ -193,7 +193,7 @@ def test_transcription_at_rank_three_fails_jacobi_as_written():
     assert not t.jacobi.ok
     assert t.jacobi.witness == ("Y11", "Y12", "Y23")
     assert str(t.jacobi.residual) == "-2*Y31 + 2*Y32"
-    assert t.jacobi.triples_checked == 15
+    assert t.jacobi.triples_checked == 4
     assert not t.compatible_with_standard_dual
 
 

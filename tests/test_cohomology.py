@@ -31,7 +31,7 @@ from lieworkbench.cohomology import (
     solve_coboundary,
 )
 from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra,
-                                 canonical_pairs, pencil)
+                                 canonical_pairs, canonical_triples, pencil)
 from lieworkbench.scalars import Poly, as_poly, param
 
 
@@ -180,6 +180,64 @@ def test_incompatible_pair_has_an_explicit_witness():
     assert not compatible_pair(sl2, partial)
     value = mixed_jacobiator(sl2, partial, "H1", "E12", "E21")
     assert value == sl2.gen("H1").scaled(-1)
+
+
+# -- canonical triple scans -------------------------------------------------------------
+
+
+@st.composite
+def _brackets_and_odd_cochain(draw):
+    """A pair from :func:`_bracket_pairs` and a random odd 2-cochain on
+    their basis."""
+    mu1, mu2 = draw(_bracket_pairs())
+    basis = mu1.basis
+    values = {}
+    for (i, j) in canonical_pairs(basis):
+        parity = (basis.parities[i] + basis.parities[j] + 1) % 2
+        values[(basis.names[i], basis.names[j])] = {
+            t: draw(st.integers(-2, 2)) for t in basis.names
+            if basis.parity(t) == parity and draw(st.booleans())}
+    return mu1, mu2, Cochain2(basis, values, parity=1)
+
+
+def _ordered_scan(residual_at, names):
+    """The reference: the first of all n^3 ordered triples with a nonzero
+    residual, and that residual; or None."""
+    for triple in product(names, repeat=3):
+        residual = residual_at(*triple)
+        if residual:
+            return triple, residual
+    return None
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_brackets_and_odd_cochain())
+def test_canonical_scans_match_an_ordered_scan(drawn):
+    mu1, mu2, odd_phi = drawn
+    basis = mu1.basis
+    triples = canonical_triples(basis)
+
+    expected = _ordered_scan(
+        lambda *t: mu1.jacobiator(*(mu1.gen(n) for n in t)), basis.names)
+    report = mu1.verify_jacobi()
+    assert report.ok == (expected is None)
+    if expected is None:
+        assert report.triples_checked == len(triples)
+    else:
+        assert (report.witness, report.residual) == expected
+        assert report.triples_checked == triples.index(report.witness) + 1
+
+    for phi in (Cochain2.from_algebra(mu2), odd_phi):
+        assert cocycle2_witness(mu1, phi) == _ordered_scan(
+            lambda *t: d2_residual(mu1, phi, *t), basis.names)
+
+    expected = _ordered_scan(
+        lambda *t: mixed_jacobiator(mu1, mu2, *t), basis.names)
+    assert compatible_pair(mu1, mu2) == (expected is None)
+    witness = cocycle2_witness(mu1, mu2)
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        assert (witness[0], Element(basis, witness[1])) == expected
 
 
 # -- the coboundary solver --------------------------------------------------------------
