@@ -18,9 +18,11 @@ from pathlib import Path
 from . import dsl
 from .runner import (
     DEFAULT_ORDER,
+    MAX_ORDER,
     LoadError,
     RunOptions,
     catalog_list,
+    check_order,
     exit_code,
     load,
     render_structured,
@@ -46,6 +48,14 @@ def _assumption_list(text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _order(text: str) -> int:
+    """An ``--order`` value, rejected before any work starts if out of range."""
+    try:
+        return check_order(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workbench",
@@ -56,9 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run", help="execute the checks in a definition file")
     run_p.add_argument("file", help="definition file to execute")
-    run_p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    run_p.add_argument("--order", type=_order, default=DEFAULT_ORDER,
                        help="default truncation order for twist checks "
-                            f"(default {DEFAULT_ORDER})")
+                            f"(default {DEFAULT_ORDER}, at most {MAX_ORDER})")
     run_p.add_argument("--format", choices=("text", "structured"),
                        default="text", help="report rendering")
     run_p.add_argument("--assume", type=_assumption_list, default=(),
@@ -72,9 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     suite_p = sub.add_parser(
         "paper-suite",
         help="run the bundled verification battery and print a verdict")
-    suite_p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    suite_p.add_argument("--order", type=_order, default=DEFAULT_ORDER,
                          help="maximum twist truncation order "
-                              f"(default {DEFAULT_ORDER})")
+                              f"(default {DEFAULT_ORDER}, at most {MAX_ORDER})")
     return parser
 
 
@@ -96,9 +106,6 @@ def _run_command(args) -> int:
     except (dsl.ParseError, LoadError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
-    if args.order < 1:
-        print("workbench: --order must be at least 1", file=sys.stderr)
-        return 2
     options = RunOptions(order=args.order, assume_nonzero=args.assume)
     results = run_checks(env, checks, options)
     render = render_structured if args.format == "structured" else render_text
@@ -118,9 +125,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(catalog_list())
         return 0
     if args.command == "paper-suite":
-        if args.order < 1:
-            print("workbench: --order must be at least 1", file=sys.stderr)
-            return 2
         results = run_suite(args.order)
         sys.stdout.write(render_suite(results))
         return suite_exit_code(results)

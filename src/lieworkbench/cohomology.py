@@ -3,11 +3,12 @@
 Cochains take values in the adjoint module.  Degree-1 cochains are linear
 maps g -> g; degree-2 cochains are graded-antisymmetric bilinear maps
 g x g -> g, stored in the bracket's own ``liealg.PairTable``, so a bracket
-is a 2-cochain as it stands.  d2 of one bracket over another is their
-mixed jacobiator: two brackets are compatible exactly when each is a
-2-cocycle of the other.  The differentials carry Koszul signs for
-both the argument parities and the parity of the cochain itself; in the
-purely even case they reduce to the classical formulas.
+is a 2-cochain as it stands; the d2 residual lives beside it, in ``liealg``.
+d2 of one bracket over another is their mixed jacobiator: two brackets are
+compatible exactly when each is a 2-cocycle of the other.  The
+differentials carry Koszul signs for both the argument parities and the
+parity of the cochain itself; in the purely even case they reduce to the
+classical formulas.
 
 Cochain values are sparse vectors over the basis whose scalars may be
 polynomials or rational functions in the parameters: the coboundary solver
@@ -23,8 +24,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .liealg import (Element, GradedBasis, LieSuperAlgebra, PairTable,
-                     accumulate, as_vector, canonical_pairs, canonical_triples,
-                     common_parity, render_sum, vectors_equal)
+                     _add_bracket, _add_signed, accumulate, as_vector,
+                     canonical_pairs, canonical_triples, cocycle2_witness,
+                     common_parity, d2_residual, render_sum, vectors_equal)
 from .linsolve import (
     RatFunc,
     distinct_up_to_scale,
@@ -56,12 +58,6 @@ __all__ = [
 Vector = dict
 
 
-def _add_signed(out: Vector, vec: Mapping, sign: int) -> None:
-    """out += sign * vec, in place."""
-    for name, value in vec.items():
-        accumulate(out, name, -value if sign < 0 else value)
-
-
 def _vec_str(vec: Vector, basis: GradedBasis) -> str:
     """The vector as a signed sum in basis order; besides the rules of
     ``render_sum``, a bare quotient is parenthesised: ``(1/2)*x``."""
@@ -69,16 +65,6 @@ def _vec_str(vec: Vector, basis: GradedBasis) -> str:
         return f"({text})" if "/" in text and " " not in text else text
     return render_sum((coefficient(scalar_str(vec[name])), name)
                       for name in basis.names if name in vec)
-
-
-def _add_bracket(out: Vector, A: LieSuperAlgebra, name: str, vec: Mapping,
-                 sign: int) -> None:
-    """out += sign * [e_name, vec], over possibly-rational scalars."""
-    for target, scalar in vec.items():
-        if sign < 0:
-            scalar = -scalar
-        for t, c in A.bracket_basis(name, target).coeffs.items():
-            accumulate(out, t, c * scalar)
 
 
 class Cochain1:
@@ -138,16 +124,10 @@ class Cochain2(PairTable):
 
     It is stored as the :class:`PairTable` a bracket is stored as (values
     may also be ``RatFunc``), so a Lie algebra's own bracket is a 2-cochain
-    as it stands, and :meth:`from_algebra` shares the algebra's table.
+    as it stands: the functions here take any :class:`PairTable`.
     """
 
     __slots__ = ()
-
-    @classmethod
-    def from_algebra(cls, A: LieSuperAlgebra) -> "Cochain2":
-        cochain = cls(A.basis)
-        cochain.table = A.table
-        return cochain
 
     def __bool__(self):
         return bool(self.table)
@@ -186,44 +166,7 @@ def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
     return Cochain2(basis, values, parity=p)
 
 
-def d2_residual(A: LieSuperAlgebra, phi: PairTable,
-                x: str, y: str, z: str) -> Vector:
-    """(d2 phi)(x, y, z) for basis labels, with graded signs.
-
-    ``phi`` is any :class:`PairTable`: a :class:`Cochain2`, or a bracket,
-    which is a parity-0 cochain (see :func:`mixed_jacobiator`).
-
-    (d2 phi)(x,y,z) = (-1)^{|x|p}[x, phi(y,z)]
-                    - (-1)^{|y|(p+|x|)}[y, phi(x,z)]
-                    + (-1)^{|z|(p+|x|+|y|)}[z, phi(x,y)]
-                    - phi([x,y], z) + (-1)^{|y||z|} phi([x,z], y)
-                    - (-1)^{|x|(|y|+|z|)} phi([y,z], x).
-    """
-    basis = A.basis
-    p = phi.parity
-    px, py, pz = basis.parity(x), basis.parity(y), basis.parity(z)
-    out: Vector = {}
-    _add_bracket(out, A, x, phi.apply_names(y, z), (-1) ** (px * p))
-    _add_bracket(out, A, y, phi.apply_names(x, z), -((-1) ** (py * (p + px))))
-    _add_bracket(out, A, z, phi.apply_names(x, y), (-1) ** (pz * (p + px + py)))
-    _add_signed(out, phi.apply_vec_name(A.bracket_basis(x, y).coeffs, z), -1)
-    _add_signed(out, phi.apply_vec_name(A.bracket_basis(x, z).coeffs, y),
-                (-1) ** (py * pz))
-    _add_signed(out, phi.apply_vec_name(A.bracket_basis(y, z).coeffs, x),
-                -((-1) ** (px * (py + pz))))
-    return out
-
-
-def cocycle2_witness(A: LieSuperAlgebra, phi: Cochain2):
-    """First canonical triple where d2(phi) fails, with its residual; or None."""
-    for triple in canonical_triples(A.basis):
-        residual = d2_residual(A, phi, *triple)
-        if residual:
-            return triple, residual
-    return None
-
-
-def is_cocycle2(A: LieSuperAlgebra, phi: Cochain2) -> bool:
+def is_cocycle2(A: LieSuperAlgebra, phi: PairTable) -> bool:
     """True iff d2(phi) vanishes on every basis triple."""
     return cocycle2_witness(A, phi) is None
 
@@ -421,7 +364,7 @@ def _obstruction_point(matrix, rhs, dens, assumed):
     return None
 
 
-def solve_coboundary(A: LieSuperAlgebra, phi: Cochain2,
+def solve_coboundary(A: LieSuperAlgebra, phi: PairTable,
                      assume_nonzero=()) -> CoboundaryOutcome:
     """Find psi with d1(psi) = phi, or certify that none exists.
 
@@ -585,7 +528,7 @@ class Cochain2Comparison:
         return "\n".join(rows)
 
 
-def compare_cochain2(left: Cochain2, right: Cochain2) -> Cochain2Comparison:
+def compare_cochain2(left: PairTable, right: PairTable) -> Cochain2Comparison:
     if left.basis != right.basis:
         raise ValueError("comparison requires a shared basis")
     basis = left.basis

@@ -246,6 +246,10 @@ def _tokenize(source: str) -> list[_Token]:
 # -- parser -----------------------------------------------------------------------
 
 
+# Clause keywords that end a juxtaposition chain: "check cybe r on sl2".
+_VALUE_STOPWORDS = frozenset({"on", "over", "compare", "order"})
+
+
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
@@ -489,8 +493,10 @@ class _Parser:
             if token.kind == "*":
                 self.advance()
                 expr = BinOp("*", expr, self.parse_atom())
-            elif token.kind in ("rational", "ident", "("):
-                # juxtaposition multiplies: "2 x"
+            elif token.kind == "rational" or token.kind == "(" or (
+                    token.kind == "ident"
+                    and token.text not in _VALUE_STOPWORDS):
+                # juxtaposition multiplies ("2 x"), up to a clause keyword
                 expr = BinOp("*", expr, self.parse_atom())
             else:
                 return expr
@@ -516,30 +522,9 @@ class _Parser:
         self.fail(f"expected a value, found {token.text or 'end of file'!r}")
 
 
-_VALUE_STOPWORDS = frozenset({"on", "over", "compare", "order"})
-
-
-class _ClauseAwareParser(_Parser):
-    """Stops juxtaposition chains at clause keywords like ``on``."""
-
-    def parse_product(self) -> Expr:
-        expr = self.parse_atom()
-        while True:
-            token = self.peek()
-            if token.kind == "*":
-                self.advance()
-                expr = BinOp("*", expr, self.parse_atom())
-            elif token.kind == "rational" or token.kind == "(" or (
-                    token.kind == "ident"
-                    and token.text not in _VALUE_STOPWORDS):
-                expr = BinOp("*", expr, self.parse_atom())
-            else:
-                return expr
-
-
 def parse(source: str) -> WorkbenchFile:
     """Parse DSL text into a workbench file, or raise ParseError."""
-    return _ClauseAwareParser(source).parse_file()
+    return _Parser(source).parse_file()
 
 
 # -- renderer --------------------------------------------------------------------

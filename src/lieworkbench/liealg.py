@@ -11,10 +11,11 @@ vector per canonical index pair, the other orderings read through graded
 antisymmetry.  :class:`LieSuperAlgebra` is its parity-0 case, so a bracket
 is a 2-cochain as it stands.
 
-The trilinear residuals (the jacobiator, d2 of a 2-cochain, the mixed
-jacobiator) are graded-alternating, so every scan of them visits only
-:func:`canonical_triples`, about n^3/6 of the n^3 ordered triples, and still
-finds the first failing ordered triple.
+Every trilinear residual is :func:`d2_residual`, d2 of a 2-cochain over a
+bracket, scanned by :func:`cocycle2_witness`: Jacobi is half of d2 of a
+bracket over itself.  The residual is graded-alternating, so the scan
+visits only :func:`canonical_triples`, about n^3/6 of the n^3 ordered
+triples, and still finds the first failing ordered triple.
 
 Every sparse sum above ``Poly`` (here, in ``cohomology`` and in
 ``enveloping``) adds a term in place with :func:`accumulate`, which drops
@@ -24,6 +25,7 @@ a cancelled key, and prints with :func:`render_sum`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import Poly, RatFunc, as_poly, scalar_str
@@ -36,6 +38,8 @@ __all__ = [
     "LieSuperAlgebra",
     "canonical_pairs",
     "canonical_triples",
+    "d2_residual",
+    "cocycle2_witness",
     "JacobiReport",
     "wedge",
     "otimes",
@@ -487,6 +491,59 @@ class PairTable:
             for key in set(self.table) | set(other.table))
 
 
+def _add_signed(out: dict, vec: Mapping, sign: int) -> None:
+    """out += sign * vec, in place."""
+    for name, value in vec.items():
+        accumulate(out, name, -value if sign < 0 else value)
+
+
+def _add_bracket(out: dict, A: LieSuperAlgebra, name: str, vec: Mapping,
+                 sign: int) -> None:
+    """out += sign * [e_name, vec], over possibly-rational scalars."""
+    for target, scalar in vec.items():
+        if sign < 0:
+            scalar = -scalar
+        for t, c in A.bracket_basis(name, target).coeffs.items():
+            accumulate(out, t, c * scalar)
+
+
+def d2_residual(A: LieSuperAlgebra, phi: PairTable,
+                x: str, y: str, z: str) -> dict:
+    """(d2 phi)(x, y, z) for basis labels, with graded signs.
+
+    ``phi`` is any :class:`PairTable`: a 2-cochain, or a bracket, which is a
+    parity-0 cochain; d2 of a bracket over itself is twice its jacobiator.
+
+    (d2 phi)(x,y,z) = (-1)^{|x|p}[x, phi(y,z)]
+                    - (-1)^{|y|(p+|x|)}[y, phi(x,z)]
+                    + (-1)^{|z|(p+|x|+|y|)}[z, phi(x,y)]
+                    - phi([x,y], z) + (-1)^{|y||z|} phi([x,z], y)
+                    - (-1)^{|x|(|y|+|z|)} phi([y,z], x).
+    """
+    basis = A.basis
+    p = phi.parity
+    px, py, pz = basis.parity(x), basis.parity(y), basis.parity(z)
+    out: dict = {}
+    _add_bracket(out, A, x, phi.apply_names(y, z), (-1) ** (px * p))
+    _add_bracket(out, A, y, phi.apply_names(x, z), -((-1) ** (py * (p + px))))
+    _add_bracket(out, A, z, phi.apply_names(x, y), (-1) ** (pz * (p + px + py)))
+    _add_signed(out, phi.apply_vec_name(A.bracket_basis(x, y).coeffs, z), -1)
+    _add_signed(out, phi.apply_vec_name(A.bracket_basis(x, z).coeffs, y),
+                (-1) ** (py * pz))
+    _add_signed(out, phi.apply_vec_name(A.bracket_basis(y, z).coeffs, x),
+                -((-1) ** (px * (py + pz))))
+    return out
+
+
+def cocycle2_witness(A: LieSuperAlgebra, phi: PairTable):
+    """First canonical triple where d2(phi) fails, with its residual; or None."""
+    for triple in canonical_triples(A.basis):
+        residual = d2_residual(A, phi, *triple)
+        if residual:
+            return triple, residual
+    return None
+
+
 class LieSuperAlgebra(PairTable):
     """A Lie superalgebra given by structure constants over the scalar ring.
 
@@ -546,15 +603,15 @@ class LieSuperAlgebra(PairTable):
                 - self.bracket(y, self.bracket(x, z)).scaled(sign))
 
     def verify_jacobi(self) -> JacobiReport:
-        """Check graded Jacobi on :func:`canonical_triples`, which suffice as
-        the jacobiator is graded-alternating; the witness is the first
-        failing ordered triple."""
+        """Check graded Jacobi by :func:`cocycle2_witness` of the bracket over
+        itself, which is twice the jacobiator: the witness is the first
+        failing ordered triple, the residual half the d2 residual there."""
         triples = canonical_triples(self.basis)
-        for checked, (a, b, c) in enumerate(triples, 1):
-            residual = self.jacobiator(self.gen(a), self.gen(b), self.gen(c))
-            if residual:
-                return JacobiReport(False, (a, b, c), residual, checked)
-        return JacobiReport(True, None, None, len(triples))
+        found = cocycle2_witness(self, self)
+        if found is None:
+            return JacobiReport(True, None, None, len(triples))
+        half = Element(self.basis, found[1]).scaled(Fraction(1, 2))
+        return JacobiReport(False, found[0], half, triples.index(found[0]) + 1)
 
     def substitute(self, assignment, name: str | None = None) -> "LieSuperAlgebra":
         names = self.basis.names

@@ -44,7 +44,6 @@ from .catalog import (
 )
 from .cohomology import (
     Cochain1,
-    Cochain2,
     cocycle2_witness,
     compare_cochain2,
     d1,
@@ -76,6 +75,9 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 3
+# The jordanian twist check costs about 5x more per two orders: 7 s at
+# order 10, 30 s at order 12 (one core of a shared 2-CPU box, Python 3.11).
+MAX_ORDER = 12
 
 
 class LoadError(ValueError):
@@ -85,6 +87,14 @@ class LoadError(ValueError):
         prefix = f"line {line}: " if line else ""
         super().__init__(f"{prefix}{message}")
         self.line = line
+
+
+def check_order(order: int, line: int = 0) -> int:
+    """The twist truncation order if it lies in 1..MAX_ORDER; else LoadError."""
+    if not 1 <= order <= MAX_ORDER:
+        raise LoadError(f"truncation order {order} is out of range: it must "
+                        f"be between 1 and {MAX_ORDER}", line)
+    return order
 
 
 @dataclass(frozen=True)
@@ -150,18 +160,17 @@ class Environment:
             raise LoadError(f"unknown 1-cochain {name!r}", line)
         return found
 
-    def resolve_cochain2(self, name: str, line: int = 0) -> Cochain2:
-        """A 2-cochain named by a bracket table (an algebra's bracket)."""
-        algebra = None
+    def resolve_cochain2(self, name: str, line: int = 0) -> LieSuperAlgebra:
+        """A 2-cochain named by a bracket table: the algebra itself, whose
+        bracket is a parity-0 2-cochain as it stands."""
         if name in self.algebras:
-            algebra = self.algebras[name]
-        else:
-            algebra = self._catalog(name, "algebra")
-        if algebra is None:
+            return self.algebras[name]
+        found = self._catalog(name, "algebra")
+        if found is None:
             raise LoadError(
                 f"unknown 2-cochain {name!r} (name an algebra to use its "
                 "bracket table)", line)
-        return Cochain2.from_algebra(algebra)
+        return found
 
     def carrier_for(self, tensor: Tensor, hint: str | None,
                     explicit: str | None, line: int = 0) -> LieSuperAlgebra:
@@ -430,6 +439,8 @@ def _validate_check(env: Environment, stmt: dsl.CheckDecl):
     elif kind == "twist":
         if stmt.twist_kind == "extended" and stmt.twist_n < 3:
             raise LoadError("the extended twist needs N >= 3", stmt.line)
+        if stmt.order is not None:
+            check_order(stmt.order, stmt.line)
     else:  # pragma: no cover - parser rejects unknown kinds
         raise LoadError(f"unknown check kind {kind!r}", stmt.line)
 

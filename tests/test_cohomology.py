@@ -62,14 +62,6 @@ def test_cochain1_table_lines():
     assert psi.table_lines() == ["H1 -> 0", "E12 -> 2*H1 - E12", "E21 -> 0"]
 
 
-def test_cochain2_from_algebra_reproduces_the_bracket():
-    _, mu1, _, _ = make_osp12()
-    phi = Cochain2.from_algebra(mu1)
-    for a in mu1.basis.names:
-        for b in mu1.basis.names:
-            assert phi.apply_names(a, b) == dict(mu1.bracket_basis(a, b).coeffs)
-
-
 def test_cochain2_rejects_an_explicit_zero_beside_a_nonzero_reversed_entry():
     sl2 = make_sl(2)
     for values in ({("E12", "E21"): {}, ("E21", "E12"): {"H1": 1}},
@@ -152,7 +144,7 @@ def test_d2_of_d1_vanishes_for_even_and_odd_cochains():
 
 def test_bracket_cochain_is_a_cocycle():
     for A in (make_sl(2), make_sl(3), make_osp12()[0]):
-        assert is_cocycle2(A, Cochain2.from_algebra(A))
+        assert is_cocycle2(A, A)
 
 
 def test_cocycle2_witness_flags_a_broken_table():
@@ -227,7 +219,7 @@ def test_canonical_scans_match_an_ordered_scan(drawn):
         assert (report.witness, report.residual) == expected
         assert report.triples_checked == triples.index(report.witness) + 1
 
-    for phi in (Cochain2.from_algebra(mu2), odd_phi):
+    for phi in (mu2, odd_phi):
         assert cocycle2_witness(mu1, phi) == _ordered_scan(
             lambda *t: d2_residual(mu1, phi, *t), basis.names)
 
@@ -256,7 +248,7 @@ def test_solver_round_trips_random_coboundaries():
 
 def test_solved_case_with_explicit_certificate():
     _, mu1, mu2, _ = make_osp12()
-    out = solve_coboundary(mu1, Cochain2.from_algebra(mu2))
+    out = solve_coboundary(mu1, mu2)
     assert out.status == "solved"
     assert (out.rank, out.rank_augmented) == (9, 9)
     assert out.assumptions == ()
@@ -267,14 +259,14 @@ def test_solved_case_with_explicit_certificate():
         "vp_hat -> vm_hat",
         "vm_hat -> 0",
     ]
-    assert compare_cochain2(d1(mu1, out.psi), Cochain2.from_algebra(mu2)).equal
+    assert compare_cochain2(d1(mu1, out.psi), mu2).equal
 
 
 def test_published_candidate_differs_from_the_solver_answer_in_one_entry():
     # The shipped 1-cochain reproduces the target bracket except on the
     # (vm_hat, vm_hat) diagonal; the comparison table pinpoints the slot.
     _, mu1, mu2, psi = make_osp12()
-    comparison = compare_cochain2(d1(mu1, psi), Cochain2.from_algebra(mu2))
+    comparison = compare_cochain2(d1(mu1, psi), mu2)
     assert not comparison.equal
     assert comparison.mismatches == ("(vm_hat, vm_hat)",)
     table = comparison.table("candidate", "target")
@@ -290,7 +282,7 @@ def test_cochain_tables_parenthesise_bare_quotients():
 
 def test_obstructed_case_reports_a_specialization_certificate():
     out = solve_coboundary(make_dual_standard(2),
-                           Cochain2.from_algebra(make_dual_jordanian(2)))
+                           make_dual_jordanian(2))
     assert out.status == "obstructed"
     assert not out.found
     assert out.psi is None
@@ -331,7 +323,7 @@ def test_a_denominator_without_a_rational_root_leaves_the_solution():
 
 def test_assuming_the_pivot_nonzero_unlocks_the_rational_solution():
     out = solve_coboundary(make_dual_standard(2),
-                           Cochain2.from_algebra(make_dual_jordanian(2)),
+                           make_dual_jordanian(2),
                            assume_nonzero=("h",))
     assert out.status == "solved" and out.found
     assert (out.rank, out.rank_augmented) == (3, 3)

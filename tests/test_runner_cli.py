@@ -10,6 +10,7 @@ import pytest
 from lieworkbench.catalog import catalog_entry, catalog_get, catalog_names
 from lieworkbench.cli import main
 from lieworkbench.runner import (
+    MAX_ORDER,
     LoadError,
     RunOptions,
     catalog_list,
@@ -115,6 +116,15 @@ def test_twist_checks_run_at_the_requested_order():
     results = run_source("check twist jordanian order 2;\n"
                          "check twist extended 3 order 2;")
     assert [r.status for r in results] == ["pass", "pass"]
+
+
+def test_twist_orders_outside_the_cap_are_load_errors():
+    for order in (0, MAX_ORDER + 1):
+        with pytest.raises(LoadError) as err:
+            run_source(f"check jacobi sl2;\ncheck twist jordanian order {order};")
+        assert str(err.value) == (
+            f"line 2: truncation order {order} is out of range: it must be "
+            f"between 1 and {MAX_ORDER}")
 
 
 def test_load_errors_carry_line_numbers():
@@ -255,6 +265,15 @@ def test_cli_parse_error_is_a_usage_error(tmp_path, capsys):
 def test_cli_rejects_nonpositive_orders(tmp_path, capsys):
     path = _write(tmp_path, "check jacobi sl2;\n")
     assert main(["run", path, "--order", "0"]) == 2
+
+
+def test_cli_rejects_orders_above_the_cap(tmp_path, capsys):
+    path = _write(tmp_path, "check jacobi sl2;\n")
+    for argv in (["run", path], ["paper-suite"]):
+        assert main([*argv, "--order", str(MAX_ORDER + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"between 1 and {MAX_ORDER}" in captured.err
 
 
 def test_cli_catalog(capsys):
