@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .liealg import (Element, GradedBasis, LieSuperAlgebra, PairTable,
-                     _add_bracket, _add_signed, accumulate, as_vector,
+                     accumulate, add_bracket, add_signed, as_vector,
                      canonical_pairs, canonical_triples, cocycle2_witness,
                      common_parity, d2_residual, render_sum, vectors_equal)
 from .linsolve import (
@@ -158,9 +158,9 @@ def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
         a, b = basis.names[i], basis.names[j]
         pa, pb = basis.parities[i], basis.parities[j]
         term: Vector = {}
-        _add_bracket(term, A, a, psi.apply_name(b), (-1) ** (pa * p))
-        _add_bracket(term, A, b, psi.apply_name(a), -((-1) ** (pb * p + pa * pb)))
-        _add_signed(term, psi.apply_vec(A.bracket_basis(a, b).coeffs), -1)
+        add_bracket(term, A, a, psi.apply_name(b), (-1) ** (pa * p))
+        add_bracket(term, A, b, psi.apply_name(a), -((-1) ** (pb * p + pa * pb)))
+        add_signed(term, psi.apply_vec(A.bracket_basis(a, b).coeffs), -1)
         if term:
             values[(a, b)] = term
     return Cochain2(basis, values, parity=p)

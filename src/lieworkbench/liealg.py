@@ -45,6 +45,8 @@ __all__ = [
     "otimes",
     "pencil",
     "accumulate",
+    "add_signed",
+    "add_bracket",
     "render_sum",
 ]
 
@@ -179,14 +181,11 @@ class Element:
         """Common parity of all supported labels, or None if mixed/zero."""
         return common_parity(self.basis.parity(n) for n in self.coeffs)
 
-    def _check_same_basis(self, other: "Element"):
-        if self.basis != other.basis:
-            raise ValueError("elements live over different bases")
-
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_same_basis(other)
+        if self.basis != other.basis:
+            raise ValueError("elements live over different bases")
         out = dict(self.coeffs)
         for name, c in other.coeffs.items():
             accumulate(out, name, c)
@@ -491,18 +490,17 @@ class PairTable:
             for key in set(self.table) | set(other.table))
 
 
-def _add_signed(out: dict, vec: Mapping, sign: int) -> None:
+def add_signed(out: dict, vec: Mapping, sign: int) -> None:
     """out += sign * vec, in place."""
     for name, value in vec.items():
         accumulate(out, name, -value if sign < 0 else value)
 
 
-def _add_bracket(out: dict, A: LieSuperAlgebra, name: str, vec: Mapping,
-                 sign: int) -> None:
+def add_bracket(out: dict, A: LieSuperAlgebra, name: str, vec: Mapping,
+                sign: int) -> None:
     """out += sign * [e_name, vec], over possibly-rational scalars."""
     for target, scalar in vec.items():
-        if sign < 0:
-            scalar = -scalar
+        scalar = -scalar if sign < 0 else scalar
         for t, c in A.bracket_basis(name, target).coeffs.items():
             accumulate(out, t, c * scalar)
 
@@ -520,24 +518,25 @@ def d2_residual(A: LieSuperAlgebra, phi: PairTable,
                     - phi([x,y], z) + (-1)^{|y||z|} phi([x,z], y)
                     - (-1)^{|x|(|y|+|z|)} phi([y,z], x).
     """
-    basis = A.basis
     p = phi.parity
-    px, py, pz = basis.parity(x), basis.parity(y), basis.parity(z)
+    px, py, pz = map(A.basis.parity, (x, y, z))
     out: dict = {}
-    _add_bracket(out, A, x, phi.apply_names(y, z), (-1) ** (px * p))
-    _add_bracket(out, A, y, phi.apply_names(x, z), -((-1) ** (py * (p + px))))
-    _add_bracket(out, A, z, phi.apply_names(x, y), (-1) ** (pz * (p + px + py)))
-    _add_signed(out, phi.apply_vec_name(A.bracket_basis(x, y).coeffs, z), -1)
-    _add_signed(out, phi.apply_vec_name(A.bracket_basis(x, z).coeffs, y),
-                (-1) ** (py * pz))
-    _add_signed(out, phi.apply_vec_name(A.bracket_basis(y, z).coeffs, x),
-                -((-1) ** (px * (py + pz))))
+    add_bracket(out, A, x, phi.apply_names(y, z), (-1) ** (px * p))
+    add_bracket(out, A, y, phi.apply_names(x, z), -((-1) ** (py * (p + px))))
+    add_bracket(out, A, z, phi.apply_names(x, y), (-1) ** (pz * (p + px + py)))
+    add_signed(out, phi.apply_vec_name(A.bracket_basis(x, y).coeffs, z), -1)
+    add_signed(out, phi.apply_vec_name(A.bracket_basis(x, z).coeffs, y),
+               (-1) ** (py * pz))
+    add_signed(out, phi.apply_vec_name(A.bracket_basis(y, z).coeffs, x),
+               -((-1) ** (px * (py + pz))))
     return out
 
 
-def cocycle2_witness(A: LieSuperAlgebra, phi: PairTable):
-    """First canonical triple where d2(phi) fails, with its residual; or None."""
-    for triple in canonical_triples(A.basis):
+def cocycle2_witness(A: LieSuperAlgebra, phi: PairTable,
+                     triples: Sequence[tuple[str, str, str]] = ()):
+    """First canonical triple where d2(phi) fails, with its residual; or None.
+    ``triples`` is ``canonical_triples(A.basis)``, if the caller holds it."""
+    for triple in triples or canonical_triples(A.basis):
         residual = d2_residual(A, phi, *triple)
         if residual:
             return triple, residual
@@ -607,7 +606,7 @@ class LieSuperAlgebra(PairTable):
         itself, which is twice the jacobiator: the witness is the first
         failing ordered triple, the residual half the d2 residual there."""
         triples = canonical_triples(self.basis)
-        found = cocycle2_witness(self, self)
+        found = cocycle2_witness(self, self, triples)
         if found is None:
             return JacobiReport(True, None, None, len(triples))
         half = Element(self.basis, found[1]).scaled(Fraction(1, 2))

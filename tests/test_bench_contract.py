@@ -42,7 +42,7 @@ def test_bench_jobs_meet_their_known_answers_and_reach_their_entry_points():
     tracer.install(lw)
     try:
         reached = {}
-        for workload in reached:
+        for workload in ("suite", "twist", "cohomology"):
             before = _calls(tracer)
             jobs = workloads.setup(lw, workload, 1)
             if workload == "cohomology":
