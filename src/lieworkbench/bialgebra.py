@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .liealg import Element, LieSuperAlgebra, Tensor, accumulate, canonical_pairs
+from .liealg import (
+    Element,
+    LieSuperAlgebra,
+    SparseSum,
+    Tensor,
+    accumulate,
+    canonical_pairs,
+)
 from .scalars import Poly, RatFunc, UnsupportedInputError, as_poly
 
 __all__ = [
@@ -122,28 +129,38 @@ def check_mcybe(A: LieSuperAlgebra, r: Tensor) -> bool:
             and check_invariant(A, schouten(A, r)))
 
 
-class Cobracket:
-    """A linear map delta: A -> A(x)A given by its values on basis elements."""
+class Cobracket(SparseSum):
+    """A linear map delta: A -> A(x)A given by its values on basis elements:
+    ``coeffs`` maps a basis label to its nonzero rank-2 tensor."""
 
-    __slots__ = ("algebra", "values")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: LieSuperAlgebra,
-                 values: Mapping[str, Tensor] | None = None):
+                 coeffs: Mapping[str, Tensor] | None = None):
         self.algebra = algebra
         basis = algebra.basis
         clean: dict[str, Tensor] = {}
-        for name, tensor in (values or {}).items():
+        for name, tensor in (coeffs or {}).items():
             basis.index(name)
             if tensor.rank != 2 or tensor.basis != basis:
                 raise ValueError(f"cobracket value for {name!r} has wrong shape")
             if tensor:
                 clean[name] = tensor
-        self.values = clean
+        self.coeffs = clean
+
+    def _like(self, coeffs: dict) -> "Cobracket":
+        out = object.__new__(Cobracket)
+        out.algebra = self.algebra
+        out.coeffs = coeffs
+        return out
+
+    def _same_space(self, other: "Cobracket") -> bool:
+        return self.algebra.basis == other.algebra.basis
 
     def apply(self, x: Element) -> Tensor:
         out: dict[tuple, Poly] = {}
         for name, c in x.coeffs.items():
-            value = self.values.get(name)
+            value = self.coeffs.get(name)
             if value is not None:
                 for key, v in value.coeffs.items():
                     accumulate(out, key, v * c)
@@ -152,33 +169,8 @@ class Cobracket:
     def __call__(self, x: Element) -> Tensor:
         return self.apply(x)
 
-    def __bool__(self):
-        return any(self.values.values())
-
-    def scaled(self, scalar) -> "Cobracket":
-        poly = as_poly(scalar)
-        return Cobracket(self.algebra,
-                         {n: t.scaled(poly) for n, t in self.values.items()})
-
-    def __add__(self, other: "Cobracket") -> "Cobracket":
-        if not isinstance(other, Cobracket):
-            return NotImplemented
-        if self.algebra.basis != other.algebra.basis:
-            raise ValueError("cobrackets live over different bases")
-        names = set(self.values) | set(other.values)
-        zero = Tensor(self.algebra.basis, 2)
-        return Cobracket(self.algebra,
-                         {n: self.values.get(n, zero) + other.values.get(n, zero)
-                          for n in names})
-
-    def __eq__(self, other):
-        if not isinstance(other, Cobracket):
-            return NotImplemented
-        return (self.algebra.basis == other.algebra.basis
-                and self.values == other.values)
-
     def __repr__(self):
-        body = ", ".join(f"{n} -> {t}" for n, t in sorted(self.values.items()))
+        body = ", ".join(f"{n} -> {t}" for n, t in sorted(self.coeffs.items()))
         return f"Cobracket({body or '0'})"
 
 

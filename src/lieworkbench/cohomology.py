@@ -453,16 +453,22 @@ class CohomologyReport:
             raise ValueError("negative cohomology dimension")
 
 
-def h2_dim(A: LieSuperAlgebra, max_dim: int = 12) -> CohomologyReport:
+# The largest dimension h2_dim accepts: its dense elimination over the
+# function field grows too fast beyond it.
+H2_MAX_DIM = 12
+
+
+def h2_dim(A: LieSuperAlgebra) -> CohomologyReport:
     """Dimensions of Z^2, B^2 and H^2 with adjoint coefficients.
 
     Both cochain parities contribute; dimensions are generic in the declared
     parameters, with the recorded nonvanishing assumptions.  Guarded to
-    small algebras (dense linear algebra over the function field).
+    algebras of dimension at most ``H2_MAX_DIM`` (dense linear algebra over
+    the function field).
     """
     basis = A.basis
-    if A.dim > max_dim:
-        raise ValueError(f"h2_dim guard: dim {A.dim} exceeds {max_dim}")
+    if A.dim > H2_MAX_DIM:
+        raise ValueError(f"h2_dim guard: dim {A.dim} exceeds {H2_MAX_DIM}")
     pairs = canonical_pairs(basis)
     triples = canonical_triples(basis)
     n = len(basis)

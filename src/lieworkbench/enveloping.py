@@ -27,11 +27,19 @@ extraction of the classical r-matrix from the first deformation order.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .catalog import cartan_name, make_borel, make_sl, pair_name
-from .liealg import Element, LieSuperAlgebra, Tensor, accumulate, render_sum
+from .liealg import (
+    Element,
+    LieSuperAlgebra,
+    SparseSum,
+    Tensor,
+    accumulate,
+    render_sum,
+)
 from .scalars import (
     Poly,
     TruncationOrder,
@@ -269,11 +277,11 @@ def _product(left: "_GradedTerms", right: "_GradedTerms") -> dict[Key, Coeff]:
     uea, rank = left.uea, left.rank
     top = uea.order.degree
     by_degree: list[list] = [[] for _ in range(top + 1)]
-    for key, c in right._data.items():
+    for key, c in right.coeffs.items():
         by_degree[key[-1]].append((key, c))
     signed = uea._odd and rank > 1
     out: dict[Key, Coeff] = {}
-    for key1, c1 in left._data.items():
+    for key1, c1 in left.coeffs.items():
         d1 = key1[-1]
         for bucket in by_degree[:top - d1 + 1]:
             for key2, c2 in bucket:
@@ -295,7 +303,7 @@ def _coproduct_terms(uea: UEA, data: Mapping[Key, Coeff], slot: int
     out: dict[Key, Coeff] = {}
     for key, c in data.items():
         k = key[-1]
-        for dkey, c2 in uea.coproduct_of_word(key[slot])._data.items():
+        for dkey, c2 in uea.coproduct_of_word(key[slot]).coeffs.items():
             d = k + dkey[-1]
             if d <= top:
                 accumulate(out, key[:slot] + dkey[:2] + key[slot + 1:-1] + (d,),
@@ -303,25 +311,32 @@ def _coproduct_terms(uea: UEA, data: Mapping[Key, Coeff], slot: int
     return out
 
 
-class _GradedTerms:
+class _GradedTerms(SparseSum):
     """Storage and arithmetic shared by UEAElement and TensorUEA: nonzero
-    coefficients on graded keys (slot words..., degree), every word in
-    normal form and every degree within the order."""
+    ``coeffs`` on graded keys (slot words..., degree), every word in
+    normal form and every degree within the order.  Scaling is graded and
+    ``*`` also multiplies two sums; the rest is :class:`SparseSum`."""
 
-    __slots__ = ("uea", "rank", "_data", "_view")
+    __slots__ = ("uea", "rank", "_view")
 
     @classmethod
-    def _trusted(cls, uea: UEA, rank: int, data: dict[Key, Coeff]):
+    def _trusted(cls, uea: UEA, rank: int, coeffs: dict[Key, Coeff]):
         """Wrap terms that are already normal and truncated."""
         out = object.__new__(cls)
         out.uea = uea
         out.rank = rank
-        out._data = data
+        out.coeffs = coeffs
         out._view = None
         return out
 
-    def _like(self, data: dict[Key, Coeff]):
-        return self._trusted(self.uea, self.rank, data)
+    def _like(self, coeffs: dict[Key, Coeff]):
+        return self._trusted(self.uea, self.rank, coeffs)
+
+    def _same_space(self, other: "_GradedTerms") -> bool:
+        return self.rank == other.rank and (
+            self.uea is other.uea
+            or (self.uea.algebra == other.uea.algebra
+                and self.uea.order == other.uea.order))
 
     @staticmethod
     def _slot_key(key: Key):
@@ -332,50 +347,19 @@ class _GradedTerms:
         """{slot words: Poly}, assembled from the graded keys."""
         if self._view is None:
             groups: dict = {}
-            for key, c in self._data.items():
+            for key, c in self.coeffs.items():
                 groups.setdefault(self._slot_key(key), {}).update(
                     self.uea._monomials(key[-1], c))
             self._view = {key: Poly(monos) for key, monos in groups.items()}
         return self._view
 
-    # -- structure -----------------------------------------------------------
-
-    def _check_compatible(self, other: "_GradedTerms"):
-        if self.rank != other.rank:
-            raise ValueError("tensor ranks differ")
-        if self.uea is other.uea:
-            return
-        if (self.uea.algebra != other.uea.algebra
-                or self.uea.order != other.uea.order):
-            raise ValueError("operands live in different enveloping algebras")
-
-    def __bool__(self):
-        return bool(self._data)
-
     # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self._data)
-        for key, c in other._data.items():
-            accumulate(out, key, c)
-        return self._like(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like({key: -c for key, c in self._data.items()})
 
     def scaled(self, scalar):
         top = self.uea.order.degree
         out: dict[Key, Coeff] = {}
         for ks, s in self.uea._split(scalar).items():
-            for key, c in self._data.items():
+            for key, c in self.coeffs.items():
                 d = key[-1] + ks
                 if d <= top:
                     accumulate(out, key[:-1] + (d,), c * s)
@@ -383,24 +367,12 @@ class _GradedTerms:
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            self._check_compatible(other)
+            self._require_same_space(other)
             return self._like(_product(self, other))
         return self.scaled(other)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
-
-    # -- comparison -------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.rank == other.rank
-                and self.uea.algebra == other.uea.algebra
-                and self.uea.order == other.uea.order
-                and self._data == other._data)
-
-    __hash__ = None
 
 
 class UEAElement(_GradedTerms):
@@ -416,7 +388,7 @@ class UEAElement(_GradedTerms):
     def __init__(self, uea: UEA, terms: Mapping[Word, object]):
         self.uea = uea
         self.rank = 1
-        self._data = _normal_terms(
+        self.coeffs = _normal_terms(
             uea, (((tuple(word),), c) for word, c in terms.items()))
         self._view = None
 
@@ -467,7 +439,7 @@ class TensorUEA(_GradedTerms):
             keyed.append((key, coeff))
         self.uea = uea
         self.rank = rank
-        self._data = _normal_terms(uea, keyed)
+        self.coeffs = _normal_terms(uea, keyed)
         self._view = None
 
     @classmethod
@@ -485,7 +457,7 @@ class TensorUEA(_GradedTerms):
         parity = self.uea.word_parity
         return self._like({
             (w2, w1, k): -c if parity(w1) and parity(w2) else c
-            for (w1, w2, k), c in self._data.items()})
+            for (w1, w2, k), c in self.coeffs.items()})
 
     def embed(self, rank: int, slots: tuple[int, ...]) -> "TensorUEA":
         """Place the slots at the given (increasing) positions of a larger
@@ -496,7 +468,7 @@ class TensorUEA(_GradedTerms):
         if list(slots) != sorted(set(slots)) or slots[-1] >= rank:
             raise ValueError("positions must be strictly increasing and fit")
         out: dict[Key, Coeff] = {}
-        for key, c in self._data.items():
+        for key, c in self.coeffs.items():
             new_key: list = [()] * rank + [key[-1]]
             for pos, w in zip(slots, key):
                 new_key[pos] = w
@@ -506,7 +478,7 @@ class TensorUEA(_GradedTerms):
     def coproduct_slot(self, slot: int) -> "TensorUEA":
         """Apply the coproduct to one slot, raising the rank by one."""
         return TensorUEA._trusted(self.uea, self.rank + 1,
-                                  _coproduct_terms(self.uea, self._data, slot))
+                                  _coproduct_terms(self.uea, self.coeffs, slot))
 
     def counit_slot(self, slot: int):
         """Apply the counit to one slot (the rank drops by one); a rank-2
@@ -514,7 +486,7 @@ class TensorUEA(_GradedTerms):
         if self.rank == 1:
             raise ValueError("tensor rank must be at least 1")
         out = {key[:slot] + key[slot + 1:]: c
-               for key, c in self._data.items() if not key[slot]}
+               for key, c in self.coeffs.items() if not key[slot]}
         kind = UEAElement if self.rank == 2 else TensorUEA
         return kind._trusted(self.uea, self.rank - 1, out)
 
@@ -523,7 +495,7 @@ class TensorUEA(_GradedTerms):
         memo."""
         return TensorUEA._trusted(
             self.uea._at_order(degree), self.rank,
-            {key: c for key, c in self._data.items() if key[-1] <= degree})
+            {key: c for key, c in self.coeffs.items() if key[-1] <= degree})
 
     def leading_term(self) -> tuple[tuple[str, ...], Poly] | None:
         """(rendered slot words, coefficient) of the least term, or None."""
@@ -567,10 +539,10 @@ def tensor_product(*factors: UEAElement) -> TensorUEA:
     top = uea.order.degree
     terms: dict[Key, Coeff] = {(0,): _ONE}
     for factor in factors:
-        factors[0]._check_compatible(factor)
+        factors[0]._require_same_space(factor)
         grown: dict[Key, Coeff] = {}
         for key, c in terms.items():
-            for (w, k), c2 in factor._data.items():
+            for (w, k), c2 in factor.coeffs.items():
                 d = key[-1] + k
                 if d <= top:
                     accumulate(grown, key[:-1] + (w, d), c * c2)
@@ -580,7 +552,7 @@ def tensor_product(*factors: UEAElement) -> TensorUEA:
 
 def coproduct(u: UEAElement) -> TensorUEA:
     """The coproduct: an algebra map with every generator primitive."""
-    return TensorUEA._trusted(u.uea, 2, _coproduct_terms(u.uea, u._data, 0))
+    return TensorUEA._trusted(u.uea, 2, _coproduct_terms(u.uea, u.coeffs, 0))
 
 
 def counit(u: UEAElement) -> Poly:
@@ -597,54 +569,40 @@ def _one_like(u):
     return TensorUEA.unit(u.uea, u.rank)
 
 
-def _require_positive_degree(u, what: str) -> None:
-    if any(key[-1] == 0 for key in u._data):
+def _power_series(what: str, start, v, coefficient):
+    """start + sum over k >= 1 of coefficient(k) * v^k, truncated at the
+    order; v must vanish at deformation degree 0, so the sum is finite."""
+    if any(key[-1] == 0 for key in v.coeffs):
         raise UnsupportedInputError(
             f"{what} needs every term to carry positive deformation degree")
+    result = start
+    power = _one_like(v)
+    for k in range(1, v.uea.order.degree + 1):
+        power = power * v
+        if not power:
+            break
+        result = result + power.scaled(coefficient(k))
+    return result
 
 
 def exp_trunc(u):
     """Truncated exponential; u must vanish at deformation degree 0."""
-    _require_positive_degree(u, "exp_trunc")
-    result = _one_like(u)
-    power = _one_like(u)
-    factorial = 1
-    for k in range(1, u.uea.order.degree + 1):
-        power = power * u
-        if not power:
-            break
-        factorial *= k
-        result = result + power.scaled(Fraction(1, factorial))
-    return result
+    return _power_series("exp_trunc", _one_like(u), u,
+                         lambda k: Fraction(1, math.factorial(k)))
 
 
 def log_trunc(u):
     """Truncated logarithm; u - 1 must vanish at deformation degree 0."""
     v = u - _one_like(u)
-    _require_positive_degree(v, "log_trunc")
-    result = v.scaled(0)
-    power = _one_like(u)
-    for k in range(1, u.uea.order.degree + 1):
-        power = power * v
-        if not power:
-            break
-        result = result + power.scaled(Fraction((-1) ** (k + 1), k))
-    return result
+    return _power_series("log_trunc", v.scaled(0), v,
+                         lambda k: Fraction((-1) ** (k + 1), k))
 
 
 def invert_trunc(u):
     """Inverse of u = 1 + v by the geometric series; v must vanish at
     deformation degree 0."""
-    v = u - _one_like(u)
-    _require_positive_degree(v, "invert_trunc")
-    result = _one_like(u)
-    power = _one_like(u)
-    for k in range(1, u.uea.order.degree + 1):
-        power = power * v
-        if not power:
-            break
-        result = result + power.scaled((-1) ** k)
-    return result
+    one = _one_like(u)
+    return _power_series("invert_trunc", one, u - one, lambda k: (-1) ** k)
 
 
 # -- twists ---------------------------------------------------------------------
@@ -687,7 +645,7 @@ def build_extended_twist(N: int, order: int) -> TensorUEA:
     if N < 3:
         raise ValueError("the extended twist needs N >= 3")
     uea, xi, cartan, sigma = _sl_twist_parts(N, order)
-    damp = exp_trunc(sigma.scaled(-1))
+    damp = exp_trunc(-sigma)
     carrier = TensorUEA(uea, 2, {})
     for i in range(2, N):
         left = uea.gen(pair_name("E", 1, i, N))
@@ -707,14 +665,14 @@ def factored_r_matrix(N: int, order: int) -> TensorUEA:
     if N < 3:
         raise ValueError("the factored R-matrix needs N >= 3")
     uea, xi, cartan, sigma = _sl_twist_parts(N, order)
-    damp = exp_trunc(sigma.scaled(-1))
+    damp = exp_trunc(-sigma)
     result = TensorUEA.unit(uea, 2)
     for j in range(2, N):
         lowered = uea.gen(pair_name("E", j, N, N)) * damp
         raiser = uea.gen(pair_name("E", 1, j, N))
         result = result * exp_trunc(tensor_product(lowered, raiser).scaled(xi * 2))
     result = result * exp_trunc(tensor_product(sigma, cartan))
-    result = result * exp_trunc(tensor_product(cartan, sigma).scaled(-1))
+    result = result * exp_trunc(-tensor_product(cartan, sigma))
     for j in range(2, N):
         lowered = uea.gen(pair_name("E", j, N, N)) * damp
         raiser = uea.gen(pair_name("E", 1, j, N))
@@ -763,11 +721,11 @@ def classical_limit(R: TensorUEA) -> Tensor:
     uea = R.uea
     basis = uea.algebra.basis
     delta = R - TensorUEA.unit(uea, 2)
-    if any(key[-1] == 0 for key in delta._data):
+    if any(key[-1] == 0 for key in delta.coeffs):
         raise UnsupportedInputError(
             "R does not reduce to the unit tensor at deformation degree 0")
     coeffs: dict[tuple[str, str], Poly] = {}
-    for (w1, w2, k), c in delta._data.items():
+    for (w1, w2, k), c in delta.coeffs.items():
         if k != 1:
             continue
         if len(w1) != 1 or len(w2) != 1:

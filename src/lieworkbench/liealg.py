@@ -19,7 +19,10 @@ triples, and still finds the first failing ordered triple.
 
 Every sparse sum above ``Poly`` (here, in ``cohomology`` and in
 ``enveloping``) adds a term in place with :func:`accumulate`, which drops
-a cancelled key, and prints with :func:`render_sum`.
+a cancelled key, and prints with :func:`render_sum`.  The sums that are
+values (``Element``, ``Tensor``, ``bialgebra.Cobracket`` and the
+enveloping terms) take their arithmetic and comparison from
+:class:`SparseSum`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .scalars import Poly, RatFunc, as_poly, scalar_str
 
 __all__ = [
     "GradedBasis",
+    "SparseSum",
     "Element",
     "Tensor",
     "PairTable",
@@ -155,10 +159,72 @@ def _clean(coeffs: Mapping[str, object]) -> dict[str, Poly]:
     return out
 
 
-class Element:
+class SparseSum:
+    """Arithmetic and comparison of a sparse sum over a basis.
+
+    ``coeffs`` maps keys to nonzero coefficients.  A subclass supplies
+    :meth:`_like`, which wraps coefficients that are already trusted in a
+    sum over the same space, and :meth:`_same_space`, which says whether
+    two sums may be combined.  Sums over different spaces raise
+    ``ValueError`` when added and compare unequal.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def _like(self, coeffs: dict):
+        raise NotImplementedError
+
+    def _same_space(self, other) -> bool:
+        raise NotImplementedError
+
+    def _require_same_space(self, other) -> None:
+        if not self._same_space(other):
+            raise ValueError("operands live over different spaces")
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_space(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            accumulate(out, key, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.coeffs.items()})
+
+    def scaled(self, scalar):
+        poly = as_poly(scalar)
+        if not poly:
+            return self._like({})
+        return self._like({key: c * poly for key, c in self.coeffs.items()})
+
+    def __mul__(self, scalar):
+        try:
+            return self.scaled(scalar)
+        except TypeError:
+            return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._same_space(other) and self.coeffs == other.coeffs
+
+
+class Element(SparseSum):
     """A vector in the span of a graded basis, with polynomial coefficients."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("basis",)
 
     def __init__(self, basis: GradedBasis, coeffs: Mapping[str, object] | None = None):
         self.basis = basis
@@ -171,8 +237,14 @@ class Element:
     def basis_vector(cls, basis: GradedBasis, name: str) -> "Element":
         return cls(basis, {name: 1})
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _like(self, coeffs: dict) -> "Element":
+        out = object.__new__(Element)
+        out.basis = self.basis
+        out.coeffs = coeffs
+        return out
+
+    def _same_space(self, other: "Element") -> bool:
+        return self.basis == other.basis
 
     def coefficient(self, name: str) -> Poly:
         return self.coeffs.get(name, Poly.zero())
@@ -181,50 +253,9 @@ class Element:
         """Common parity of all supported labels, or None if mixed/zero."""
         return common_parity(self.basis.parity(n) for n in self.coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.basis != other.basis:
-            raise ValueError("elements live over different bases")
-        out = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            accumulate(out, name, c)
-        result = Element(self.basis)
-        result.coeffs = out
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, scalar) -> "Element":
-        poly = as_poly(scalar)
-        if not poly:
-            return Element(self.basis)
-        result = Element(self.basis)
-        result.coeffs = {n: c * poly for n, c in self.coeffs.items()}
-        return result
-
-    def __mul__(self, scalar):
-        try:
-            return self.scaled(scalar)
-        except TypeError:
-            return NotImplemented
-
-    __rmul__ = __mul__
-
     def substitute(self, assignment) -> "Element":
         return Element(self.basis,
                        {n: c.substitute(assignment) for n, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.basis == other.basis and self.coeffs == other.coeffs
 
     def __str__(self):
         return render_sum((scalar_str(self.coeffs[name]), name)
@@ -234,13 +265,13 @@ class Element:
         return f"Element({self})"
 
 
-class Tensor:
+class Tensor(SparseSum):
     """A sparse tensor over ``rank`` copies of the same graded basis.
 
     Keys are tuples of basis labels; values are nonzero polynomials.
     """
 
-    __slots__ = ("basis", "rank", "coeffs")
+    __slots__ = ("basis", "rank")
 
     def __init__(self, basis: GradedBasis, rank: int,
                  coeffs: Mapping[tuple, object] | None = None):
@@ -260,8 +291,15 @@ class Tensor:
                 clean[key] = poly
         self.coeffs = clean
 
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _like(self, coeffs: dict) -> "Tensor":
+        out = object.__new__(Tensor)
+        out.basis = self.basis
+        out.rank = self.rank
+        out.coeffs = coeffs
+        return out
+
+    def _same_space(self, other: "Tensor") -> bool:
+        return self.basis == other.basis and self.rank == other.rank
 
     def coefficient(self, key: tuple) -> Poly:
         return self.coeffs.get(tuple(key), Poly.zero())
@@ -275,44 +313,6 @@ class Tensor:
     def parity(self) -> int | None:
         return common_parity(self.key_parity(k) for k in self.coeffs)
 
-    def _check_compatible(self, other: "Tensor"):
-        if self.basis != other.basis or self.rank != other.rank:
-            raise ValueError("tensors are not over the same space")
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            accumulate(out, key, c)
-        result = Tensor(self.basis, self.rank)
-        result.coeffs = out
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, scalar) -> "Tensor":
-        poly = as_poly(scalar)
-        result = Tensor(self.basis, self.rank)
-        if poly:
-            result.coeffs = {k: c * poly for k, c in self.coeffs.items()}
-        return result
-
-    def __mul__(self, scalar):
-        try:
-            return self.scaled(scalar)
-        except TypeError:
-            return NotImplemented
-
-    __rmul__ = __mul__
-
     def substitute(self, assignment) -> "Tensor":
         return Tensor(self.basis, self.rank,
                       {k: c.substitute(assignment) for k, c in self.coeffs.items()})
@@ -322,12 +322,6 @@ class Tensor:
         return Tensor(self.basis, self.rank,
                       {k: c.graded_part(graded, degree)
                        for k, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (self.basis == other.basis and self.rank == other.rank
-                and self.coeffs == other.coeffs)
 
     def __str__(self):
         return render_sum((scalar_str(coeff), "(x)".join(key))

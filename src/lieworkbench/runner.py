@@ -78,6 +78,12 @@ DEFAULT_ORDER = 3
 # The jordanian twist check costs about 5x more per two orders: 7 s at
 # order 10, 30 s at order 12 (one core of a shared 2-CPU box, Python 3.11).
 MAX_ORDER = 12
+# The largest N of an extended sl(N) twist check at truncation order 1, 2,
+# ...; no later order is supported.  Full checks at the bound take about 1 s
+# (sl(16), order 2), 8-9 s (sl(10), order 3), 7-9 s (sl(5), order 4) and
+# 16-19 s (sl(3), order 6); one step past it, 22 s (sl(6), order 4), 26 s
+# (sl(4), order 5) and over 60 s (sl(3), order 7), on the same machine.
+EXTENDED_MAX_N = (16, 16, 10, 5, 3, 3)
 
 
 class LoadError(ValueError):
@@ -95,6 +101,16 @@ def check_order(order: int, line: int = 0) -> int:
         raise LoadError(f"truncation order {order} is out of range: it must "
                         f"be between 1 and {MAX_ORDER}", line)
     return order
+
+
+def _extended_twist_error(N: int, order: int) -> str | None:
+    """Why an extended sl(N) twist check at this order is refused, or None."""
+    if 1 <= order <= len(EXTENDED_MAX_N) and N <= EXTENDED_MAX_N[order - 1]:
+        return None
+    bounds = ", ".join(map(str, EXTENDED_MAX_N))
+    return (f"the extended twist over sl({N}) at truncation order {order} is "
+            f"out of range: N may be at most {bounds} at orders 1 to "
+            f"{len(EXTENDED_MAX_N)}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +222,7 @@ def _is_zero_scalar(value) -> bool:
 
 def _eval_add(left, right, op: str, line: int):
     if _is_zero_scalar(left):
-        return right if op == "+" else _negate(right)
+        return right if op == "+" else -right
     if _is_zero_scalar(right):
         return left
     if isinstance(left, Poly) and isinstance(right, Poly):
@@ -218,10 +234,6 @@ def _eval_add(left, right, op: str, line: int):
             raise LoadError(str(exc), line) from None
     raise LoadError(f"cannot {'add' if op == '+' else 'subtract'} "
                     f"{_kind_name(left)} and {_kind_name(right)}", line)
-
-
-def _negate(value):
-    return -value if isinstance(value, Poly) else value.scaled(-1)
 
 
 def _kind_name(value) -> str:
@@ -260,7 +272,7 @@ def eval_expr(expr: dsl.Expr, lookup, line: int):
     if isinstance(expr, dsl.Name):
         return lookup(expr.ident)
     if isinstance(expr, dsl.Neg):
-        return _negate(eval_expr(expr.operand, lookup, line))
+        return -eval_expr(expr.operand, lookup, line)
     if isinstance(expr, dsl.BinOp):
         left = eval_expr(expr.left, lookup, line)
         right = eval_expr(expr.right, lookup, line)
@@ -441,6 +453,10 @@ def _validate_check(env: Environment, stmt: dsl.CheckDecl):
             raise LoadError("the extended twist needs N >= 3", stmt.line)
         if stmt.order is not None:
             check_order(stmt.order, stmt.line)
+            if stmt.twist_kind == "extended":
+                error = _extended_twist_error(stmt.twist_n, stmt.order)
+                if error:
+                    raise LoadError(error, stmt.line)
     else:  # pragma: no cover - parser rejects unknown kinds
         raise LoadError(f"unknown check kind {kind!r}", stmt.line)
 
@@ -584,6 +600,9 @@ def _run_twist(stmt: dsl.CheckDecl, options: RunOptions):
         reference = make_rborel()
         reference_name = "h^x"
     else:
+        error = _extended_twist_error(stmt.twist_n, order)
+        if error:
+            raise UnsupportedInputError(error)
         F = build_extended_twist(stmt.twist_n, order)
         carrier = make_sl(stmt.twist_n)
         reference = make_rjordan(stmt.twist_n)

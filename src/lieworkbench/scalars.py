@@ -15,14 +15,11 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
 __all__ = [
-    "UnknownParameterError",
     "UnsupportedInputError",
     "Poly",
     "RatFunc",
     "TruncationOrder",
     "param",
-    "declare_params",
-    "declared_params",
     "as_poly",
     "poly_divmod",
     "scalar_str",
@@ -34,33 +31,15 @@ Monomial = tuple
 ScalarLike = Union[int, Fraction, "Poly"]
 
 
-class UnknownParameterError(ValueError):
-    """Raised when a substitution names a parameter that was never declared."""
-
-
 class UnsupportedInputError(ValueError):
     """Raised when an operation receives input outside its supported domain."""
 
 
-# Parameter names declared in this session.  Declaration is idempotent and
-# names are never retired, so interning is safe across the whole run.
-_DECLARED: set[str] = set()
-
-
 def param(name: str) -> "Poly":
-    """Declare (or re-use) a formal parameter and return it as a polynomial."""
+    """The formal parameter of the given name, as a polynomial."""
     if not name.isidentifier():
         raise ValueError(f"parameter name {name!r} is not an identifier")
-    _DECLARED.add(name)
     return Poly({((name, 1),): Fraction(1)})
-
-
-def declare_params(*names: str) -> tuple["Poly", ...]:
-    return tuple(param(n) for n in names)
-
-
-def declared_params() -> frozenset[str]:
-    return frozenset(_DECLARED)
 
 
 def _coerce_fraction(value) -> Fraction | None:
@@ -307,13 +286,11 @@ class Poly:
     def substitute(self, assignment: Mapping[str, int | Fraction]) -> "Poly":
         """Evaluate some parameters at exact rational values.
 
-        Every key must be a declared parameter; values must be exact
-        rationals.  Parameters not mentioned survive symbolically.
+        Values must be exact rationals.  Parameters not mentioned survive
+        symbolically; a name the polynomial lacks changes nothing.
         """
         clean: dict[str, Fraction] = {}
         for name, value in assignment.items():
-            if name not in _DECLARED:
-                raise UnknownParameterError(f"unknown parameter {name!r}")
             frac = _coerce_fraction(value)
             if frac is None:
                 raise TypeError(f"substitution value {value!r} is not exact")

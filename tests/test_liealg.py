@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from lieworkbench.catalog import make_borel, make_double_pieces, make_osp12, make_sl
+from lieworkbench.bialgebra import cobracket_from_r
+from lieworkbench.catalog import (
+    make_borel,
+    make_double_pieces,
+    make_osp12,
+    make_rborel,
+    make_sl,
+)
+from lieworkbench.enveloping import UEA, tensor_product
 from lieworkbench.liealg import (
     Element,
     GradedBasis,
@@ -18,7 +26,7 @@ from lieworkbench.liealg import (
     pencil,
     wedge,
 )
-from lieworkbench.scalars import Poly, RatFunc, param
+from lieworkbench.scalars import Poly, RatFunc, TruncationOrder, param
 
 
 def _random_element(rng: random.Random, A: LieSuperAlgebra) -> Element:
@@ -254,8 +262,40 @@ def test_tensor_parity_classification():
     assert (even + odd).parity() is None
 
 
-def test_tensors_over_different_spaces_do_not_mix():
-    t1 = wedge(make_borel().gen("h"), make_borel().gen("x"))
-    t2 = wedge(make_sl(2).gen("H1"), make_sl(2).gen("E12"))
+def _sums_of(kind: str):
+    """Two sums x, y over one space and a third over another, all of the
+    given sparse-sum kind."""
+    sl2, borel = make_sl(2), make_borel()
+    h, e, f = sl2.gen("H1"), sl2.gen("E12"), sl2.gen("E21")
+    xi = param("xi")
+    if kind == "Element":
+        return h + e.scaled(xi), e - f, borel.gen("h")
+    if kind == "Tensor":
+        return (wedge(h, e), otimes(e, f).scaled(xi),
+                wedge(borel.gen("h"), borel.gen("x")))
+    if kind == "Cobracket":
+        return (cobracket_from_r(sl2, wedge(h, e)),
+                cobracket_from_r(sl2, wedge(h, f)),
+                cobracket_from_r(borel, make_rborel()))
+    graded = frozenset({"xi"})
+    uea = UEA(borel, TruncationOrder(3, graded))
+    u, v = uea.gen("h"), uea.gen("x").scaled(xi)
+    if kind == "UEAElement":
+        return u + v, v * u, UEA(sl2, TruncationOrder(3, graded)).gen("H1")
+    lower = UEA(borel, TruncationOrder(2, graded))
+    return (tensor_product(u, v), tensor_product(v, u + v),
+            tensor_product(lower.gen("h"), lower.gen("x")))
+
+
+@pytest.mark.parametrize(
+    "kind", ["Element", "Tensor", "Cobracket", "UEAElement", "TensorUEA"])
+def test_sparse_sums_over_different_spaces_do_not_mix(kind):
+    x, y, other = _sums_of(kind)
+    assert x and y and other
+    assert not x - x
+    assert not x.scaled(0)
+    assert (x + y) - y == x
+    assert -x == x.scaled(-1)
+    assert x != other
     with pytest.raises(ValueError):
-        t1 + t2
+        x + other

@@ -9,7 +9,9 @@ import pytest
 
 from lieworkbench.catalog import catalog_entry, catalog_get, catalog_names
 from lieworkbench.cli import main
+from lieworkbench import runner
 from lieworkbench.runner import (
+    EXTENDED_MAX_N,
     MAX_ORDER,
     LoadError,
     RunOptions,
@@ -125,6 +127,28 @@ def test_twist_orders_outside_the_cap_are_load_errors():
         assert str(err.value) == (
             f"line 2: truncation order {order} is out of range: it must be "
             f"between 1 and {MAX_ORDER}")
+
+
+def test_extended_twists_beyond_the_bound_are_load_errors():
+    past = len(EXTENDED_MAX_N) + 1
+    for N, order in ((40, 2), (EXTENDED_MAX_N[3] + 1, 4), (3, past)):
+        with pytest.raises(LoadError) as err:
+            run_source(f"check jacobi sl2;\ncheck twist extended {N} "
+                       f"order {order};")
+        assert str(err.value).startswith(
+            f"line 2: the extended twist over sl({N}) at truncation order "
+            f"{order} is out of range")
+
+
+def test_extended_twists_beyond_the_bound_at_the_run_order_are_unsupported(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the twist was built")
+    monkeypatch.setattr(runner, "build_extended_twist", refuse)
+    options = RunOptions(order=len(EXTENDED_MAX_N) + 1)
+    (result,) = run_source("check twist extended 3;", options)
+    assert result.status == "unsupported"
+    assert "out of range" in result.details[0]
 
 
 def test_load_errors_carry_line_numbers():
