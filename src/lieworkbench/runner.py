@@ -79,11 +79,15 @@ DEFAULT_ORDER = 3
 # order 10, 30 s at order 12 (one core of a shared 2-CPU box, Python 3.11).
 MAX_ORDER = 12
 # The largest N of an extended sl(N) twist check at truncation order 1, 2,
-# ...; no later order is supported.  Full checks at the bound take about 1 s
-# (sl(16), order 2), 8-9 s (sl(10), order 3), 7-9 s (sl(5), order 4) and
-# 16-19 s (sl(3), order 6); one step past it, 22 s (sl(6), order 4), 26 s
-# (sl(4), order 5) and over 60 s (sl(3), order 7), on the same machine.
-EXTENDED_MAX_N = (16, 16, 10, 5, 3, 3)
+# ...; no later order is supported.  Each entry is the largest N whose full
+# check stays under about 20 s and 140 MB peak RSS (one core of a shared
+# 2-CPU box, Python 3.11): at the bound 3.4 s / 131 MB (sl(34), order 1),
+# 8 s / 133 MB (sl(34), order 2), 8-10 s / 137 MB (sl(10), order 3),
+# 7-11 s / 132 MB (sl(5), order 4) and 16-20 s / 136 MB (sl(3), order 6);
+# one step past it, 149 MB (sl(35), order 1), 151 MB (sl(35), order 2),
+# 164 MB (sl(11), order 3), 22 s / 277 MB (sl(6), order 4), 26 s / 255 MB
+# (sl(4), order 5) and over 60 s (sl(3), order 7).
+EXTENDED_MAX_N = (34, 34, 10, 5, 3, 3)
 
 
 class LoadError(ValueError):
