@@ -101,13 +101,13 @@ def _run_command(args) -> int:
     except OSError as exc:
         print(f"workbench: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
+    options = RunOptions(order=args.order, assume_nonzero=args.assume)
     try:
-        env, checks = load(dsl.parse(source))
+        _, checks = load(dsl.parse(source), options)
     except (dsl.ParseError, LoadError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 2
-    options = RunOptions(order=args.order, assume_nonzero=args.assume)
-    results = run_checks(env, checks, options)
+    results = run_checks(checks)
     render = render_structured if args.format == "structured" else render_text
     _emit(render(results), args.out)
     return exit_code(results)

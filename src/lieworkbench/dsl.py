@@ -416,7 +416,7 @@ class _Parser:
         if kind in ("jacobi", "cybe", "mcybe"):
             subject = self.expect_ident("a name").text
             on = None
-            if self.at_word("on"):
+            if kind != "jacobi" and self.at_word("on"):
                 self.advance()
                 on = self.expect_ident("an algebra name").text
             decl = CheckDecl(kind, subject, on=on, line=start.line)

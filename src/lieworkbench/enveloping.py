@@ -87,8 +87,7 @@ class UEA:
     Words are tuples of basis indices; the normal form is weakly
     increasing in the basis declaration order with odd indices appearing
     at most once.  Rewriting results are memoised per instance, split by
-    graded degree and untruncated, so algebras that differ only in the
-    order can share the memo.
+    graded degree and untruncated.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, order: TruncationOrder):
@@ -104,15 +103,6 @@ class UEA:
 
     def __repr__(self):
         return f"UEA({self.algebra.name}, order {self.order.degree})"
-
-    def _at_order(self, degree: int) -> "UEA":
-        """The same algebra truncated at a lower degree, sharing the PBW
-        memo; the coproduct memo is truncated and starts empty."""
-        if degree > self.order.degree:
-            raise ValueError("cannot raise a truncation order after the fact")
-        lower = UEA(self.algebra, TruncationOrder(degree, self.order.graded))
-        lower._normal = self._normal
-        return lower
 
     # -- scalars ------------------------------------------------------------
 
@@ -490,13 +480,6 @@ class TensorUEA(_GradedTerms):
         kind = UEAElement if self.rank == 2 else TensorUEA
         return kind._trusted(self.uea, self.rank - 1, out)
 
-    def truncated(self, degree: int) -> "TensorUEA":
-        """Re-truncate to a lower total deformation degree, keeping the PBW
-        memo."""
-        return TensorUEA._trusted(
-            self.uea._at_order(degree), self.rank,
-            {key: c for key, c in self.coeffs.items() if key[-1] <= degree})
-
     def leading_term(self) -> tuple[tuple[str, ...], Poly] | None:
         """(rendered slot words, coefficient) of the least term, or None."""
         if not self.terms:
@@ -683,13 +666,11 @@ def factored_r_matrix(N: int, order: int) -> TensorUEA:
 # -- checks ----------------------------------------------------------------------
 
 
-def twist_cocycle_check(F: TensorUEA, order: int | None = None) -> TensorUEA:
+def twist_cocycle_check(F: TensorUEA) -> TensorUEA:
     """Residual F_12 (Delta (x) id)F - F_23 (id (x) Delta)F; zero iff F
     satisfies the twist 2-cocycle identity at the working order."""
     if F.rank != 2:
         raise ValueError("a twist must be a rank-2 tensor")
-    if order is not None:
-        F = F.truncated(order)
     lhs = F.embed(3, (0, 1)) * F.coproduct_slot(0)
     rhs = F.embed(3, (1, 2)) * F.coproduct_slot(1)
     return lhs - rhs
@@ -737,12 +718,10 @@ def classical_limit(R: TensorUEA) -> Tensor:
     return Tensor(basis, 2, coeffs)
 
 
-def qybe_check(R: TensorUEA, order: int | None = None) -> TensorUEA:
+def qybe_check(R: TensorUEA) -> TensorUEA:
     """Residual R_12 R_13 R_23 - R_23 R_13 R_12 at the working order."""
     if R.rank != 2:
         raise ValueError("the quantum Yang-Baxter check needs a rank-2 tensor")
-    if order is not None:
-        R = R.truncated(order)
     r12 = R.embed(3, (0, 1))
     r13 = R.embed(3, (0, 2))
     r23 = R.embed(3, (1, 2))

@@ -1,12 +1,14 @@
 """Evaluation of workbench definition files and check execution.
 
 Loading happens in two phases.  Declarations (params, algebras, tensors,
-cochains) are evaluated in order and every check's names are resolved up
-front, so unknown identifiers are rejected at load time with a source
-position.  Check execution then runs in declaration order; each check is
-pure, reports ``pass``/``fail`` with detail lines, and an operation that
-refuses its input (for example a Schouten bracket of an odd tensor) is
-reported as ``unsupported`` rather than crashing the run.
+cochains) are evaluated in order, and each check is bound to the values it
+names and to the run options (its truncation order, the parameters it may
+invert), so unknown identifiers and out-of-range options are rejected at
+load time with a source position, before any check runs.  Check execution
+then runs the bound checks in declaration order; each check is pure,
+reports ``pass``/``fail`` with detail lines, and an operation that refuses
+its input (for example a Schouten bracket of an odd tensor) is reported as
+``unsupported`` rather than crashing the run.
 
 Name resolution inside expressions prefers generators over parameters,
 and declarations in the file shadow the built-in catalog.  A tensor
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from . import dsl
@@ -107,16 +109,6 @@ def check_order(order: int, line: int = 0) -> int:
     return order
 
 
-def _extended_twist_error(N: int, order: int) -> str | None:
-    """Why an extended sl(N) twist check at this order is refused, or None."""
-    if 1 <= order <= len(EXTENDED_MAX_N) and N <= EXTENDED_MAX_N[order - 1]:
-        return None
-    bounds = ", ".join(map(str, EXTENDED_MAX_N))
-    return (f"the extended twist over sl({N}) at truncation order {order} is "
-            f"out of range: N may be at most {bounds} at orders 1 to "
-            f"{len(EXTENDED_MAX_N)}")
-
-
 @dataclass(frozen=True)
 class RunOptions:
     order: int = DEFAULT_ORDER          # default twist truncation order
@@ -129,6 +121,10 @@ class CheckResult:
     status: str  # "pass" | "fail" | "unsupported"
     details: tuple[str, ...]
     elapsed: float = field(default=0.0, compare=False)
+
+
+# A loaded check: its label, and the call giving its status and detail lines.
+Check = tuple[str, Callable[[], tuple[str, list[str]]]]
 
 
 # -- environment -------------------------------------------------------------------
@@ -303,12 +299,9 @@ def _scope_lookup(env: Environment, generators: dict[str, Element],
         if allow_tensors:
             if ident in env.tensors:
                 return env.tensors[ident]
-            try:
-                entry = catalog_entry(ident)
-            except ValueError:
-                entry = None
-            if entry is not None and entry.kind == "tensor":
-                return catalog_get(ident)
+            found = env._catalog(ident, "tensor")
+            if found is not None:
+                return found
         raise LoadError(f"unknown identifier {ident!r}", line)
 
     return lookup
@@ -373,22 +366,15 @@ def _declare_tensor(env: Environment, stmt: dsl.TensorDecl):
     if stmt.algebra is not None:
         A = env.resolve_algebra(stmt.algebra, stmt.line)
         generators = {name: A.gen(name) for name in A.basis.names}
-        carrier = stmt.algebra
     else:
         generators = _file_generators(env, stmt.line)
-        carrier = None
     lookup = _scope_lookup(env, generators, stmt.line, allow_tensors=True)
     value = eval_expr(stmt.expr, lookup, stmt.line)
     if not isinstance(value, Tensor) or value.rank != 2:
         raise LoadError("a tensor definition must produce a rank-2 tensor",
                         stmt.line)
-    if carrier is None:
-        for alg_name, A in env.algebras.items():
-            if A.basis == value.basis:
-                carrier = alg_name
-                break
     env.tensors[stmt.name] = value
-    env.tensor_carrier[stmt.name] = carrier
+    env.tensor_carrier[stmt.name] = stmt.algebra
 
 
 def _declare_cochain(env: Environment, stmt: dsl.CochainDecl):
@@ -417,58 +403,85 @@ def _declare_cochain(env: Environment, stmt: dsl.CochainDecl):
         raise LoadError(str(exc), stmt.line) from None
 
 
-def _validate_check(env: Environment, stmt: dsl.CheckDecl):
-    """Resolve every name a check uses, failing at load time."""
-    kind = stmt.kind
+def _bind(env: Environment, stmt: dsl.CheckDecl, options: RunOptions):
+    """Resolve every value a check uses and its truncation order, failing at
+    load time; return the call that runs it, which looks its ``_run_<kind>``
+    up as a module global when it runs, so a later rebinding is seen."""
+    kind, line = stmt.kind, stmt.line
     if kind == "jacobi":
-        env.resolve_algebra(stmt.subject, stmt.line)
-    elif kind in ("cybe", "mcybe"):
-        tensor, hint = env.resolve_tensor(stmt.subject, stmt.line)
-        env.carrier_for(tensor, hint, stmt.on, stmt.line)
-    elif kind in ("cocycle", "coboundary"):
-        phi = env.resolve_cochain2(stmt.subject, stmt.line)
-        A = env.resolve_algebra(stmt.over, stmt.line)
+        A = env.resolve_algebra(stmt.subject, line)
+        return lambda: _run_jacobi(A)
+    if kind in ("cybe", "mcybe"):
+        tensor, hint = env.resolve_tensor(stmt.subject, line)
+        A = env.carrier_for(tensor, hint, stmt.on, line)
+        if kind == "cybe":
+            return lambda: _run_cybe(A, tensor)
+        return lambda: _run_mcybe(A, tensor)
+    if kind in ("cocycle", "coboundary"):
+        phi = env.resolve_cochain2(stmt.subject, line)
+        A = env.resolve_algebra(stmt.over, line)
         if phi.basis != A.basis:
             raise LoadError(
                 f"2-cochain {stmt.subject!r} is not over the basis of "
-                f"{stmt.over!r}", stmt.line)
+                f"{stmt.over!r}", line)
+        if kind == "cocycle":
+            return lambda: _run_cocycle(A, phi)
+        psi = None
         if stmt.compare is not None:
-            psi = env.resolve_cochain1(stmt.compare, stmt.line)
+            psi = env.resolve_cochain1(stmt.compare, line)
             if psi.basis != A.basis:
                 raise LoadError(
                     f"1-cochain {stmt.compare!r} is not over the basis of "
-                    f"{stmt.over!r}", stmt.line)
-    elif kind == "compatible":
-        first = env.resolve_algebra(stmt.subject, stmt.line)
-        second = env.resolve_algebra(stmt.pair, stmt.line)
+                    f"{stmt.over!r}", line)
+        return lambda: _run_coboundary(A, phi, options.assume_nonzero,
+                                       stmt.compare, psi)
+    if kind == "compatible":
+        first = env.resolve_algebra(stmt.subject, line)
+        second = env.resolve_algebra(stmt.pair, line)
         if first.basis != second.basis:
-            raise LoadError("compatibility needs a shared basis", stmt.line)
-    elif kind == "decompose":
-        whole, hint = env.resolve_tensor(stmt.subject, stmt.line)
-        env.carrier_for(whole, hint, stmt.on, stmt.line)
+            raise LoadError("compatibility needs a shared basis", line)
+        return lambda: _run_compatible(first, second)
+    if kind == "decompose":
+        whole, hint = env.resolve_tensor(stmt.subject, line)
+        env.carrier_for(whole, hint, stmt.on, line)
+        parts = []
         for part in stmt.parts:
-            tensor, _ = env.resolve_tensor(part, stmt.line)
+            tensor, _ = env.resolve_tensor(part, line)
             if tensor.basis != whole.basis:
                 raise LoadError(
-                    f"summand {part!r} lives over a different basis",
-                    stmt.line)
-    elif kind == "twist":
-        if stmt.twist_kind == "extended" and stmt.twist_n < 3:
-            raise LoadError("the extended twist needs N >= 3", stmt.line)
-        if stmt.order is not None:
-            check_order(stmt.order, stmt.line)
-            if stmt.twist_kind == "extended":
-                error = _extended_twist_error(stmt.twist_n, stmt.order)
-                if error:
-                    raise LoadError(error, stmt.line)
-    else:  # pragma: no cover - parser rejects unknown kinds
-        raise LoadError(f"unknown check kind {kind!r}", stmt.line)
+                    f"summand {part!r} lives over a different basis", line)
+            parts.append(tensor)
+        equation = f"{stmt.subject} = {stmt.parts[0]} + {stmt.parts[1]}"
+        return lambda: _run_decompose(equation, whole, *parts)
+    if kind == "twist":
+        N = stmt.twist_n
+        if stmt.twist_kind == "extended" and N < 3:
+            raise LoadError("the extended twist needs N >= 3", line)
+        order = check_order(
+            options.order if stmt.order is None else stmt.order, line)
+        if stmt.twist_kind == "extended" and (
+                order > len(EXTENDED_MAX_N) or N > EXTENDED_MAX_N[order - 1]):
+            bounds = ", ".join(map(str, EXTENDED_MAX_N))
+            raise LoadError(
+                f"the extended twist over sl({N}) at truncation order {order} "
+                f"is out of range: N may be at most {bounds} at orders 1 to "
+                f"{len(EXTENDED_MAX_N)}", line)
+        return lambda: _run_twist(stmt.twist_kind, N, order)
+    raise LoadError(f"unknown check kind {kind!r}", line)  # pragma: no cover
 
 
-def load(file: dsl.WorkbenchFile) -> tuple[Environment, list[dsl.CheckDecl]]:
-    """Evaluate declarations and resolve check names; LoadError on failure."""
+def load(file: dsl.WorkbenchFile,
+         options: RunOptions | None = None) -> tuple[Environment, list[Check]]:
+    """Evaluate declarations and bind each check to the values it names and
+    the options it runs with, as a (label, run) pair; LoadError on failure."""
+    options = options or RunOptions()
+    for name in options.assume_nonzero:
+        try:
+            param(name)
+        except ValueError as exc:
+            raise LoadError(str(exc)) from None
     env = Environment()
-    checks: list[dsl.CheckDecl] = []
+    checks: list[Check] = []
     for stmt in file.statements:
         if isinstance(stmt, dsl.ParamDecl):
             _declare_param(env, stmt)
@@ -479,8 +492,7 @@ def load(file: dsl.WorkbenchFile) -> tuple[Environment, list[dsl.CheckDecl]]:
         elif isinstance(stmt, dsl.CochainDecl):
             _declare_cochain(env, stmt)
         elif isinstance(stmt, dsl.CheckDecl):
-            _validate_check(env, stmt)
-            checks.append(stmt)
+            checks.append((_check_label(stmt), _bind(env, stmt, options)))
         else:  # pragma: no cover
             raise LoadError(f"cannot load {stmt!r}")
     return env, checks
@@ -501,8 +513,7 @@ def _tensor_witness(t: Tensor, what: str) -> list[str]:
             f"first at {key}: {scalar_str(coeff)}"]
 
 
-def _run_jacobi(env: Environment, stmt: dsl.CheckDecl):
-    A = env.resolve_algebra(stmt.subject, stmt.line)
+def _run_jacobi(A: LieSuperAlgebra):
     report = A.verify_jacobi()
     if report.ok:
         return "pass", [f"graded Jacobi holds on all "
@@ -512,18 +523,14 @@ def _run_jacobi(env: Environment, stmt: dsl.CheckDecl):
                     f"residual {report.residual}"]
 
 
-def _run_cybe(env: Environment, stmt: dsl.CheckDecl):
-    tensor, hint = env.resolve_tensor(stmt.subject, stmt.line)
-    A = env.carrier_for(tensor, hint, stmt.on, stmt.line)
+def _run_cybe(A: LieSuperAlgebra, tensor: Tensor):
     bracket = schouten(A, tensor)
     if not bracket:
         return "pass", [f"Schouten bracket vanishes over {A.name}"]
     return "fail", _tensor_witness(bracket, "Schouten bracket")
 
 
-def _run_mcybe(env: Environment, stmt: dsl.CheckDecl):
-    tensor, hint = env.resolve_tensor(stmt.subject, stmt.line)
-    A = env.carrier_for(tensor, hint, stmt.on, stmt.line)
+def _run_mcybe(A: LieSuperAlgebra, tensor: Tensor):
     sym_ok = check_invariant(A, sym_part(tensor))
     schouten_ok = check_invariant(A, schouten(A, tensor))
     details = [f"symmetric part ad-invariant over {A.name}: {sym_ok}",
@@ -531,9 +538,7 @@ def _run_mcybe(env: Environment, stmt: dsl.CheckDecl):
     return ("pass" if sym_ok and schouten_ok else "fail"), details
 
 
-def _run_cocycle(env: Environment, stmt: dsl.CheckDecl):
-    phi = env.resolve_cochain2(stmt.subject, stmt.line)
-    A = env.resolve_algebra(stmt.over, stmt.line)
+def _run_cocycle(A: LieSuperAlgebra, phi: LieSuperAlgebra):
     witness = cocycle2_witness(A, phi)
     if witness is None:
         return "pass", [f"closed under the differential of {A.name}"]
@@ -542,9 +547,7 @@ def _run_cocycle(env: Environment, stmt: dsl.CheckDecl):
                     f"residual {Element(A.basis, residual)}"]
 
 
-def _run_compatible(env: Environment, stmt: dsl.CheckDecl):
-    first = env.resolve_algebra(stmt.subject, stmt.line)
-    second = env.resolve_algebra(stmt.pair, stmt.line)
+def _run_compatible(first: LieSuperAlgebra, second: LieSuperAlgebra):
     # The mixed jacobiator is the d2 residual of the second bracket over the
     # first, so one cocycle scan decides and finds the first failing triple.
     witness = cocycle2_witness(first, second)
@@ -555,11 +558,10 @@ def _run_compatible(env: Environment, stmt: dsl.CheckDecl):
                     f"mixed jacobiator {Element(first.basis, residual)}"]
 
 
-def _run_coboundary(env: Environment, stmt: dsl.CheckDecl,
-                    options: RunOptions):
-    phi = env.resolve_cochain2(stmt.subject, stmt.line)
-    A = env.resolve_algebra(stmt.over, stmt.line)
-    outcome = solve_coboundary(A, phi, assume_nonzero=options.assume_nonzero)
+def _run_coboundary(A: LieSuperAlgebra, phi: LieSuperAlgebra,
+                    assume_nonzero: tuple[str, ...], compare: str | None,
+                    psi: Cochain1 | None):
+    outcome = solve_coboundary(A, phi, assume_nonzero=assume_nonzero)
     details = [f"solver status: {outcome.status}",
                f"rank {outcome.rank}, augmented rank {outcome.rank_augmented}"]
     if outcome.assumptions:
@@ -572,10 +574,9 @@ def _run_coboundary(env: Environment, stmt: dsl.CheckDecl,
         details.append(outcome.obstruction)
     elif outcome.status == "not-cocycle":
         details.append(f"input is not closed; witness triple {outcome.witness}")
-    if stmt.compare is not None:
-        psi = env.resolve_cochain1(stmt.compare, stmt.line)
+    if psi is not None:
         comparison = compare_cochain2(d1(A, psi), phi)
-        details.append(f"declared table {stmt.compare!r}: d1 image "
+        details.append(f"declared table {compare!r}: d1 image "
                        + ("matches" if comparison.equal
                           else f"differs at {comparison.mismatches}"))
         details.extend(
@@ -584,33 +585,25 @@ def _run_coboundary(env: Environment, stmt: dsl.CheckDecl,
     return ("pass" if outcome.found else "fail"), details
 
 
-def _run_decompose(env: Environment, stmt: dsl.CheckDecl):
-    whole, hint = env.resolve_tensor(stmt.subject, stmt.line)
-    env.carrier_for(whole, hint, stmt.on, stmt.line)
-    first, _ = env.resolve_tensor(stmt.parts[0], stmt.line)
-    second, _ = env.resolve_tensor(stmt.parts[1], stmt.line)
+def _run_decompose(equation: str, whole: Tensor, first: Tensor,
+                   second: Tensor):
     if decompose_check(whole, first, second):
-        return "pass", [f"{stmt.subject} = {stmt.parts[0]} + {stmt.parts[1]} "
-                        "identically in all parameters"]
+        return "pass", [f"{equation} identically in all parameters"]
     difference = whole - (first + second)
     return "fail", _tensor_witness(difference, "difference")
 
 
-def _run_twist(stmt: dsl.CheckDecl, options: RunOptions):
-    order = stmt.order if stmt.order is not None else options.order
-    if stmt.twist_kind == "jordanian":
+def _run_twist(twist_kind: str, N: int | None, order: int):
+    if twist_kind == "jordanian":
         F = build_jordanian_twist(order)
         carrier = make_borel()
         reference = make_rborel()
         reference_name = "h^x"
     else:
-        error = _extended_twist_error(stmt.twist_n, order)
-        if error:
-            raise UnsupportedInputError(error)
-        F = build_extended_twist(stmt.twist_n, order)
-        carrier = make_sl(stmt.twist_n)
-        reference = make_rjordan(stmt.twist_n)
-        reference_name = f"the jordanian r-matrix on sl({stmt.twist_n})"
+        F = build_extended_twist(N, order)
+        carrier = make_sl(N)
+        reference = make_rjordan(N)
+        reference_name = f"the jordanian r-matrix on sl({N})"
     details = [f"truncation order {order}"]
     residual = twist_cocycle_check(F)
     details.append("2-cocycle residual: "
@@ -635,43 +628,24 @@ def _run_twist(stmt: dsl.CheckDecl, options: RunOptions):
     return ("pass" if ok else "fail"), details
 
 
-def run_checks(env: Environment, checks: list[dsl.CheckDecl],
-               options: RunOptions | None = None) -> list[CheckResult]:
-    options = options or RunOptions()
+def run_checks(checks: list[Check]) -> list[CheckResult]:
+    """Run loaded checks in order, timing each."""
     results: list[CheckResult] = []
-    for stmt in checks:
+    for label, run in checks:
         started = time.perf_counter()
         try:
-            if stmt.kind == "jacobi":
-                status, details = _run_jacobi(env, stmt)
-            elif stmt.kind == "cybe":
-                status, details = _run_cybe(env, stmt)
-            elif stmt.kind == "mcybe":
-                status, details = _run_mcybe(env, stmt)
-            elif stmt.kind == "cocycle":
-                status, details = _run_cocycle(env, stmt)
-            elif stmt.kind == "compatible":
-                status, details = _run_compatible(env, stmt)
-            elif stmt.kind == "coboundary":
-                status, details = _run_coboundary(env, stmt, options)
-            elif stmt.kind == "decompose":
-                status, details = _run_decompose(env, stmt)
-            elif stmt.kind == "twist":
-                status, details = _run_twist(stmt, options)
-            else:  # pragma: no cover
-                raise LoadError(f"unknown check kind {stmt.kind!r}", stmt.line)
+            status, details = run()
         except UnsupportedInputError as exc:
             status, details = "unsupported", [str(exc)]
         elapsed = time.perf_counter() - started
-        results.append(CheckResult(_check_label(stmt), status,
-                                   tuple(details), elapsed))
+        results.append(CheckResult(label, status, tuple(details), elapsed))
     return results
 
 
 def run_source(source: str, options: RunOptions | None = None) -> list[CheckResult]:
     """Parse, load, and execute a DSL document."""
-    env, checks = load(dsl.parse(source))
-    return run_checks(env, checks, options)
+    _, checks = load(dsl.parse(source), options)
+    return run_checks(checks)
 
 
 # -- reports -----------------------------------------------------------------------

@@ -334,18 +334,3 @@ def test_embedding_into_three_slots():
     r13 = r.embed(3, (0, 2))
     assert r13 == tensor_product(h, U.one(), x)
 
-
-def test_truncation_drops_high_degree_terms():
-    U = UEA(make_borel(), TruncationOrder(3, frozenset({"xi"})))
-    t = TensorUEA.unit(U, 2) + tensor_product(U.gen("x"), U.gen("x")).scaled(XI * XI)
-    coproduct(U.gen("x") * U.gen("h"))
-    cut = t.truncated(1)
-    assert cut.uea.order.degree == 1
-    assert cut == TensorUEA.unit(cut.uea, 2)
-    assert t.truncated(2).terms == t.terms
-    # PBW rewrites are memoised untruncated, so the lower order reuses
-    # them; coproducts are memoised truncated, so it does not.
-    assert cut.uea._normal is U._normal
-    assert U._delta and not cut.uea._delta
-    with pytest.raises(ValueError):
-        t.truncated(4)

@@ -121,12 +121,17 @@ def test_twist_checks_run_at_the_requested_order():
 
 
 def test_twist_orders_outside_the_cap_are_load_errors():
+    # The order comes from the check's own clause or, without one, from the
+    # run options; either way it is refused before any check runs.
     for order in (0, MAX_ORDER + 1):
-        with pytest.raises(LoadError) as err:
-            run_source(f"check jacobi sl2;\ncheck twist jordanian order {order};")
-        assert str(err.value) == (
-            f"line 2: truncation order {order} is out of range: it must be "
-            f"between 1 and {MAX_ORDER}")
+        for check, options in (
+                (f"check twist jordanian order {order};", None),
+                ("check twist jordanian;", RunOptions(order=order))):
+            with pytest.raises(LoadError) as err:
+                run_source(f"check jacobi sl2;\n{check}", options)
+            assert str(err.value) == (
+                f"line 2: truncation order {order} is out of range: it must "
+                f"be between 1 and {MAX_ORDER}")
 
 
 def test_extended_twists_beyond_the_bound_are_load_errors():
@@ -144,15 +149,17 @@ def test_extended_twists_beyond_the_bound_are_load_errors():
             f"{order} is out of range")
 
 
-def test_extended_twists_beyond_the_bound_at_the_run_order_are_unsupported(
+def test_extended_twists_beyond_the_bound_at_the_run_order_are_load_errors(
         monkeypatch):
     def refuse(*args):
         raise AssertionError("the twist was built")
     monkeypatch.setattr(runner, "build_extended_twist", refuse)
     options = RunOptions(order=len(EXTENDED_MAX_N) + 1)
-    (result,) = run_source("check twist extended 3;", options)
-    assert result.status == "unsupported"
-    assert "out of range" in result.details[0]
+    with pytest.raises(LoadError) as err:
+        run_source("check twist extended 3;", options)
+    assert str(err.value).startswith(
+        f"line 1: the extended twist over sl(3) at truncation order "
+        f"{options.order} is out of range")
 
 
 def test_load_errors_carry_line_numbers():
@@ -302,6 +309,27 @@ def test_cli_rejects_orders_above_the_cap(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"between 1 and {MAX_ORDER}" in captured.err
+
+
+def test_cli_run_order_beyond_the_extended_bound_is_a_load_error(
+        tmp_path, capsys):
+    path = _write(tmp_path, "check twist extended 3;\n")
+    assert main(["run", path, "--order", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"{path}: line 1: the extended twist over sl(3) at truncation "
+        "order 7 is out of range")
+
+
+def test_cli_malformed_assumption_is_a_load_error(tmp_path, capsys):
+    path = _write(tmp_path,
+                  "check coboundary dual.jordan.sl2 over dual.standard.sl2;\n")
+    assert main(["run", path, "--assume", "h+1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}: parameter name 'h+1' is not an identifier\n")
 
 
 def test_cli_catalog(capsys):
