@@ -157,7 +157,7 @@ class Cobracket(SparseSum):
     def _same_space(self, other: "Cobracket") -> bool:
         return self.algebra.basis == other.algebra.basis
 
-    def apply(self, x: Element) -> Tensor:
+    def __call__(self, x: Element) -> Tensor:
         out: dict[tuple, Poly] = {}
         for name, c in x.coeffs.items():
             value = self.coeffs.get(name)
@@ -165,9 +165,6 @@ class Cobracket(SparseSum):
                 for key, v in value.coeffs.items():
                     accumulate(out, key, v * c)
         return Tensor(self.algebra.basis, 2, out)
-
-    def __call__(self, x: Element) -> Tensor:
-        return self.apply(x)
 
     def __repr__(self):
         body = ", ".join(f"{n} -> {t}" for n, t in sorted(self.coeffs.items()))

@@ -30,7 +30,7 @@ from .liealg import (
     pencil,
     wedge,
 )
-from .scalars import Poly, as_poly, param
+from .scalars import Poly, param
 
 __all__ = [
     "cartan_name",
@@ -167,7 +167,7 @@ def _standard_r(basis: GradedBasis, hk: list[Element],
     return r
 
 
-def make_rdj(N: int, h=None) -> Tensor:
+def make_rdj(N: int) -> Tensor:
     """Quasitriangular standard classical r-matrix on sl(N) (parameter h).
 
     r = r_a + h*t, where t is the trace-form Casimir (the sum of E_ij(x)E_ji
@@ -179,22 +179,21 @@ def make_rdj(N: int, h=None) -> Tensor:
     """
     if N < 2:
         raise ValueError("make_rdj requires N >= 2")
-    hp = param("h") if h is None else as_poly(h)
     A = make_sl(N)
     hk = [A.gen(cartan_name(k)) for k in range(1, N)]
 
     def e(i: int, j: int) -> Element:
         return A.gen(pair_name("E", i, j, N))
 
-    return _standard_r(A.basis, hk, e, N, hp)
+    return _standard_r(A.basis, hk, e, N, param("h"))
 
 
-def make_rjordan(N: int, xi=None) -> Tensor:
+def make_rjordan(N: int) -> Tensor:
     """Jordanian classical r-matrix on sl(N) (parameter xi):
     -xi*(H1N ^ E1N + 2 * sum_{k=2..N-1} E1k ^ EkN)."""
     if N < 2:
         raise ValueError("make_rjordan requires N >= 2")
-    x = param("xi") if xi is None else as_poly(xi)
+    x = param("xi")
     A = make_sl(N)
 
     def e(i: int, j: int) -> Element:
@@ -209,9 +208,9 @@ def make_rjordan(N: int, xi=None) -> Tensor:
     return r
 
 
-def make_rfull(N: int, h=None, xi=None) -> Tensor:
+def make_rfull(N: int) -> Tensor:
     """The combined two-parameter r-matrix: make_rdj + make_rjordan."""
-    return make_rdj(N, h) + make_rjordan(N, xi)
+    return make_rdj(N) + make_rjordan(N)
 
 
 def make_double_pieces() -> tuple[LieSuperAlgebra, LieSuperAlgebra,
@@ -298,19 +297,19 @@ def make_osp12() -> tuple[LieSuperAlgebra, LieSuperAlgebra,
     return A, mu1star, mu2star, psi
 
 
-def make_dual_standard(N: int, h=None) -> LieSuperAlgebra:
+def make_dual_standard(N: int) -> LieSuperAlgebra:
     """Dual bracket of sl(N) induced by the standard r-matrix (hatted basis)."""
     A = make_sl(N)
-    B = LieBialgebra(A, cobracket_from_r(A, make_rdj(N, h)))
+    B = LieBialgebra(A, cobracket_from_r(A, make_rdj(N)))
     out = dual_algebra(B)
     out.name = f"dual.standard.sl{N}"
     return out
 
 
-def make_dual_jordanian(N: int, xi=None) -> LieSuperAlgebra:
+def make_dual_jordanian(N: int) -> LieSuperAlgebra:
     """Dual bracket of sl(N) induced by the jordanian r-matrix (hatted basis)."""
     A = make_sl(N)
-    B = LieBialgebra(A, cobracket_from_r(A, make_rjordan(N, xi)))
+    B = LieBialgebra(A, cobracket_from_r(A, make_rjordan(N)))
     out = dual_algebra(B)
     out.name = f"dual.jordan.sl{N}"
     return out

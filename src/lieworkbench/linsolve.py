@@ -161,21 +161,27 @@ def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction]) -> int
     return len(_gauss_jordan(rows, lambda entry: 0))
 
 
-def sample_points(params: Sequence[str], avoid: Sequence[Poly],
-                  count: int = 2, seed: int = 20240801,
-                  max_tries: int = 64) -> list[dict[str, Fraction]]:
+# The genericity check samples SAMPLE_COUNT points from a fixed seed, so a
+# verdict never depends on the run, giving up after SAMPLE_TRIES draws.
+SAMPLE_COUNT = 2
+SAMPLE_SEED = 20240801
+SAMPLE_TRIES = 64
+
+
+def sample_points(params: Sequence[str],
+                  avoid: Sequence[Poly]) -> list[dict[str, Fraction]]:
     """Random rational points where none of the ``avoid`` polynomials vanish."""
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     params = sorted(params)
     points: list[dict[str, Fraction]] = []
-    for _ in range(max_tries):
-        if len(points) >= count:
+    for _ in range(SAMPLE_TRIES):
+        if len(points) >= SAMPLE_COUNT:
             break
         point = {p: Fraction(rng.randint(1, 97), rng.randint(1, 13))
                  for p in params}
         if all(bool(poly.substitute(point)) for poly in avoid):
             points.append(point)
-    if len(points) < count:
+    if len(points) < SAMPLE_COUNT:
         raise GenericityError("could not sample points avoiding assumptions")
     return points
 

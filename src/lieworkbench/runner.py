@@ -11,18 +11,26 @@ its input (for example a Schouten bracket of an odd tensor) is reported as
 ``unsupported`` rather than crashing the run.
 
 Name resolution inside expressions prefers generators over parameters,
-and declarations in the file shadow the built-in catalog.  A tensor
-written without an explicit ``on ALG`` clause draws its generators from
-the algebras declared in the file (requiring the names to be unambiguous
-among them); with the clause, the named algebra — catalog algebras
-included — provides the generators.
+and declarations in the file shadow the built-in catalog: every name a
+declaration or check uses is looked up by ``Environment.resolve``, file
+first, then the catalog entry of the expected kind.  A tensor written
+without an explicit ``on ALG`` clause draws its generators from the
+algebras declared in the file (requiring the names to be unambiguous among
+them); with the clause, the named algebra — catalog algebras included —
+provides the generators.
+
+A ``cybe``, ``mcybe`` or ``decompose`` check runs over the tensor's
+carrier: the check's ``on`` clause, else the carrier the tensor was
+declared on, else the one algebra whose basis is the tensor's, searched
+among the file's algebras and then, if none carries it, the catalog's.  If
+that search finds several, or none, the check is a load error.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import dsl
@@ -140,75 +148,53 @@ class Environment:
         self.tensor_carrier: dict[str, str | None] = {}
         self.cochains: dict[str, Cochain1] = {}
 
-    # resolution (file first, then catalog)
+    def resolve(self, kind: str, name: str, line: int = 0):
+        """The ``kind`` ("algebra", "tensor", "1-cochain" or "2-cochain")
+        named ``name``: the file's declaration first, then the catalog entry
+        of that kind.  A 2-cochain is named by a bracket table: the algebra
+        itself, whose bracket is a parity-0 2-cochain as it stands."""
+        declared, catalog_kind, advice = {
+            "algebra": (self.algebras, "algebra", ""),
+            "tensor": (self.tensors, "tensor", ""),
+            "1-cochain": (self.cochains, "cochain", ""),
+            "2-cochain": (self.algebras, "algebra",
+                          " (name an algebra to use its bracket table)"),
+        }[kind]
+        if name in declared:
+            return declared[name]
+        if name in catalog_names() and catalog_entry(name).kind == catalog_kind:
+            return catalog_get(name)
+        raise LoadError(f"unknown {kind} {name!r}{advice}", line)
 
-    def _catalog(self, name: str, kind: str):
-        try:
-            entry = catalog_entry(name)
-        except ValueError:
-            return None
-        if entry.kind != kind:
-            return None
-        return catalog_get(name)
-
-    def resolve_algebra(self, name: str, line: int = 0) -> LieSuperAlgebra:
-        if name in self.algebras:
-            return self.algebras[name]
-        found = self._catalog(name, "algebra")
-        if found is None:
-            raise LoadError(f"unknown algebra {name!r}", line)
-        return found
-
-    def resolve_tensor(self, name: str, line: int = 0) -> tuple[Tensor, str | None]:
-        """The tensor and the name of its carrier algebra, if known."""
-        if name in self.tensors:
-            return self.tensors[name], self.tensor_carrier.get(name)
-        found = self._catalog(name, "tensor")
-        if found is None:
-            raise LoadError(f"unknown tensor {name!r}", line)
-        return found, catalog_entry(name).algebra
-
-    def resolve_cochain1(self, name: str, line: int = 0) -> Cochain1:
-        if name in self.cochains:
-            return self.cochains[name]
-        found = self._catalog(name, "cochain")
-        if found is None:
-            raise LoadError(f"unknown 1-cochain {name!r}", line)
-        return found
-
-    def resolve_cochain2(self, name: str, line: int = 0) -> LieSuperAlgebra:
-        """A 2-cochain named by a bracket table: the algebra itself, whose
-        bracket is a parity-0 2-cochain as it stands."""
-        if name in self.algebras:
-            return self.algebras[name]
-        found = self._catalog(name, "algebra")
-        if found is None:
-            raise LoadError(
-                f"unknown 2-cochain {name!r} (name an algebra to use its "
-                "bracket table)", line)
-        return found
-
-    def carrier_for(self, tensor: Tensor, hint: str | None,
-                    explicit: str | None, line: int = 0) -> LieSuperAlgebra:
-        """The algebra whose basis carries the tensor."""
-        if explicit is not None:
-            A = self.resolve_algebra(explicit, line)
+    def carrier_for(self, name: str, on: str | None,
+                    line: int = 0) -> tuple[Tensor, LieSuperAlgebra]:
+        """The tensor ``name`` and the algebra whose basis carries it: the
+        ``on`` algebra, else the tensor's declared carrier, else the one
+        algebra of the file, or failing that of the catalog, with its basis."""
+        tensor = self.resolve("tensor", name, line)
+        if on is not None:
+            A = self.resolve("algebra", on, line)
             if A.basis != tensor.basis:
                 raise LoadError(
-                    f"algebra {explicit!r} does not carry this tensor", line)
-            return A
-        if hint is not None:
-            A = self.resolve_algebra(hint, line)
+                    f"algebra {on!r} does not carry this tensor", line)
+            return tensor, A
+        declared = (self.tensor_carrier[name] if name in self.tensors
+                    else catalog_entry(name).algebra)
+        if declared is not None:
+            A = self.resolve("algebra", declared, line)
             if A.basis == tensor.basis:
-                return A
-        for A in self.algebras.values():
-            if A.basis == tensor.basis:
-                return A
-        for entry in catalog_entries():
-            if entry.kind == "algebra":
-                A = catalog_get(entry.name)
-                if A.basis == tensor.basis:
-                    return A
+                return tensor, A
+        catalog = ((entry.name, catalog_get(entry.name))
+                   for entry in catalog_entries() if entry.kind == "algebra")
+        for tier in (self.algebras.items(), catalog):
+            carriers = {n: A for n, A in tier if A.basis == tensor.basis}
+            if len(carriers) > 1:
+                raise LoadError(f"algebras {', '.join(carriers)} all carry "
+                                "this tensor (add an 'on ALGEBRA' clause)",
+                                line)
+            if carriers:
+                (A,) = carriers.values()
+                return tensor, A
         raise LoadError("no known algebra carries this tensor "
                         "(add an 'on ALGEBRA' clause)", line)
 
@@ -297,11 +283,10 @@ def _scope_lookup(env: Environment, generators: dict[str, Element],
         if ident in env.params:
             return env.params[ident]
         if allow_tensors:
-            if ident in env.tensors:
-                return env.tensors[ident]
-            found = env._catalog(ident, "tensor")
-            if found is not None:
-                return found
+            try:
+                return env.resolve("tensor", ident)
+            except LoadError:
+                pass
         raise LoadError(f"unknown identifier {ident!r}", line)
 
     return lookup
@@ -364,7 +349,7 @@ def _declare_tensor(env: Environment, stmt: dsl.TensorDecl):
     if stmt.name in env.tensors:
         raise LoadError(f"tensor {stmt.name!r} re-declared", stmt.line)
     if stmt.algebra is not None:
-        A = env.resolve_algebra(stmt.algebra, stmt.line)
+        A = env.resolve("algebra", stmt.algebra, stmt.line)
         generators = {name: A.gen(name) for name in A.basis.names}
     else:
         generators = _file_generators(env, stmt.line)
@@ -380,7 +365,7 @@ def _declare_tensor(env: Environment, stmt: dsl.TensorDecl):
 def _declare_cochain(env: Environment, stmt: dsl.CochainDecl):
     if stmt.name in env.cochains:
         raise LoadError(f"cochain {stmt.name!r} re-declared", stmt.line)
-    A = env.resolve_algebra(stmt.algebra, stmt.line)
+    A = env.resolve("algebra", stmt.algebra, stmt.line)
     generators = {name: A.gen(name) for name in A.basis.names}
     lookup = _scope_lookup(env, generators, stmt.line, allow_tensors=False)
     values: dict[str, Element] = {}
@@ -409,17 +394,16 @@ def _bind(env: Environment, stmt: dsl.CheckDecl, options: RunOptions):
     up as a module global when it runs, so a later rebinding is seen."""
     kind, line = stmt.kind, stmt.line
     if kind == "jacobi":
-        A = env.resolve_algebra(stmt.subject, line)
+        A = env.resolve("algebra", stmt.subject, line)
         return lambda: _run_jacobi(A)
     if kind in ("cybe", "mcybe"):
-        tensor, hint = env.resolve_tensor(stmt.subject, line)
-        A = env.carrier_for(tensor, hint, stmt.on, line)
+        tensor, A = env.carrier_for(stmt.subject, stmt.on, line)
         if kind == "cybe":
             return lambda: _run_cybe(A, tensor)
         return lambda: _run_mcybe(A, tensor)
     if kind in ("cocycle", "coboundary"):
-        phi = env.resolve_cochain2(stmt.subject, line)
-        A = env.resolve_algebra(stmt.over, line)
+        phi = env.resolve("2-cochain", stmt.subject, line)
+        A = env.resolve("algebra", stmt.over, line)
         if phi.basis != A.basis:
             raise LoadError(
                 f"2-cochain {stmt.subject!r} is not over the basis of "
@@ -428,7 +412,7 @@ def _bind(env: Environment, stmt: dsl.CheckDecl, options: RunOptions):
             return lambda: _run_cocycle(A, phi)
         psi = None
         if stmt.compare is not None:
-            psi = env.resolve_cochain1(stmt.compare, line)
+            psi = env.resolve("1-cochain", stmt.compare, line)
             if psi.basis != A.basis:
                 raise LoadError(
                     f"1-cochain {stmt.compare!r} is not over the basis of "
@@ -436,17 +420,16 @@ def _bind(env: Environment, stmt: dsl.CheckDecl, options: RunOptions):
         return lambda: _run_coboundary(A, phi, options.assume_nonzero,
                                        stmt.compare, psi)
     if kind == "compatible":
-        first = env.resolve_algebra(stmt.subject, line)
-        second = env.resolve_algebra(stmt.pair, line)
+        first = env.resolve("algebra", stmt.subject, line)
+        second = env.resolve("algebra", stmt.pair, line)
         if first.basis != second.basis:
             raise LoadError("compatibility needs a shared basis", line)
         return lambda: _run_compatible(first, second)
     if kind == "decompose":
-        whole, hint = env.resolve_tensor(stmt.subject, line)
-        env.carrier_for(whole, hint, stmt.on, line)
+        whole, _ = env.carrier_for(stmt.subject, stmt.on, line)
         parts = []
         for part in stmt.parts:
-            tensor, _ = env.resolve_tensor(part, line)
+            tensor = env.resolve("tensor", part, line)
             if tensor.basis != whole.basis:
                 raise LoadError(
                     f"summand {part!r} lives over a different basis", line)
@@ -655,16 +638,19 @@ def exit_code(results: list[CheckResult]) -> int:
     return 0 if all(r.status == "pass" for r in results) else 1
 
 
+def _tally(results: list[CheckResult]) -> dict[str, int]:
+    return {status: sum(r.status == status for r in results)
+            for status in ("pass", "fail", "unsupported")}
+
+
 def render_text(results: list[CheckResult]) -> str:
     lines = []
     for r in results:
         lines.append(f"[{r.status}] {r.label}  ({r.elapsed:.3f}s)")
         lines.extend(f"    {detail}" for detail in r.details)
-    passed = sum(r.status == "pass" for r in results)
-    failed = sum(r.status == "fail" for r in results)
-    unsupported = sum(r.status == "unsupported" for r in results)
-    lines.append(f"{passed} passed, {failed} failed, "
-                 f"{unsupported} unsupported")
+    tally = _tally(results)
+    lines.append(f"{tally['pass']} passed, {tally['fail']} failed, "
+                 f"{tally['unsupported']} unsupported")
     return "\n".join(lines) + "\n"
 
 
@@ -675,11 +661,7 @@ def render_structured(results: list[CheckResult]) -> str:
             {"label": r.label, "status": r.status, "details": list(r.details)}
             for r in results
         ],
-        "summary": {
-            "pass": sum(r.status == "pass" for r in results),
-            "fail": sum(r.status == "fail" for r in results),
-            "unsupported": sum(r.status == "unsupported" for r in results),
-        },
+        "summary": _tally(results),
     }
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
@@ -693,98 +675,3 @@ def catalog_list() -> str:
                      f"  {entry.provenance}")
     return "\n".join(lines) + "\n"
 
-
-# -- catalog entries as definition files ------------------------------------------
-
-
-def _signed_factors(poly: Poly) -> tuple[str, str]:
-    """A single-monomial polynomial as (sign, product-of-factors) text."""
-    terms = list(poly.items())
-    if len(terms) != 1:
-        raise ValueError(f"coefficient {poly} is not a single monomial")
-    mono, coeff = terms[0]
-    factors = []
-    if abs(coeff) != 1:
-        factors.append(str(abs(coeff)))
-    for name, exponent in mono:
-        factors.extend([name] * exponent)
-    return ("-" if coeff < 0 else "+"), "*".join(factors)
-
-
-def _combination(parts: list[tuple[str, str]]) -> str:
-    """Join signed terms into an expression, folding signs."""
-    first_sign, first_text = parts[0]
-    out = [first_text if first_sign == "+" else f"- {first_text}"]
-    for sign, text in parts[1:]:
-        out.append(f"{sign} {text}")
-    return " ".join(out)
-
-
-def _element_expr(coeffs: Mapping) -> str:
-    parts = []
-    for name, poly in sorted(coeffs.items()):
-        sign, factors = _signed_factors(poly)
-        parts.append((sign, f"{factors}*{name}" if factors else name))
-    return _combination(parts)
-
-
-def _tensor_expr(tensor: Tensor) -> str:
-    parts = []
-    for (a, b), poly in tensor.items():
-        sign, factors = _signed_factors(poly)
-        pair = f"{a} (x) {b}"
-        parts.append((sign, f"{factors} * {pair}" if factors else pair))
-    return _combination(parts)
-
-
-def _algebra_source(name: str, A: LieSuperAlgebra) -> list[str]:
-    basis = A.basis
-    parities = " ".join(
-        f"{n}:{'odd' if basis.parity(n) else 'even'}" for n in basis.names)
-    lines = [f"algebra {name} {{", f"  basis {parities};"]
-    for (i, j), entry in sorted(A.table.items()):
-        left, right = basis.names[i], basis.names[j]
-        lines.append(f"  bracket [{left},{right}] = {_element_expr(entry)};")
-    lines.append("}")
-    return lines
-
-
-def entry_source(name: str) -> str:
-    """A canonical definition file reconstructing one catalog entry.
-
-    The text declares the entry's parameters and the entry itself; parsing
-    and loading it rebuilds an object equal to the catalog's (same basis
-    and coefficients).  Raises ValueError for entries whose coefficients
-    are not expressible in the definition grammar.
-    """
-    entry = catalog_entry(name)
-    value = catalog_get(name)
-    lines: list[str] = []
-
-    if entry.kind == "algebra":
-        parameters = sorted({p for coeffs in value.table.values()
-                             for poly in coeffs.values()
-                             for p in poly.parameters()})
-        if parameters:
-            lines.append(f"param {' '.join(parameters)};")
-        lines.extend(_algebra_source(name, value))
-    elif entry.kind == "tensor":
-        parameters = sorted({p for poly in value.coeffs.values()
-                             for p in poly.parameters()})
-        if parameters:
-            lines.append(f"param {' '.join(parameters)};")
-        lines.append(f"tensor {name} = {_tensor_expr(value)}"
-                     + (f" on {entry.algebra};" if entry.algebra else ";"))
-    elif entry.kind == "cochain":
-        parity = "odd" if value.parity else "even"
-        lines.append(f"cochain {name}:{parity} over {entry.algebra} {{")
-        for source in value.basis.names:
-            image = value.apply_name(source)
-            if image:
-                lines.append(f"  {source} -> {_element_expr(image)};")
-        lines.append("}")
-    else:  # pragma: no cover
-        raise ValueError(f"unknown entry kind {entry.kind!r}")
-
-    text = "\n".join(lines) + "\n"
-    return dsl.render(dsl.parse(text))  # canonical spelling

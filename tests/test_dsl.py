@@ -183,8 +183,10 @@ def test_render_parse_is_idempotent_on_golden_files():
     files = sorted(GOLDEN.glob("*.wb"))
     assert len(files) == 22
     for path in files:
-        first = parse(path.read_text())
+        text = path.read_text()
+        first = parse(text)
         rendered = render(first)
+        assert text == rendered, f"{path.name} is not in canonical spelling"
         assert parse(rendered).statements == first.statements
         assert render(parse(rendered)) == rendered
 

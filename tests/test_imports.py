@@ -38,3 +38,38 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_imported_name_is_used_or_exported(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert _unused_imports(tree) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Private names a module defines at module level or as methods."""
+    names = set()
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else ()
+        for item in (node, *body):
+            if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                names.add(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = (item.targets if isinstance(item, ast.Assign)
+                           else [item.target])
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read in a module, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_definition_is_referenced():
+    trees = [ast.parse(path.read_text(), filename=path.name)
+             for path in sorted(PACKAGE.glob("*.py"))]
+    defined = set().union(*map(_private_definitions, trees))
+    referenced = set().union(*map(_references, trees))
+    assert sorted(defined - referenced) == []
