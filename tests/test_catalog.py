@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lieworkbench.catalog import (
+    _standard_dual_on_gl,
     cartan_name,
     catalog_entry,
     catalog_get,
@@ -242,3 +244,35 @@ def test_gl_contains_a_central_element():
                   A.gen("Y11").scaled(0))
     for name in A.basis.names:
         assert not A.bracket(central, A.gen(name))
+
+
+# -- frozen constructions ----------------------------------------------------------------------------
+
+CONSTRUCTIONS = Path(__file__).resolve().parent / "data" / "catalog_constructions.txt"
+
+
+def _table_section(title: str, algebra) -> list[str]:
+    return [f"== {title}: {algebra.name} {algebra.basis!r}",
+            *algebra.table_lines()]
+
+
+def _constructions_text() -> str:
+    """Every catalog algebra's table, the sl(N) duals for N = 2, 3, the
+    gl(3) standard dual, and the mu' transcription for N = 2..5."""
+    lines = []
+    for name in catalog_names():
+        if catalog_entry(name).kind == "algebra":
+            lines += _table_section(name, catalog_get(name))
+    for N in (2, 3):
+        lines += _table_section(f"make_dual_standard({N})", make_dual_standard(N))
+        lines += _table_section(f"make_dual_jordanian({N})", make_dual_jordanian(N))
+    lines += _table_section("standard dual on gl(3)", _standard_dual_on_gl(3))
+    for N in range(2, 6):
+        t = mu_prime_transcription(N)
+        lines += [f"== mu_prime_transcription({N})", *t.render_lines()]
+        lines += _table_section(f"mu_prime_transcription({N}).algebra", t.algebra)
+    return "\n".join(lines) + "\n"
+
+
+def test_constructions_match_their_frozen_text():
+    assert _constructions_text() == CONSTRUCTIONS.read_text()

@@ -1,7 +1,8 @@
 """The bit-stable reports, frozen.
 
-``workbench paper-suite --order 3`` and ``workbench run --format
-structured`` on the benchmark's two definition files must print exactly
+``workbench paper-suite --order 3``, ``workbench catalog`` and ``workbench
+run --format structured`` on the benchmark's two definition files must
+print exactly
 the text kept under ``tests/data/``, whatever the hash seed.  Each command
 runs in a fresh interpreter, so no state of the test process reaches it.
 This test reads ``bench/data/`` and writes nothing there.
@@ -21,6 +22,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 REPORTS = {
     "paper_suite_order3.txt": (["paper-suite", "--order", "3"], 1),
+    "catalog.txt": (["catalog"], 0),
     "suite_wb.structured.json": (
         ["run", str(ROOT / "bench" / "data" / "suite.wb"),
          "--format", "structured"], 1),
