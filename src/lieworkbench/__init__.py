@@ -26,7 +26,6 @@ from .liealg import (
 )
 from .bialgebra import (
     Cobracket,
-    LieBialgebra,
     adjoint_twist_r,
     check_cybe,
     check_invariant,
@@ -117,7 +116,6 @@ __all__ = [
     "wedge",
     # bialgebras and r-matrices
     "Cobracket",
-    "LieBialgebra",
     "adjoint_twist_r",
     "check_cybe",
     "check_invariant",

@@ -12,7 +12,6 @@ which covers every r-matrix this workbench constructs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .liealg import (
@@ -34,7 +33,6 @@ __all__ = [
     "check_cybe",
     "check_mcybe",
     "Cobracket",
-    "LieBialgebra",
     "cobracket_from_r",
     "check_cocycle_compat",
     "check_cojacobi",
@@ -131,7 +129,9 @@ def check_mcybe(A: LieSuperAlgebra, r: Tensor) -> bool:
 
 class Cobracket(SparseSum):
     """A linear map delta: A -> A(x)A given by its values on basis elements:
-    ``coeffs`` maps a basis label to its nonzero rank-2 tensor."""
+    ``coeffs`` maps a basis label to its nonzero rank-2 tensor.  It carries
+    its algebra A, so it stands for the pair (A, delta) that the bialgebra
+    checks and :func:`dual_algebra` take."""
 
     __slots__ = ("algebra",)
 
@@ -171,23 +171,13 @@ class Cobracket(SparseSum):
         return f"Cobracket({body or '0'})"
 
 
-@dataclass(frozen=True)
-class LieBialgebra:
-    algebra: LieSuperAlgebra
-    cobracket: Cobracket
-
-    def __post_init__(self):
-        if self.cobracket.algebra.basis != self.algebra.basis:
-            raise ValueError("cobracket is not over the bialgebra's basis")
-
-
 def cobracket_from_r(A: LieSuperAlgebra, r: Tensor) -> Cobracket:
     """The coboundary cobracket delta(x) = (ad_x(x)1 + 1(x)ad_x)(r)."""
     return Cobracket(A, {name: ad_action(A, A.gen(name), r)
                          for name in A.basis.names})
 
 
-def check_cocycle_compat(B: LieBialgebra) -> tuple[bool, tuple[str, str] | None]:
+def check_cocycle_compat(delta: Cobracket) -> tuple[bool, tuple[str, str] | None]:
     """1-cocycle condition of the cobracket over the bracket.
 
     delta([x,y]) = ad_x.delta(y) - (-1)^{|x||y|} ad_y.delta(x) for all basis
@@ -196,7 +186,7 @@ def check_cocycle_compat(B: LieBialgebra) -> tuple[bool, tuple[str, str] | None]
     suffice and the witness is the first failing ordered pair.  Returns the
     status and a witness pair on failure.
     """
-    A, delta = B.algebra, B.cobracket
+    A = delta.algebra
     names = A.basis.names
     for i, j in canonical_pairs(A.basis):
         a, b = names[i], names[j]
@@ -217,9 +207,9 @@ def _cyclic3(t: Tensor) -> Tensor:
                    for (a, b, c), coeff in t.coeffs.items()})
 
 
-def check_cojacobi(B: LieBialgebra) -> tuple[bool, str | None]:
+def check_cojacobi(delta: Cobracket) -> tuple[bool, str | None]:
     """Co-Jacobi identity: (1 + cyclic + cyclic^2)(delta(x)1)delta = 0."""
-    A, delta = B.algebra, B.cobracket
+    A = delta.algebra
     basis = A.basis
     for name in basis.names:
         terms: dict[tuple, Poly] = {}
@@ -232,7 +222,7 @@ def check_cojacobi(B: LieBialgebra) -> tuple[bool, str | None]:
     return True, None
 
 
-def dual_algebra(B: LieBialgebra, suffix: str = "_hat") -> LieSuperAlgebra:
+def dual_algebra(delta: Cobracket, suffix: str = "_hat") -> LieSuperAlgebra:
     """The Lie algebra on the dual basis defined by the cobracket.
 
     Pairing convention: <e_i-hat, e_j> = delta_ij extended to tensors by the
@@ -240,15 +230,14 @@ def dual_algebra(B: LieBialgebra, suffix: str = "_hat") -> LieSuperAlgebra:
     (e_i, e_j) in delta(e_k).  Dual names carry the given suffix and inherit
     parities.
     """
-    A, delta = B.algebra, B.cobracket
-    basis = A.basis
+    basis = delta.algebra.basis
     dual_basis = basis.renamed(suffix)
-    deltas = [delta(x) for x in A.gens()]
-    table = {(dual_basis.names[i], dual_basis.names[j]):
-             {dual: d.coefficient((basis.names[i], basis.names[j]))
-              for dual, d in zip(dual_basis.names, deltas)}
+    names, dual = basis.names, dual_basis.names
+    table = {(dual[i], dual[j]):
+             {dual[k]: delta.coeffs[name].coefficient((names[i], names[j]))
+              for k, name in enumerate(names) if name in delta.coeffs}
              for (i, j) in canonical_pairs(basis)}
-    return LieSuperAlgebra(f"dual({A.name})", dual_basis, table)
+    return LieSuperAlgebra(f"dual({delta.algebra.name})", dual_basis, table)
 
 
 def adjoint_twist_r(A: LieSuperAlgebra, r: Tensor, z: Element, xi) -> Tensor:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
-from .bialgebra import LieBialgebra, cobracket_from_r, dual_algebra
+from .bialgebra import cobracket_from_r, dual_algebra
 from .cohomology import Cochain1, compatible_pair
 from .liealg import (
     Element,
@@ -26,6 +27,7 @@ from .liealg import (
     JacobiReport,
     LieSuperAlgebra,
     Tensor,
+    orient,
     otimes,
     pencil,
     wedge,
@@ -297,22 +299,22 @@ def make_osp12() -> tuple[LieSuperAlgebra, LieSuperAlgebra,
     return A, mu1star, mu2star, psi
 
 
+def _coboundary_dual(A: LieSuperAlgebra, r: Tensor, name: str,
+                     suffix: str = "_hat") -> LieSuperAlgebra:
+    """The dual bracket of the coboundary bialgebra (A, delta_r), named."""
+    out = dual_algebra(cobracket_from_r(A, r), suffix)
+    out.name = name
+    return out
+
+
 def make_dual_standard(N: int) -> LieSuperAlgebra:
     """Dual bracket of sl(N) induced by the standard r-matrix (hatted basis)."""
-    A = make_sl(N)
-    B = LieBialgebra(A, cobracket_from_r(A, make_rdj(N)))
-    out = dual_algebra(B)
-    out.name = f"dual.standard.sl{N}"
-    return out
+    return _coboundary_dual(make_sl(N), make_rdj(N), f"dual.standard.sl{N}")
 
 
 def make_dual_jordanian(N: int) -> LieSuperAlgebra:
     """Dual bracket of sl(N) induced by the jordanian r-matrix (hatted basis)."""
-    A = make_sl(N)
-    B = LieBialgebra(A, cobracket_from_r(A, make_rjordan(N)))
-    out = dual_algebra(B)
-    out.name = f"dual.jordan.sl{N}"
-    return out
+    return _coboundary_dual(make_sl(N), make_rjordan(N), f"dual.jordan.sl{N}")
 
 
 # --------------------------------------------------------------------------
@@ -378,22 +380,16 @@ def _rdj_on_gl(N: int) -> Tensor:
     return _standard_r(A.basis, hk, y, N, param("h"))
 
 
-def _standard_dual_on_gl(N: int) -> LieSuperAlgebra:
-    """Dual bracket induced by the standard r-matrix, on the same Y names."""
-    A = make_gl(N)
-    B = LieBialgebra(A, cobracket_from_r(A, _rdj_on_gl(N)))
-    out = dual_algebra(B, suffix="")
-    out.name = f"dual.standard.gl{N}"
-    return out
-
-
 def _mu_prime_lines(N: int):
-    """The printed table lines: label, formula, condition, instances.
+    """The printed table lines: label, formula, condition, instances, and
+    whether the printed condition is unsatisfiable.
 
-    Each instance is (left label, right label, value coefficients).  Index
-    conditions are applied exactly as printed; delta factors inside the
-    values are evaluated, so an instance may carry a zero value (an explicit
-    claim that the bracket of that pair vanishes).
+    Each line is one row; its index condition and its claim take one index
+    per argument, and every index assignment in 1..N (lexicographic order)
+    that satisfies the condition as printed gives one instance (left label,
+    right label, value coefficients).  Delta factors inside the values are
+    evaluated, so an instance may carry a zero value (an explicit claim that
+    the bracket of that pair vanishes).
     """
 
     def y(i: int, j: int) -> str:
@@ -406,79 +402,51 @@ def _mu_prime_lines(N: int):
                 out[name] = out.get(name, 0) + coef
         return {n: c for n, c in out.items() if c}
 
-    rng = range(1, N + 1)
-
-    line1 = []
-    for k in rng:
-        for i in rng:
-            for j in rng:
-                if k < N and j < N and i > 1:
-                    line1.append((y(1, k), y(i, j),
-                                  combine((2 * (i == k), y(N, j)))))
-    line2 = []
-    for i in rng:
-        for j in rng:
-            for l in rng:
-                if j < N and i > 1 and l > 1:
-                    line2.append((y(i, j), y(l, N),
-                                  combine((-2 * (j == l), y(N, j)))))
-    line3 = []
-    for i in rng:
-        for j in rng:
-            if j < N and i > 1:
-                line3.append((y(i, j), y(1, N),
-                              combine((-(j == 1), y(i, 1)),
-                                      (-(i == N), y(N, j)))))
-    line4 = []
-    for i in rng:
-        if N > i > 1:
-            line4.append((y(1, i), y(1, N), combine((-1, y(1, i)))))
-    # The printed condition "k < N < 1" holds for no index at any N >= 2;
-    # the line is carried so the report can flag it rather than repair it.
-    line5 = []
-    for k in rng:
-        if k < N < 1:
-            line5.append((y(1, N), y(k, N), combine((1, y(k, N)))))
-    line6 = [
-        (y(1, 1), y(1, N), combine((-1, y(1, 1)), (1, y(N, N)))),
-        (y(1, N), y(N, N), combine((-1, y(1, 1)), (1, y(N, N)))),
-    ]
-    line7 = []
-    for i in rng:
-        for k in rng:
-            if k < N and i < N and k > 1:
-                line7.append((y(1, i), y(1, k),
-                              combine(((i == 1), y(N, k)))))
-    line8 = []
-    for i in rng:
-        for k in rng:
-            if k > 1 and i > 1 and i < N:
-                line8.append((y(i, N), y(k, N),
-                              combine((-(k == N), y(i, 1)))))
-    line9 = []
-    for i in rng:
-        for k in rng:
-            if i < N and k > 1:
-                line9.append((y(1, i), y(k, N),
-                              combine(((i == 1), y(k, 1)),
-                                      (-(k == N), y(N, i)),
-                                      (-2 * (i == k), y(1, 1)),
-                                      (2 * (i == k), y(N, N)))))
-
-    return [
-        ("L1", "mu'(Y1k, Yij) = 2 d_ik YNj", "k,j<N; i>1", line1, False),
-        ("L2", "mu'(Yij, YlN) = -2 d_jl YNj", "j<N; i,l>1", line2, False),
-        ("L3", "mu'(Yij, Y1N) = -d_j1 Yi1 - d_iN YNj", "j<N; i>1", line3,
-         False),
-        ("L4", "mu'(Y1i, Y1N) = -Y1i", "N>i>1", line4, False),
-        ("L5", "mu'(Y1N, YkN) = YkN", "k<N<1", line5, True),
-        ("L6", "mu'(Y11, Y1N) = mu'(Y1N, YNN) = -(Y11 - YNN)", "", line6,
-         False),
-        ("L7", "mu'(Y1i, Y1k) = d_i1 YNk", "k,i<N; k>1", line7, False),
-        ("L8", "mu'(YiN, YkN) = -d_kN Yi1", "k,i>1; i<N", line8, False),
+    rows = [
+        ("L1", "mu'(Y1k, Yij) = 2 d_ik YNj", "k,j<N; i>1", False,
+         lambda k, i, j: k < N and j < N and i > 1,
+         lambda k, i, j: (y(1, k), y(i, j),
+                          combine((2 * (i == k), y(N, j))))),
+        ("L2", "mu'(Yij, YlN) = -2 d_jl YNj", "j<N; i,l>1", False,
+         lambda i, j, l: j < N and i > 1 and l > 1,
+         lambda i, j, l: (y(i, j), y(l, N),
+                          combine((-2 * (j == l), y(N, j))))),
+        ("L3", "mu'(Yij, Y1N) = -d_j1 Yi1 - d_iN YNj", "j<N; i>1", False,
+         lambda i, j: j < N and i > 1,
+         lambda i, j: (y(i, j), y(1, N), combine((-(j == 1), y(i, 1)),
+                                                 (-(i == N), y(N, j))))),
+        ("L4", "mu'(Y1i, Y1N) = -Y1i", "N>i>1", False,
+         lambda i: N > i > 1,
+         lambda i: (y(1, i), y(1, N), combine((-1, y(1, i))))),
+        # "k < N < 1" holds for no index at any N >= 2; the line is carried
+        # so the report can flag it rather than repair it.
+        ("L5", "mu'(Y1N, YkN) = YkN", "k<N<1", True,
+         lambda k: k < N < 1,
+         lambda k: (y(1, N), y(k, N), combine((1, y(k, N))))),
+        # The two printed pairs (Y11, Y1N) and (Y1N, YNN) are (Y1s, YsN).
+        ("L6", "mu'(Y11, Y1N) = mu'(Y1N, YNN) = -(Y11 - YNN)", "", False,
+         lambda s: s in (1, N),
+         lambda s: (y(1, s), y(s, N), combine((-1, y(1, 1)), (1, y(N, N))))),
+        ("L7", "mu'(Y1i, Y1k) = d_i1 YNk", "k,i<N; k>1", False,
+         lambda i, k: k < N and i < N and k > 1,
+         lambda i, k: (y(1, i), y(1, k), combine(((i == 1), y(N, k))))),
+        ("L8", "mu'(YiN, YkN) = -d_kN Yi1", "k,i>1; i<N", False,
+         lambda i, k: k > 1 and i > 1 and i < N,
+         lambda i, k: (y(i, N), y(k, N), combine((-(k == N), y(i, 1))))),
         ("L9", "mu'(Y1i, YkN) = d_i1 Yk1 - d_kN YNi - 2 d_ik (Y11 - YNN)",
-         "i<N; k>1", line9, False),
+         "i<N; k>1", False,
+         lambda i, k: i < N and k > 1,
+         lambda i, k: (y(1, i), y(k, N),
+                       combine(((i == 1), y(k, 1)), (-(k == N), y(N, i)),
+                               (-2 * (i == k), y(1, 1)),
+                               (2 * (i == k), y(N, N))))),
     ]
+    return [(label, formula, condition,
+             [claim(*index) for index in product(
+                 range(1, N + 1), repeat=claim.__code__.co_argcount)
+              if holds(*index)],
+             unsatisfiable)
+            for label, formula, condition, unsatisfiable, holds, claim in rows]
 
 
 def mu_prime_transcription(N: int) -> MuPrimeTranscription:
@@ -503,39 +471,36 @@ def mu_prime_transcription(N: int) -> MuPrimeTranscription:
     lines: list[TranscriptionLine] = []
 
     for label, formula, condition, instances, unsatisfiable in _mu_prime_lines(N):
-        nonzero = 0
         for (a, b, value) in instances:
-            if value:
-                nonzero += 1
-            i, j = basis.index(a), basis.index(b)
-            if i == j:
+            oriented = orient(basis, a, b, value)
+            if oriented is None:
                 if value:
                     conflicts.append(
                         f"{label}: nonzero value on the even diagonal pair "
                         f"({a}, {a})")
                 continue
-            if i < j:
-                key, entry = (i, j), dict(value)
-            else:
-                key, entry = (j, i), {n: -c for n, c in value.items()}
-            pair = f"({basis.names[key[0]]}, {basis.names[key[1]]})"
-            if key in claims:
-                prev_entry, prev_label, prev_pair = claims[key]
-                if prev_entry != entry:
-                    conflicts.append(
-                        f"{pair}: {label} (from {a}, {b}) disagrees with "
-                        f"{prev_label} (from {prev_pair}); keeping {prev_label}")
+            key, entry = oriented
+            if key not in claims:
+                claims[key] = (entry, label, f"{a}, {b}")
                 continue
-            claims[key] = (entry, label, f"{a}, {b}")
+            kept, kept_label, kept_pair = claims[key]
+            if kept != entry:
+                pair = f"({basis.names[key[0]]}, {basis.names[key[1]]})"
+                conflicts.append(
+                    f"{pair}: {label} (from {a}, {b}) disagrees with "
+                    f"{kept_label} (from {kept_pair}); keeping {kept_label}")
         lines.append(TranscriptionLine(
-            label, formula, condition, len(instances), nonzero,
+            label, formula, condition, len(instances),
+            sum(1 for _, _, value in instances if value),
             unsatisfiable=unsatisfiable))
 
     table = {(basis.names[i], basis.names[j]): entry
              for (i, j), (entry, _, _) in claims.items() if entry}
     algebra = LieSuperAlgebra(f"mu.prime.gl{N}", basis, table)
     jacobi = algebra.verify_jacobi()
-    compatible = compatible_pair(algebra, _standard_dual_on_gl(N))
+    standard_dual = _coboundary_dual(A_gl, _rdj_on_gl(N),
+                                     f"dual.standard.gl{N}", suffix="")
+    compatible = compatible_pair(algebra, standard_dual)
     return MuPrimeTranscription(N, algebra, tuple(lines), tuple(conflicts),
                                 jacobi, compatible)
 

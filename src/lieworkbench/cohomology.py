@@ -26,7 +26,7 @@ from typing import Mapping
 from .liealg import (Element, GradedBasis, LieSuperAlgebra, PairTable,
                      accumulate, add_bracket, add_signed, as_vector,
                      canonical_pairs, canonical_triples, cocycle2_witness,
-                     common_parity, d2_residual, render_sum, vectors_equal)
+                     common_parity, d2_residual, render_sum)
 from .linsolve import (
     RatFunc,
     distinct_up_to_scale,
@@ -108,8 +108,7 @@ class Cochain1:
         if not isinstance(other, Cochain1):
             return NotImplemented
         return (self.basis == other.basis and self.parity == other.parity
-                and all(vectors_equal(self.values.get(n, {}), other.values.get(n, {}))
-                        for n in set(self.values) | set(other.values)))
+                and self.values == other.values)
 
     def table_lines(self) -> list[str]:
         return [f"{name} -> {_vec_str(self.values.get(name, {}), self.basis)}"
@@ -544,6 +543,6 @@ def compare_cochain2(left: PairTable, right: PairTable) -> Cochain2Comparison:
         pair = f"({basis.names[i]}, {basis.names[j]})"
         left_vec, right_vec = left.table.get((i, j), {}), right.table.get((i, j), {})
         lines.append((pair, _vec_str(left_vec, basis), _vec_str(right_vec, basis)))
-        if not vectors_equal(left_vec, right_vec):
+        if left_vec != right_vec:
             mismatches.append(pair)
     return Cochain2Comparison(not mismatches, tuple(lines), tuple(mismatches))

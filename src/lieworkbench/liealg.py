@@ -42,6 +42,7 @@ __all__ = [
     "LieSuperAlgebra",
     "canonical_pairs",
     "canonical_triples",
+    "orient",
     "d2_residual",
     "cocycle2_witness",
     "JacobiReport",
@@ -407,10 +408,20 @@ def as_vector(value) -> dict:
     return {name: c for name, c in scalars.items() if c}
 
 
-def vectors_equal(a: Mapping, b: Mapping) -> bool:
-    """Equality of two sparse vectors whose scalars may be Poly or RatFunc."""
-    return all(a.get(name, Poly.zero()) == b.get(name, Poly.zero())
-               for name in set(a) | set(b))
+def orient(basis: GradedBasis, a: str, b: str, vec: Mapping):
+    """The canonical index pair of (a, b) and ``vec`` read there, or None
+    for an even diagonal pair, which graded antisymmetry sends to zero.
+
+    A swapped pair reads -(-1)^{|a||b|} times the value: negated unless
+    both generators are odd.
+    """
+    i, j = basis.index(a), basis.index(b)
+    odd = basis.parities
+    if i == j and not odd[i]:
+        return None
+    if i > j and not (odd[i] and odd[j]):
+        vec = {n: -c for n, c in vec.items()}
+    return (min(i, j), max(i, j)), vec
 
 
 class PairTable:
@@ -434,21 +445,18 @@ class PairTable:
         odd = basis.parities
         seen: dict[tuple[int, int], dict] = {}
         for (a, b), value in (entries or {}).items():
-            i, j = basis.index(a), basis.index(b)
             vec = as_vector(value)
-            if i > j:
-                i, j = j, i
-                if not (odd[i] and odd[j]):
-                    vec = {n: -c for n, c in vec.items()}
-            elif i == j and not odd[i]:
+            oriented = orient(basis, a, b, vec)
+            if oriented is None:
                 if vec:
                     raise ValueError(
                         f"[{a}, {a}] must vanish for even {a!r}; got {vec}")
                 continue
-            if (i, j) in seen and not vectors_equal(seen[(i, j)], vec):
+            key, vec = oriented
+            if key in seen and seen[key] != vec:
                 raise ValueError(
                     f"conflicting table entries for pair {a!r}, {b!r}")
-            seen[(i, j)] = vec
+            seen[key] = vec
         for (i, j), vec in seen.items():
             expected = (odd[i] + odd[j] + self.parity) % 2
             for target in vec:
@@ -479,9 +487,7 @@ class PairTable:
     def __eq__(self, other):
         if not isinstance(other, PairTable):
             return NotImplemented
-        return self.basis == other.basis and all(
-            vectors_equal(self.table.get(key, {}), other.table.get(key, {}))
-            for key in set(self.table) | set(other.table))
+        return self.basis == other.basis and self.table == other.table
 
 
 def add_signed(out: dict, vec: Mapping, sign: int) -> None:

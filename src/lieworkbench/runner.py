@@ -170,7 +170,8 @@ class Environment:
                     line: int = 0) -> tuple[Tensor, LieSuperAlgebra]:
         """The tensor ``name`` and the algebra whose basis carries it: the
         ``on`` algebra, else the tensor's declared carrier, else the one
-        algebra of the file, or failing that of the catalog, with its basis."""
+        algebra of the file, or failing that of the catalog, with its basis.
+        A catalog algebra whose name the file declares is not a candidate."""
         tensor = self.resolve("tensor", name, line)
         if on is not None:
             A = self.resolve("algebra", on, line)
@@ -185,7 +186,8 @@ class Environment:
             if A.basis == tensor.basis:
                 return tensor, A
         catalog = ((entry.name, catalog_get(entry.name))
-                   for entry in catalog_entries() if entry.kind == "algebra")
+                   for entry in catalog_entries() if entry.kind == "algebra"
+                   and entry.name not in self.algebras)
         for tier in (self.algebras.items(), catalog):
             carriers = {n: A for n, A in tier if A.basis == tensor.basis}
             if len(carriers) > 1:

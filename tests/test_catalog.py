@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from lieworkbench.catalog import (
-    _standard_dual_on_gl,
+    _coboundary_dual,
+    _rdj_on_gl,
     cartan_name,
     catalog_entry,
     catalog_get,
@@ -266,7 +267,9 @@ def _constructions_text() -> str:
     for N in (2, 3):
         lines += _table_section(f"make_dual_standard({N})", make_dual_standard(N))
         lines += _table_section(f"make_dual_jordanian({N})", make_dual_jordanian(N))
-    lines += _table_section("standard dual on gl(3)", _standard_dual_on_gl(3))
+    gl3_dual = _coboundary_dual(make_gl(3), _rdj_on_gl(3), "dual.standard.gl3",
+                                suffix="")
+    lines += _table_section("standard dual on gl(3)", gl3_dual)
     for N in range(2, 6):
         t = mu_prime_transcription(N)
         lines += [f"== mu_prime_transcription({N})", *t.render_lines()]

@@ -32,7 +32,7 @@ from lieworkbench.cohomology import (
 )
 from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra,
                                  canonical_pairs, canonical_triples, pencil)
-from lieworkbench.scalars import Poly, as_poly, param
+from lieworkbench.scalars import Poly, RatFunc, as_poly, param
 
 
 def _random_cochain1(rng: random.Random, A: LieSuperAlgebra, parity: int) -> Cochain1:
@@ -68,6 +68,25 @@ def test_cochain2_rejects_an_explicit_zero_beside_a_nonzero_reversed_entry():
                    {("E21", "E12"): {"H1": 1}, ("E12", "E21"): {"H1": 0}}):
         with pytest.raises(ValueError, match="conflicting table entries"):
             Cochain2(sl2.basis, values)
+
+
+def test_rational_scalars_equal_their_polynomial_values():
+    # Comparison is == on the stored vectors: a RatFunc equals a Poly by
+    # cross-multiplication, whatever normal form either one is kept in.
+    h = param("h")
+    twice_h, h_plus_1 = RatFunc(2 * h, 2), RatFunc(h * h - 1, h - 1)
+    basis = make_sl(2).basis
+    rational = {"H1": {"E12": twice_h}, "E12": {"E21": h_plus_1}}
+    polynomial = {"H1": {"E12": h}, "E12": {"E21": h + 1}}
+    assert Cochain1(basis, rational) == Cochain1(basis, polynomial)
+    pairs = {("H1", "E12"): {"E12": twice_h}, ("E12", "E21"): {"H1": h_plus_1},
+             ("E12", "H1"): {"E12": -h}}  # agrees with (H1, E12)
+    left = Cochain2(basis, pairs)
+    right = Cochain2(basis, {("H1", "E12"): {"E12": h},
+                             ("E21", "E12"): {"H1": -h - 1}})
+    assert left == right
+    comparison = compare_cochain2(left, right)
+    assert comparison.equal and comparison.mismatches == ()
 
 
 # -- the shared table: brackets are 2-cochains ------------------------------------------

@@ -1,8 +1,10 @@
-"""Import hygiene: every name a module imports is used or re-exported.
+"""Import hygiene and dead definitions.
 
 Each module of ``src/lieworkbench`` is parsed, not imported.  A name bound
 by an import statement must be read somewhere in that module or be listed
-in its ``__all__``.
+in its ``__all__``.  A private definition must be read somewhere in the
+package, and a public function, class or method somewhere in ``src``,
+``tests`` or ``bench``: an import or an ``__all__`` entry is not a use.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lieworkbench"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lieworkbench"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -40,20 +43,31 @@ def test_every_imported_name_is_used_or_exported(module):
     assert _unused_imports(tree) == []
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
-    """Private names a module defines at module level or as methods."""
-    names = set()
+def _definitions(tree: ast.Module):
+    """(name, node) for each definition at module level or in a class body."""
     for node in tree.body:
         body = node.body if isinstance(node, ast.ClassDef) else ()
         for item in (node, *body):
             if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
-                names.add(item.name)
+                yield item.name, item
             elif isinstance(item, (ast.Assign, ast.AnnAssign)):
                 targets = (item.targets if isinstance(item, ast.Assign)
                            else [item.target])
-                names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names
+                yield from ((t.id, item) for t in targets
+                            if isinstance(t, ast.Name))
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Private names a module defines at module level or as methods."""
+    return {name for name, _ in _definitions(tree)
             if name.startswith("_") and not name.startswith("__")}
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """Public functions, classes and methods; a constant or field is data."""
+    return {name for name, node in _definitions(tree)
+            if not name.startswith("_")
+            and isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -72,4 +86,15 @@ def test_every_private_definition_is_referenced():
              for path in sorted(PACKAGE.glob("*.py"))]
     defined = set().union(*map(_private_definitions, trees))
     referenced = set().union(*map(_references, trees))
+    assert sorted(defined - referenced) == []
+
+
+def test_every_public_definition_is_referenced():
+    package = [ast.parse(path.read_text(), filename=path.name)
+               for path in sorted(PACKAGE.glob("*.py"))]
+    readers = [ast.parse(path.read_text(), filename=path.name)
+               for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    defined = set().union(*map(_public_definitions, package))
+    referenced = set().union(*map(_references, readers))
     assert sorted(defined - referenced) == []
