@@ -7,15 +7,10 @@ The grammar is line-oriented with explicit ``;`` terminators:
     tensor r = h ^ x;
     tensor t = H1 ^ E12 on sl3;
     cochain psi:even over mu1star { Xp_hat -> -h_hat; }
-    check jacobi B;
-    check cybe r;
-    check mcybe r.dj;
-    check decompose r.full = r.dj + r.jordan on sl3;
-    check cocycle mu2star over mu1star;
-    check compatible mu1star mu2star;
     check coboundary mu2star over mu1star compare psi;
-    check twist jordanian order 3;
-    check twist extended 3 order 2;
+
+The ``check`` forms are the rows of ``CHECK_FORMS``, which the parser,
+the renderer and the runner all walk.
 
 Expression operators: ``+``/``-`` bind loosest, then the wedge ``^`` and
 tensor ``(x)`` (non-associative, at the same level: chaining either
@@ -33,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import ClassVar
 from fractions import Fraction
 
 __all__ = [
@@ -47,9 +43,13 @@ __all__ = [
     "TensorDecl",
     "CochainDecl",
     "CheckDecl",
+    "Slot",
+    "Choice",
+    "CHECK_FORMS",
     "WorkbenchFile",
     "parse",
     "render",
+    "render_check",
 ]
 
 
@@ -177,15 +177,7 @@ class CochainDecl:
 @dataclass(frozen=True)
 class CheckDecl:
     kind: str
-    subject: str | None = None
-    over: str | None = None
-    on: str | None = None
-    compare: str | None = None
-    parts: tuple[str, str] | None = None
-    pair: str | None = None
-    twist_kind: str | None = None
-    twist_n: int | None = None
-    order: int | None = None
+    args: tuple  # the values of the operands of the kind's row, in order
     line: int = field(default=0, compare=False)
 
 
@@ -195,6 +187,52 @@ Statement = ParamDecl | AlgebraDecl | TensorDecl | CochainDecl | CheckDecl
 @dataclass(frozen=True)
 class WorkbenchFile:
     statements: tuple[Statement, ...]
+
+
+# -- check forms ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Slot:
+    """An operand: a name the runner resolves as ``kind`` ("algebra",
+    "tensor", "1-cochain" or "2-cochain"), or a whole number (kind "int").
+    ``what`` names it in a syntax error.  With a ``clause`` word it is
+    optional, written after that word, and None when absent."""
+    kind: str
+    what: str
+    clause: str | None = None
+
+
+@dataclass(frozen=True)
+class Choice:
+    """One of ``words``, the word ``taker`` followed by ``slot``.  Its value
+    is the pair of the word and the operand, None after any other word."""
+    words: tuple[str, ...]
+    taker: str
+    slot: Slot
+    kind: ClassVar[str] = "word"  # a kind the runner does not resolve
+
+
+_ALGEBRA = Slot("algebra", "an algebra name")
+_TENSOR = Slot("tensor", "a tensor name")
+_ON = Slot("algebra", "an algebra name", clause="on")
+_COCHAIN = Slot("2-cochain", "a 2-cochain name")
+
+# What follows ``check KIND``, per kind: a string is a literal word or
+# symbol, and each Slot or Choice gives the next value of the check's args.
+CHECK_FORMS: dict[str, tuple[str | Slot | Choice, ...]] = {
+    "jacobi": (Slot("algebra", "a name"),),
+    "cybe": (Slot("tensor", "a name"), _ON),
+    "mcybe": (Slot("tensor", "a name"), _ON),
+    "cocycle": (_COCHAIN, "over", _ALGEBRA),
+    "compatible": (_ALGEBRA, _ALGEBRA),
+    "coboundary": (_COCHAIN, "over", _ALGEBRA,
+                   Slot("1-cochain", "a 1-cochain name", clause="compare")),
+    "decompose": (_TENSOR, "=", _TENSOR, "+", _TENSOR, _ON),
+    "twist": (Choice(("jordanian", "extended"), "extended",
+                     Slot("int", "a size N")),
+              Slot("int", "a truncation order", clause="order")),
+}
 
 
 # -- tokenizer --------------------------------------------------------------------
@@ -246,8 +284,12 @@ def _tokenize(source: str) -> list[_Token]:
 # -- parser -----------------------------------------------------------------------
 
 
-# Clause keywords that end a juxtaposition chain: "check cybe r on sl2".
-_VALUE_STOPWORDS = frozenset({"on", "over", "compare", "order"})
+# The words of the check forms end a juxtaposition chain, as the ``on`` of
+# "tensor t = h (x) x on sl2" does.
+_VALUE_STOPWORDS = frozenset(
+    item if isinstance(item, str) else item.clause
+    for form in CHECK_FORMS.values() for item in form
+    if isinstance(item, str) or isinstance(item, Slot) and item.clause)
 
 
 class _Parser:
@@ -272,30 +314,30 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Token:
         token = self.peek()
         if token.kind != kind:
-            self.fail(f"expected {what or kind!r}, found {token.text or 'end of file'!r}")
+            self.fail(f"expected {what or repr(kind)}, found {token.text or 'end of file'!r}")
         return self.advance()
 
-    def expect_ident(self, what: str = "an identifier") -> _Token:
-        token = self.peek()
-        if token.kind != "ident":
-            self.fail(f"expected {what}, found {token.text or 'end of file'!r}")
-        return self.advance()
+    def accept(self, word: str) -> bool:
+        """Consume the next token if its text is ``word``; say whether it was."""
+        if self.peek().text != word:
+            return False
+        self.advance()
+        return True
 
-    def expect_word(self, word: str) -> _Token:
-        token = self.peek()
-        if token.kind != "ident" or token.text != word:
-            self.fail(f"expected {word!r}, found {token.text or 'end of file'!r}")
-        return self.advance()
+    def expect_word(self, word: str):
+        if not self.accept(word):
+            self.fail(f"expected {word!r}, found {self.peek().text or 'end of file'!r}")
 
-    def at_word(self, word: str) -> bool:
-        token = self.peek()
-        return token.kind == "ident" and token.text == word
-
-    def expect_int(self, what: str) -> int:
-        token = self.expect("rational", what)
-        if "/" in token.text:
-            self.fail(f"expected {what}, found {token.text!r}", token)
-        return int(token.text)
+    def number(self, token: _Token) -> Fraction:
+        """The value of a rational literal, or a ParseError at the literal
+        when it divides by zero or has too many digits to convert."""
+        try:
+            return Fraction(token.text)
+        except ZeroDivisionError:
+            self.fail(f"zero denominator in {token.text!r}", token)
+        except ValueError:
+            self.fail(f"number literal of {len(token.text)} characters is "
+                      "too long", token)
 
     # statements
 
@@ -323,11 +365,11 @@ class _Parser:
 
     def parse_param(self) -> ParamDecl:
         start = self.advance()
-        names = [self.expect_ident("a parameter name").text]
+        names = [self.expect("ident", "a parameter name").text]
         while True:
             if self.peek().kind == ",":
                 self.advance()
-                names.append(self.expect_ident("a parameter name").text)
+                names.append(self.expect("ident", "a parameter name").text)
             elif self.peek().kind == "ident":
                 names.append(self.advance().text)
             else:
@@ -337,20 +379,19 @@ class _Parser:
 
     def parse_algebra(self) -> AlgebraDecl:
         start = self.advance()
-        name = self.expect_ident("an algebra name").text
+        name = self.expect("ident", "an algebra name").text
         self.expect("{")
         basis: list[tuple[str, str]] = []
         brackets: list[BracketDecl] = []
         while not self.peek().kind == "}":
             inner = self.peek()
-            if self.at_word("basis"):
+            if self.accept("basis"):
                 if basis:
                     self.fail("duplicate basis line", inner)
-                self.advance()
                 while self.peek().kind == "ident":
                     gen = self.advance().text
                     self.expect(":")
-                    parity = self.expect_ident("'even' or 'odd'")
+                    parity = self.expect("ident", "'even' or 'odd'")
                     if parity.text not in ("even", "odd"):
                         self.fail("parity must be 'even' or 'odd'", parity)
                     basis.append((gen, parity.text))
@@ -359,12 +400,11 @@ class _Parser:
                 self.expect(";")
                 if not basis:
                     self.fail("basis line declares no generators", inner)
-            elif self.at_word("bracket"):
-                self.advance()
+            elif self.accept("bracket"):
                 self.expect("[")
-                left = self.expect_ident("a generator name").text
+                left = self.expect("ident", "a generator name").text
                 self.expect(",")
-                right = self.expect_ident("a generator name").text
+                right = self.expect("ident", "a generator name").text
                 self.expect("]")
                 self.expect("=")
                 rhs = self.parse_expr()
@@ -379,29 +419,26 @@ class _Parser:
 
     def parse_tensor(self) -> TensorDecl:
         start = self.advance()
-        name = self.expect_ident("a tensor name").text
+        name = self.expect("ident", "a tensor name").text
         self.expect("=")
         expr = self.parse_expr()
-        algebra = None
-        if self.at_word("on"):
-            self.advance()
-            algebra = self.expect_ident("an algebra name").text
+        algebra = self.parse_slot(_ON)
         self.expect(";")
         return TensorDecl(name, expr, algebra, line=start.line)
 
     def parse_cochain(self) -> CochainDecl:
         start = self.advance()
-        name = self.expect_ident("a cochain name").text
+        name = self.expect("ident", "a cochain name").text
         self.expect(":")
-        parity = self.expect_ident("'even' or 'odd'")
+        parity = self.expect("ident", "'even' or 'odd'")
         if parity.text not in ("even", "odd"):
             self.fail("parity must be 'even' or 'odd'", parity)
         self.expect_word("over")
-        algebra = self.expect_ident("an algebra name").text
+        algebra = self.expect("ident", "an algebra name").text
         self.expect("{")
         entries: list[tuple[str, Expr]] = []
         while self.peek().kind != "}":
-            source = self.expect_ident("a generator name").text
+            source = self.expect("ident", "a generator name").text
             self.expect("arrow", "'->'")
             entries.append((source, self.parse_expr()))
             self.expect(";")
@@ -411,58 +448,35 @@ class _Parser:
 
     def parse_check(self) -> CheckDecl:
         start = self.advance()
-        kind = self.expect_ident("a check kind").text
-        decl: CheckDecl
-        if kind in ("jacobi", "cybe", "mcybe"):
-            subject = self.expect_ident("a name").text
-            on = None
-            if kind != "jacobi" and self.at_word("on"):
-                self.advance()
-                on = self.expect_ident("an algebra name").text
-            decl = CheckDecl(kind, subject, on=on, line=start.line)
-        elif kind in ("cocycle", "coboundary"):
-            subject = self.expect_ident("a 2-cochain name").text
-            self.expect_word("over")
-            over = self.expect_ident("an algebra name").text
-            compare = None
-            if kind == "coboundary" and self.at_word("compare"):
-                self.advance()
-                compare = self.expect_ident("a 1-cochain name").text
-            decl = CheckDecl(kind, subject, over=over, compare=compare,
-                             line=start.line)
-        elif kind == "compatible":
-            subject = self.expect_ident("an algebra name").text
-            pair = self.expect_ident("an algebra name").text
-            decl = CheckDecl(kind, subject, pair=pair, line=start.line)
-        elif kind == "decompose":
-            subject = self.expect_ident("a tensor name").text
-            self.expect("=")
-            first = self.expect_ident("a tensor name").text
-            self.expect("+")
-            second = self.expect_ident("a tensor name").text
-            on = None
-            if self.at_word("on"):
-                self.advance()
-                on = self.expect_ident("an algebra name").text
-            decl = CheckDecl(kind, subject, parts=(first, second), on=on,
-                             line=start.line)
-        elif kind == "twist":
-            twist_kind = self.expect_ident("'jordanian' or 'extended'").text
-            if twist_kind not in ("jordanian", "extended"):
-                self.fail("twist kind must be 'jordanian' or 'extended'")
-            twist_n = None
-            if twist_kind == "extended":
-                twist_n = self.expect_int("a size N")
-            order = None
-            if self.at_word("order"):
-                self.advance()
-                order = self.expect_int("a truncation order")
-            decl = CheckDecl(kind, twist_kind=twist_kind, twist_n=twist_n,
-                             order=order, line=start.line)
-        else:
+        kind = self.expect("ident", "a check kind").text
+        if kind not in CHECK_FORMS:
             self.fail(f"unknown check kind {kind!r}")
+        args = []
+        for item in CHECK_FORMS[kind]:
+            if isinstance(item, str):
+                self.expect_word(item)
+            elif isinstance(item, Choice):
+                words = " or ".join(map(repr, item.words))
+                word = self.expect("ident", words).text
+                if word not in item.words:
+                    self.fail(f"{kind} kind must be {words}")
+                args.append((word, self.parse_slot(item.slot)
+                             if word == item.taker else None))
+            else:
+                args.append(self.parse_slot(item))
         self.expect(";")
-        return decl
+        return CheckDecl(kind, tuple(args), line=start.line)
+
+    def parse_slot(self, slot: Slot) -> str | int | None:
+        """The operand ``slot`` reads, or None for an absent clause."""
+        if slot.clause is not None and not self.accept(slot.clause):
+            return None
+        if slot.kind != "int":
+            return self.expect("ident", slot.what).text
+        token = self.expect("rational", slot.what)
+        if "/" in token.text:
+            self.fail(f"expected {slot.what}, found {token.text!r}", token)
+        return int(self.number(token))
 
     # expressions
 
@@ -507,8 +521,7 @@ class _Parser:
             self.advance()
             return Neg(self.parse_atom())
         if token.kind == "rational":
-            self.advance()
-            return Num(Fraction(token.text))
+            return Num(self.number(self.advance()))
         if token.kind == "ident":
             # statement keywords terminate juxtaposition chains via callers;
             # here any identifier is a value name
@@ -551,29 +564,26 @@ def _render_statement(stmt: Statement) -> list[str]:
         lines.append("}")
         return lines
     if isinstance(stmt, CheckDecl):
-        words = ["check", stmt.kind]
-        if stmt.kind in ("jacobi", "cybe", "mcybe"):
-            words.append(stmt.subject)
-            if stmt.on:
-                words += ["on", stmt.on]
-        elif stmt.kind in ("cocycle", "coboundary"):
-            words += [stmt.subject, "over", stmt.over]
-            if stmt.compare:
-                words += ["compare", stmt.compare]
-        elif stmt.kind == "compatible":
-            words += [stmt.subject, stmt.pair]
-        elif stmt.kind == "decompose":
-            words += [stmt.subject, "=", stmt.parts[0], "+", stmt.parts[1]]
-            if stmt.on:
-                words += ["on", stmt.on]
-        elif stmt.kind == "twist":
-            words.append(stmt.twist_kind)
-            if stmt.twist_n is not None:
-                words.append(str(stmt.twist_n))
-            if stmt.order is not None:
-                words += ["order", str(stmt.order)]
-        return [" ".join(words) + ";"]
+        return [f"check {render_check(stmt)};"]
     raise TypeError(f"cannot render {stmt!r}")  # pragma: no cover
+
+
+def render_check(stmt: CheckDecl) -> str:
+    """A check's canonical text between ``check`` and ``;``: its kind, then
+    its row of ``CHECK_FORMS`` with its args in place."""
+    words, args = [stmt.kind], iter(stmt.args)
+    for item in CHECK_FORMS[stmt.kind]:
+        if isinstance(item, str):
+            words.append(item)
+        elif isinstance(item, Choice):
+            word, value = next(args)
+            words += [word] if value is None else [word, str(value)]
+        else:
+            value = next(args)
+            if value is not None:
+                words += [str(value)] if item.clause is None \
+                    else [item.clause, str(value)]
+    return " ".join(words)
 
 
 def render(file: WorkbenchFile) -> str:

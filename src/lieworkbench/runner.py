@@ -166,25 +166,18 @@ class Environment:
             return catalog_get(name)
         raise LoadError(f"unknown {kind} {name!r}{advice}", line)
 
-    def carrier_for(self, name: str, on: str | None,
-                    line: int = 0) -> tuple[Tensor, LieSuperAlgebra]:
-        """The tensor ``name`` and the algebra whose basis carries it: the
-        ``on`` algebra, else the tensor's declared carrier, else the one
-        algebra of the file, or failing that of the catalog, with its basis.
-        A catalog algebra whose name the file declares is not a candidate."""
-        tensor = self.resolve("tensor", name, line)
-        if on is not None:
-            A = self.resolve("algebra", on, line)
-            if A.basis != tensor.basis:
-                raise LoadError(
-                    f"algebra {on!r} does not carry this tensor", line)
-            return tensor, A
+    def carrier_for(self, name: str, tensor: Tensor,
+                    line: int = 0) -> LieSuperAlgebra:
+        """The algebra whose basis carries the tensor ``name``: its declared
+        carrier, else the one algebra of the file, or failing that of the
+        catalog, with its basis.  A catalog algebra whose name the file
+        declares is not a candidate."""
         declared = (self.tensor_carrier[name] if name in self.tensors
                     else catalog_entry(name).algebra)
         if declared is not None:
             A = self.resolve("algebra", declared, line)
             if A.basis == tensor.basis:
-                return tensor, A
+                return A
         catalog = ((entry.name, catalog_get(entry.name))
                    for entry in catalog_entries() if entry.kind == "algebra"
                    and entry.name not in self.algebras)
@@ -196,7 +189,7 @@ class Environment:
                                 line)
             if carriers:
                 (A,) = carriers.values()
-                return tensor, A
+                return A
         raise LoadError("no known algebra carries this tensor "
                         "(add an 'on ALGEBRA' clause)", line)
 
@@ -391,68 +384,54 @@ def _declare_cochain(env: Environment, stmt: dsl.CochainDecl):
 
 
 def _bind(env: Environment, stmt: dsl.CheckDecl, options: RunOptions):
-    """Resolve every value a check uses and its truncation order, failing at
-    load time; return the call that runs it, which looks its ``_run_<kind>``
-    up as a module global when it runs, so a later rebinding is seen."""
-    kind, line = stmt.kind, stmt.line
-    if kind == "jacobi":
-        A = env.resolve("algebra", stmt.subject, line)
-        return lambda: _run_jacobi(A)
-    if kind in ("cybe", "mcybe"):
-        tensor, A = env.carrier_for(stmt.subject, stmt.on, line)
-        if kind == "cybe":
-            return lambda: _run_cybe(A, tensor)
-        return lambda: _run_mcybe(A, tensor)
-    if kind in ("cocycle", "coboundary"):
-        phi = env.resolve("2-cochain", stmt.subject, line)
-        A = env.resolve("algebra", stmt.over, line)
-        if phi.basis != A.basis:
+    """Resolve each name a check uses through ``Environment.resolve``, as the
+    kind of its slot in ``dsl.CHECK_FORMS``, then do the load-time work of
+    the check's kind: the carrier search, the basis agreement, the twist
+    bounds.  Return the call that runs the check on the values so bound."""
+    kind, names, line = stmt.kind, stmt.args, stmt.line
+    kinds = [item.kind for item in dsl.CHECK_FORMS[kind]
+             if not isinstance(item, str)]
+    values = [name if name is None or slot in ("int", "word")
+              else env.resolve(slot, name, line)
+              for slot, name in zip(kinds, names)]
+    if kind in ("cybe", "mcybe", "decompose"):
+        # The tensor runs over its carrier: the ``on`` algebra, else found.
+        if values[-1] is None:
+            values[-1] = env.carrier_for(names[0], values[0], line)
+        elif values[-1].basis != values[0].basis:
             raise LoadError(
-                f"2-cochain {stmt.subject!r} is not over the basis of "
-                f"{stmt.over!r}", line)
-        if kind == "cocycle":
-            return lambda: _run_cocycle(A, phi)
-        psi = None
-        if stmt.compare is not None:
-            psi = env.resolve("1-cochain", stmt.compare, line)
-            if psi.basis != A.basis:
-                raise LoadError(
-                    f"1-cochain {stmt.compare!r} is not over the basis of "
-                    f"{stmt.over!r}", line)
-        return lambda: _run_coboundary(A, phi, options.assume_nonzero,
-                                       stmt.compare, psi)
-    if kind == "compatible":
-        first = env.resolve("algebra", stmt.subject, line)
-        second = env.resolve("algebra", stmt.pair, line)
-        if first.basis != second.basis:
-            raise LoadError("compatibility needs a shared basis", line)
-        return lambda: _run_compatible(first, second)
+                f"algebra {names[-1]!r} does not carry this tensor", line)
+    if kind in ("cocycle", "coboundary"):
+        for slot, name, value in zip(kinds, names, values):
+            if slot.endswith("cochain") and value is not None \
+                    and value.basis != values[1].basis:
+                raise LoadError(f"{slot} {name!r} is not over the basis of "
+                                f"{names[1]!r}", line)
+    if kind == "coboundary":
+        values += [names[2], options.assume_nonzero]
+    if kind == "compatible" and values[0].basis != values[1].basis:
+        raise LoadError("compatibility needs a shared basis", line)
     if kind == "decompose":
-        whole, _ = env.carrier_for(stmt.subject, stmt.on, line)
-        parts = []
-        for part in stmt.parts:
-            tensor = env.resolve("tensor", part, line)
-            if tensor.basis != whole.basis:
+        for name, part in zip(names[1:3], values[1:3]):
+            if part.basis != values[0].basis:
                 raise LoadError(
-                    f"summand {part!r} lives over a different basis", line)
-            parts.append(tensor)
-        equation = f"{stmt.subject} = {stmt.parts[0]} + {stmt.parts[1]}"
-        return lambda: _run_decompose(equation, whole, *parts)
+                    f"summand {name!r} lives over a different basis", line)
+        values = [f"{names[0]} = {names[1]} + {names[2]}", *values[:3]]
     if kind == "twist":
-        N = stmt.twist_n
-        if stmt.twist_kind == "extended" and N < 3:
+        (twist_kind, N), order = values
+        if twist_kind == "extended" and N < 3:
             raise LoadError("the extended twist needs N >= 3", line)
-        order = check_order(
-            options.order if stmt.order is None else stmt.order, line)
-        if stmt.twist_kind == "extended" and (
+        order = check_order(options.order if order is None else order, line)
+        if twist_kind == "extended" and (
                 order > len(EXTENDED_MAX_N) or N > EXTENDED_MAX_N[order - 1]):
             bounds = ", ".join(map(str, EXTENDED_MAX_N))
             raise LoadError(
                 f"the extended twist over sl({N}) at truncation order {order} "
                 f"is out of range: N may be at most {bounds} at orders 1 to "
                 f"{len(EXTENDED_MAX_N)}", line)
-        return lambda: _run_twist(stmt.twist_kind, N, order)
-    raise LoadError(f"unknown check kind {kind!r}", line)  # pragma: no cover
+        values = [twist_kind, N, order]
+    run = _RUNS[kind]
+    return lambda: run(*values)
 
 
 def load(file: dsl.WorkbenchFile,
@@ -477,18 +456,13 @@ def load(file: dsl.WorkbenchFile,
         elif isinstance(stmt, dsl.CochainDecl):
             _declare_cochain(env, stmt)
         elif isinstance(stmt, dsl.CheckDecl):
-            checks.append((_check_label(stmt), _bind(env, stmt, options)))
+            checks.append((dsl.render_check(stmt), _bind(env, stmt, options)))
         else:  # pragma: no cover
             raise LoadError(f"cannot load {stmt!r}")
     return env, checks
 
 
 # -- check execution ------------------------------------------------------------------
-
-
-def _check_label(stmt: dsl.CheckDecl) -> str:
-    text = dsl._render_statement(stmt)[0]
-    return text[len("check "):-1]
 
 
 def _tensor_witness(t: Tensor, what: str) -> list[str]:
@@ -508,14 +482,14 @@ def _run_jacobi(A: LieSuperAlgebra):
                     f"residual {report.residual}"]
 
 
-def _run_cybe(A: LieSuperAlgebra, tensor: Tensor):
+def _run_cybe(tensor: Tensor, A: LieSuperAlgebra):
     bracket = schouten(A, tensor)
     if not bracket:
         return "pass", [f"Schouten bracket vanishes over {A.name}"]
     return "fail", _tensor_witness(bracket, "Schouten bracket")
 
 
-def _run_mcybe(A: LieSuperAlgebra, tensor: Tensor):
+def _run_mcybe(tensor: Tensor, A: LieSuperAlgebra):
     sym_ok = check_invariant(A, sym_part(tensor))
     schouten_ok = check_invariant(A, schouten(A, tensor))
     details = [f"symmetric part ad-invariant over {A.name}: {sym_ok}",
@@ -523,7 +497,7 @@ def _run_mcybe(A: LieSuperAlgebra, tensor: Tensor):
     return ("pass" if sym_ok and schouten_ok else "fail"), details
 
 
-def _run_cocycle(A: LieSuperAlgebra, phi: LieSuperAlgebra):
+def _run_cocycle(phi: LieSuperAlgebra, A: LieSuperAlgebra):
     witness = cocycle2_witness(A, phi)
     if witness is None:
         return "pass", [f"closed under the differential of {A.name}"]
@@ -543,9 +517,9 @@ def _run_compatible(first: LieSuperAlgebra, second: LieSuperAlgebra):
                     f"mixed jacobiator {Element(first.basis, residual)}"]
 
 
-def _run_coboundary(A: LieSuperAlgebra, phi: LieSuperAlgebra,
-                    assume_nonzero: tuple[str, ...], compare: str | None,
-                    psi: Cochain1 | None):
+def _run_coboundary(phi: LieSuperAlgebra, A: LieSuperAlgebra,
+                    psi: Cochain1 | None, compare: str | None,
+                    assume_nonzero: tuple[str, ...]):
     outcome = solve_coboundary(A, phi, assume_nonzero=assume_nonzero)
     details = [f"solver status: {outcome.status}",
                f"rank {outcome.rank}, augmented rank {outcome.rank_augmented}"]
@@ -611,6 +585,21 @@ def _run_twist(twist_kind: str, N: int | None, order: int):
                        f"{check_cybe(carrier, limit)}")
     ok = (not residual) and counit_ok and (not qybe_residual)
     return ("pass" if ok else "fail"), details
+
+
+# The run of each check kind, given the values ``_bind`` binds.  Each calls
+# its ``_run_<kind>`` by its module name when the check runs, so that a
+# later rebinding of it is seen.
+_RUNS = {
+    "jacobi": lambda *values: _run_jacobi(*values),
+    "cybe": lambda *values: _run_cybe(*values),
+    "mcybe": lambda *values: _run_mcybe(*values),
+    "cocycle": lambda *values: _run_cocycle(*values),
+    "compatible": lambda *values: _run_compatible(*values),
+    "coboundary": lambda *values: _run_coboundary(*values),
+    "decompose": lambda *values: _run_decompose(*values),
+    "twist": lambda *values: _run_twist(*values),
+}
 
 
 def run_checks(checks: list[Check]) -> list[CheckResult]:

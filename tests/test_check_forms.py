@@ -63,15 +63,15 @@ CASES = [
     ("check twist bogus;", "ParseError: line 1, col 18: twist kind must be "
      "'jordanian' or 'extended'"),
     ("check twist extended;",
-     "ParseError: line 1, col 21: expected 'a size N', found ';'"),
+     "ParseError: line 1, col 21: expected a size N, found ';'"),
     ("check twist extended x;",
-     "ParseError: line 1, col 22: expected 'a size N', found 'x'"),
+     "ParseError: line 1, col 22: expected a size N, found 'x'"),
     ("check twist extended 3/2;",
      "ParseError: line 1, col 22: expected a size N, found '3/2'"),
     ("check twist jordanian 3;",
      "ParseError: line 1, col 23: expected ';', found '3'"),
     ("check twist jordanian order;",
-     "ParseError: line 1, col 28: expected 'a truncation order', found ';'"),
+     "ParseError: line 1, col 28: expected a truncation order, found ';'"),
     ("check twist jordanian order 1/2;",
      "ParseError: line 1, col 29: expected a truncation order, found '1/2'"),
     ("check twist jordanian order 3 order 4;",
@@ -79,7 +79,7 @@ CASES = [
     ("check twist extended 3 order 2 order 2;",
      "ParseError: line 1, col 32: expected ';', found 'order'"),
     ("cochain p:even over sl2 { H1 E12; }",
-     "ParseError: line 1, col 30: expected \"'->'\", found 'E12'"),
+     "ParseError: line 1, col 30: expected '->', found 'E12'"),
     # name, basis, carrier and bound errors
     ("check jacobi nowhere;", "LoadError: line 1: unknown algebra 'nowhere'"),
     ("check cybe nowhere;", "LoadError: line 1: unknown tensor 'nowhere'"),

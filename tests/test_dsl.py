@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import string
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieworkbench.dsl import (
+    CHECK_FORMS,
     AlgebraDecl,
     BinOp,
     CheckDecl,
+    Choice,
     CochainDecl,
     Name,
     Neg,
@@ -18,11 +23,14 @@ from lieworkbench.dsl import (
     ParamDecl,
     ParseError,
     TensorDecl,
+    WorkbenchFile,
     parse,
     render,
 )
 
-GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "golden"
+BENCH_DATA = ROOT / "bench" / "data"
 
 
 # -- expressions ---------------------------------------------------------------------
@@ -76,8 +84,7 @@ def test_power_is_non_associative():
 def test_dotted_identifiers_and_comments():
     text = "# leading comment\ncheck decompose r.full = r.dj + r.jordan; # trailing\n"
     decl = parse(text).statements[0]
-    assert decl.subject == "r.full"
-    assert decl.parts == ("r.dj", "r.jordan")
+    assert decl.args == ("r.full", "r.dj", "r.jordan", None)
 
 
 def test_clause_keywords_terminate_expressions():
@@ -144,10 +151,48 @@ def test_all_check_forms_parse_and_render_canonically():
 
 def test_check_fields():
     decl = parse("check coboundary mu2star over mu1star compare psi;").statements[0]
-    assert (decl.kind, decl.subject, decl.over, decl.compare) == (
-        "coboundary", "mu2star", "mu1star", "psi")
+    assert (decl.kind, decl.args) == (
+        "coboundary", ("mu2star", "mu1star", "psi"))
     decl = parse("check twist extended 4 order 3;").statements[0]
-    assert (decl.twist_kind, decl.twist_n, decl.order) == ("extended", 4, 3)
+    assert decl.args == (("extended", 4), 3)
+
+
+_WORD = string.ascii_letters + string.digits + "_"
+# Dotted identifiers: [A-Za-z_][A-Za-z0-9_]*(.[A-Za-z0-9_]+)*
+_NAMES = st.builds(
+    lambda head, tail, parts: head + tail + "".join(f".{p}" for p in parts),
+    st.sampled_from(string.ascii_letters + "_"), st.text(_WORD, max_size=5),
+    st.lists(st.text(_WORD, min_size=1, max_size=3), max_size=2))
+
+
+def _operand(slot):
+    return st.integers(0, 10**30) if slot.kind == "int" else _NAMES
+
+
+def _operand_value(item):
+    """The value one operand of a check form gives, drawn at random."""
+    if isinstance(item, Choice):
+        return st.sampled_from(item.words).flatmap(
+            lambda word: st.tuples(st.just(word), _operand(item.slot)
+                                   if word == item.taker else st.none()))
+    if item.clause is None:
+        return _operand(item)
+    return st.none() | _operand(item)
+
+
+@st.composite
+def _check_decls(draw):
+    kind = draw(st.sampled_from(sorted(CHECK_FORMS)))
+    return CheckDecl(kind, tuple(draw(_operand_value(item))
+                                 for item in CHECK_FORMS[kind]
+                                 if not isinstance(item, str)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(_check_decls(), max_size=3))
+def test_every_check_form_round_trips(decls):
+    f = WorkbenchFile(tuple(decls))
+    assert parse(render(f)) == f
 
 
 # -- errors ----------------------------------------------------------------------------
@@ -182,7 +227,9 @@ def test_error_on_later_lines_reports_the_line():
 def test_render_parse_is_idempotent_on_golden_files():
     files = sorted(GOLDEN.glob("*.wb"))
     assert len(files) == 22
-    for path in files:
+    bench_files = sorted(BENCH_DATA.glob("*.wb"))
+    assert len(bench_files) == 2
+    for path in files + bench_files:
         text = path.read_text()
         first = parse(text)
         rendered = render(first)

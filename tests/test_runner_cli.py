@@ -185,6 +185,19 @@ def test_load_errors_carry_line_numbers():
     assert "does not carry this tensor" in str(err.value)
 
 
+def test_every_name_on_a_check_line_resolves_before_its_checks():
+    # Names resolve in slot order before any carrier or basis check, so
+    # an unknown name is reported before the fault of another operand.
+    for src, message in (
+            ("check decompose r.full = r.dj + nowhere on sl2;",
+             "unknown tensor 'nowhere'"),
+            ("check coboundary sl2 over sl3 compare nowhere;",
+             "unknown 1-cochain 'nowhere'")):
+        with pytest.raises(LoadError) as err:
+            run_source(src)
+        assert str(err.value) == f"line 1: {message}"
+
+
 def test_a_tensor_carried_by_several_algebras_needs_an_on_clause():
     # u has no carrier of its own; its basis is that of both mu1star and
     # mu2star, and no choice between them is made silently.
@@ -322,6 +335,55 @@ def test_cli_parse_error_is_a_usage_error(tmp_path, capsys):
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert "line 1, col 15" in err
+
+
+def test_cli_unconvertible_number_literals_are_usage_errors(tmp_path, capsys):
+    # Python converts at most 4,300 digits from text to int by default.
+    digits = "9" * 5000
+    for text, message in (
+            ("tensor t = 1/0 * H1 (x) H1 on sl2;\n",
+             "line 1, col 12: zero denominator in '1/0'"),
+            (f"tensor t = {digits} * H1 (x) H1 on sl2;\n",
+             "line 1, col 12: number literal of 5000 characters is too long"),
+            (f"check twist extended {digits};\n",
+             "line 1, col 22: number literal of 5000 characters is too long")):
+        path = _write(tmp_path, text)
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {message}\n"
+
+
+def test_a_new_check_kind_needs_one_row_and_one_run_function(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(dsl.CHECK_FORMS, "dimension", (
+        dsl.Slot("algebra", "an algebra name"), "=",
+        dsl.Slot("int", "a dimension"),
+        dsl.Slot("tensor", "a tensor name", clause="with")))
+
+    def run_dimension(A, dimension, tensor):
+        found = len(A.basis.names)
+        status = "pass" if found == dimension else "fail"
+        return status, [f"{A.name} has dimension {found}"]
+
+    monkeypatch.setitem(runner._RUNS, "dimension", run_dimension)
+    text = "check dimension sl2 = 3;\ncheck dimension sl3 = 9 with r.dj;\n"
+    assert dsl.render(dsl.parse(text)) == text
+    path = _write(tmp_path, text)
+    assert main(["run", path, "--format", "structured"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [
+        {"label": "dimension sl2 = 3", "status": "pass",
+         "details": ["sl2 has dimension 3"]},
+        {"label": "dimension sl3 = 9 with r.dj", "status": "fail",
+         "details": ["sl3 has dimension 8"]}]
+    for text, message in (
+            ("check dimension sl2 = x;", "ParseError: line 1, col 23: "
+             "expected a dimension, found 'x'"),
+            ("check dimension sl2 = 3 with nowhere;",
+             "LoadError: line 1: unknown tensor 'nowhere'")):
+        with pytest.raises((dsl.ParseError, LoadError)) as err:
+            run_source(text)
+        assert f"{err.type.__name__}: {err.value}" == message
 
 
 def test_cli_rejects_nonpositive_orders(tmp_path, capsys):
