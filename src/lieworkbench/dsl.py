@@ -289,7 +289,7 @@ def _tokenize(source: str) -> list[_Token]:
 _VALUE_STOPWORDS = frozenset(
     item if isinstance(item, str) else item.clause
     for form in CHECK_FORMS.values() for item in form
-    if isinstance(item, str) or isinstance(item, Slot) and item.clause)
+    if isinstance(item, str) or (isinstance(item, Slot) and item.clause))
 
 
 class _Parser:
