@@ -26,7 +26,7 @@ from typing import Mapping
 from .liealg import (Element, GradedBasis, LieSuperAlgebra, PairTable,
                      accumulate, add_bracket, add_signed, as_vector,
                      canonical_pairs, canonical_triples, cocycle2_witness,
-                     common_parity, d2_residual, render_sum)
+                     common_parity, d2_residual, orient, render_sum)
 from .linsolve import (
     RatFunc,
     distinct_up_to_scale,
@@ -224,20 +224,119 @@ def _unknown_slots(basis: GradedBasis, parity: int) -> list[tuple[int, int]]:
             if (basis.parities[j] + parity) % 2 == basis.parities[k]]
 
 
+def _cochain2_coords(basis: GradedBasis, parity: int) -> list[tuple[int, int, int]]:
+    """The coordinates (i, j, t) of parity-p 2-cochains: canonical pair
+    (i, j) and a target t of parity |i| + |j| + p."""
+    odd = basis.parities
+    return [(i, j, t) for (i, j) in canonical_pairs(basis)
+            for t in range(len(basis)) if (odd[i] + odd[j] + parity) % 2 == odd[t]]
+
+
+def _bracket_by_index(A: LieSuperAlgebra) -> list[list[list[tuple[int, Poly]]]]:
+    """[e_a, e_b] for every pair of basis indices, as (index, coefficient)
+    terms."""
+    index = A.basis.index
+    return [[[(index(t), c) for t, c in A.bracket_basis(a, b).coeffs.items()]
+             for b in A.basis.names] for a in A.basis.names]
+
+
+def _dense(cells: dict, nrows: int, ncols: int) -> list[list]:
+    """The nrows x ncols matrix with the given (row, column) cells."""
+    zero = Poly.zero()
+    matrix = [[zero] * ncols for _ in range(nrows)]
+    for (r, c), value in cells.items():
+        matrix[r][c] = value
+    return matrix
+
+
 def _d1_matrix(A: LieSuperAlgebra, parity: int, coords) -> list[list]:
-    """The matrix of d1 on parity-p 1-cochains: one column per unit cochain
-    of ``_unknown_slots``, one row per coordinate (i, j, t), the coefficient
-    of basis element t at canonical pair (i, j)."""
+    """The matrix of d1 on parity-p 1-cochains: one column per slot (j, k)
+    of ``_unknown_slots``, the unit cochain E_jk: e_j -> e_k, one row per
+    coordinate (i, j, t), the coefficient of basis element t at canonical
+    pair (i, j).
+
+    Read on E_jk, the formula of :func:`d1` has three terms at (x, y):
+    (-1)^{|x|p} [x, e_k] if y = e_j; -(-1)^{|y|p + |x||y|} [y, e_k] if
+    x = e_j; and -c e_k, for c the coefficient of e_j in [x, y].
+    """
     basis = A.basis
-    columns = []
-    for (j, k) in _unknown_slots(basis, parity):
-        unit = Cochain1(basis, {basis.names[j]: {basis.names[k]: 1}},
-                        parity=parity)
-        image = d1(A, unit)
-        columns.append([image.table.get((i, jj), {}).get(basis.names[t],
-                                                          Poly.zero())
-                        for (i, jj, t) in coords])
-    return [[col[r] for col in columns] for r in range(len(coords))]
+    odd = basis.parities
+    n = len(basis)
+    bracket = _bracket_by_index(A)
+    rows = {coord: r for r, coord in enumerate(coords)}
+    cols = {slot: c for c, slot in enumerate(_unknown_slots(basis, parity))}
+    targets = [[k for k in range(n) if (j, k) in cols] for j in range(n)]
+    cells: dict[tuple[int, int], Poly] = {}
+
+    def add(i, j, t, slot, value):
+        r = rows.get((i, j, t))
+        if r is not None:
+            accumulate(cells, (r, cols[slot]), value)
+
+    for (x, y) in canonical_pairs(basis):
+        for source, other, sign in (
+                (y, x, (-1) ** (odd[x] * parity)),
+                (x, y, -((-1) ** (odd[y] * parity + odd[x] * odd[y])))):
+            for k in targets[source]:
+                for t, c in bracket[other][k]:
+                    add(x, y, t, (source, k), c if sign > 0 else -c)
+        for j, c in bracket[x][y]:
+            for k in targets[j]:
+                add(x, y, k, (j, k), -c)
+    return _dense(cells, len(coords), len(cols))
+
+
+def _d2_matrix(A: LieSuperAlgebra, parity: int, coords) -> list[list]:
+    """The matrix of d2 on parity-p 2-cochains: one column per coordinate
+    (i, j, t) of ``coords``, the unit cochain (e_i, e_j) -> e_t, one row per
+    canonical triple and basis element m, the coefficient of e_m there.
+
+    Read on a unit cochain, each term of :func:`d2_residual` is a bracket
+    [w, e_t] where the cochain's pair is two of the triple, or e_t itself
+    where it is (e_s, w) for e_s a term of the bracket of the other two.
+    """
+    basis = A.basis
+    odd = basis.parities
+    n = len(basis)
+    p = parity
+    bracket = _bracket_by_index(A)
+    cols: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for c, (i, j, t) in enumerate(coords):
+        cols.setdefault((i, j), []).append((t, c))
+
+    names, index = basis.names, basis.index
+
+    def units(a, b):
+        """The sign graded antisymmetry gives the unit cochains at
+        (e_a, e_b), and their (target, column) pairs."""
+        oriented = orient(basis, names[a], names[b], {a: 1})
+        if oriented is None:
+            return 0, ()
+        key, vec = oriented
+        return vec[a], cols.get(key, ())
+
+    triples = [tuple(map(index, triple)) for triple in canonical_triples(basis)]
+    cells: dict[tuple[int, int], Poly] = {}
+    for q, (x, y, z) in enumerate(triples):
+        px, py, pz = odd[x], odd[y], odd[z]
+        # The pair the cochain is read on, the third argument and the sign.
+        for w, (a, b), sign in ((x, (y, z), (-1) ** (px * p)),
+                                (y, (x, z), -((-1) ** (py * (p + px)))),
+                                (z, (x, y), (-1) ** (pz * (p + px + py)))):
+            unit_sign, columns = units(a, b)
+            for t, col in columns:
+                for m, c in bracket[w][t]:
+                    accumulate(cells, (q * n + m, col),
+                               c if sign * unit_sign > 0 else -c)
+        for (a, b), w, sign in (((x, y), z, -1),
+                                ((x, z), y, (-1) ** (py * pz)),
+                                ((y, z), x, -((-1) ** (px * (py + pz))))):
+            for s, c in bracket[a][b]:
+                unit_sign, columns = units(s, w)
+                for t, col in columns:
+                    accumulate(cells, (q * n + t, col),
+                               c if sign * unit_sign > 0 else -c)
+    return _dense(cells, len(triples) * n, len(coords))
 
 
 def _as_assumed_polys(assume_nonzero) -> list[Poly]:
@@ -332,7 +431,7 @@ def _obstruction_point(matrix, rhs, dens, assumed):
     missed, and so is a root that is irrational or that a leading or
     constant coefficient above ``_ROOT_COEFF_BOUND`` hides.
     """
-    scalars = [e for row in matrix for e in row] + list(rhs) + dens + assumed
+    scalars = [e for row in matrix for e in row if e] + list(rhs) + dens + assumed
     names = sorted(set().union(*(e.parameters() for e in scalars)))
     aug = [row + [rhs[i]] for i, row in enumerate(matrix)]
     tried = set()
@@ -427,8 +526,11 @@ def solve_coboundary(A: LieSuperAlgebra, phi: PairTable,
     values: dict[str, Vector] = {}
     for (j, k), coeff in zip(slots, outcome.solution):
         if coeff:
-            source = basis.names[j]
-            values.setdefault(source, {})[basis.names[k]] = coeff
+            # A unit denominator is stored as its Poly, which prints the
+            # same and keeps the d1 check below in Poly arithmetic.
+            poly = coeff.as_poly()
+            values.setdefault(basis.names[j], {})[basis.names[k]] = (
+                coeff if poly is None else poly)
     psi = Cochain1(basis, values, parity=parity)
     if d1(A, psi) != phi:
         raise AssertionError("solver produced a non-solution")  # pragma: no cover
@@ -452,8 +554,9 @@ class CohomologyReport:
             raise ValueError("negative cohomology dimension")
 
 
-# The largest dimension h2_dim accepts: its dense elimination over the
-# function field grows too fast beyond it.
+# The largest dimension h2_dim accepts: its exact elimination over the
+# function field, of a d2 matrix with about dim^4 / 2 cells, grows too
+# fast beyond it.
 H2_MAX_DIM = 12
 
 
@@ -461,45 +564,27 @@ def h2_dim(A: LieSuperAlgebra) -> CohomologyReport:
     """Dimensions of Z^2, B^2 and H^2 with adjoint coefficients.
 
     Both cochain parities contribute; dimensions are generic in the declared
-    parameters, with the recorded nonvanishing assumptions.  Guarded to
-    algebras of dimension at most ``H2_MAX_DIM`` (dense linear algebra over
-    the function field).
+    parameters, with the recorded nonvanishing assumptions.  The d1 and d2
+    matrices are assembled from the bracket table, and elimination works on
+    their nonzero cells only.  Guarded to algebras of dimension at most
+    ``H2_MAX_DIM`` (exact linear algebra over the function field).
     """
     basis = A.basis
     if A.dim > H2_MAX_DIM:
         raise ValueError(f"h2_dim guard: dim {A.dim} exceeds {H2_MAX_DIM}")
-    pairs = canonical_pairs(basis)
-    triples = canonical_triples(basis)
-    n = len(basis)
     kernel_dim = 0
     image_dim = 0
     assumptions: list[Poly] = []
 
     for parity in (0, 1):
-        # Coordinates of C^2 at this cochain parity.
-        pair_coords = [(i, j, t) for (i, j) in pairs for t in range(n)
-                       if (basis.parities[i] + basis.parities[j] + parity) % 2
-                       == basis.parities[t]]
+        pair_coords = _cochain2_coords(basis, parity)
         d1_matrix = _d1_matrix(A, parity, pair_coords)
         if d1_matrix and d1_matrix[0]:
             res = verify_and_rank(d1_matrix)
             image_dim += res.rank
             assumptions.extend(res.assumptions)
-        # d2 matrix: columns are unit 2-cochains.
-        d2_cols = []
-        for (i, j, t) in pair_coords:
-            unit = Cochain2(basis, {(basis.names[i], basis.names[j]):
-                                    {basis.names[t]: 1}}, parity=parity)
-            col = []
-            for triple in triples:
-                residual = d2_residual(A, unit, *triple)
-                col.extend(residual.get(basis.names[m], Poly.zero())
-                           for m in range(n))
-            d2_cols.append(col)
-        if d2_cols:
-            d2_matrix = [[col[r] for col in d2_cols]
-                         for r in range(len(d2_cols[0]))]
-            res = verify_and_rank(d2_matrix)
+        if pair_coords:
+            res = verify_and_rank(_d2_matrix(A, parity, pair_coords))
             kernel_dim += len(pair_coords) - res.rank
             assumptions.extend(res.assumptions)
 

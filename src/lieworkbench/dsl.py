@@ -457,9 +457,10 @@ class _Parser:
                 self.expect_word(item)
             elif isinstance(item, Choice):
                 words = " or ".join(map(repr, item.words))
-                word = self.expect("ident", words).text
+                token = self.expect("ident", words)
+                word = token.text
                 if word not in item.words:
-                    self.fail(f"{kind} kind must be {words}")
+                    self.fail(f"{kind} kind must be {words}", token)
                 args.append((word, self.parse_slot(item.slot)
                              if word == item.taker else None))
             else:

@@ -8,6 +8,11 @@ re-verifies symbolic rank decisions at random rational parameter points.
 Rank decisions over a function field are generic-parameter statements: a
 pivot that is a nonconstant polynomial is only nonzero away from its zero
 set.  Every such pivot is recorded as an assumption and surfaced to callers.
+
+Matrices are passed as lists of rows whose entries are ``Poly``,
+``RatFunc`` or falsy.  The cohomology matrices are mostly zero, so only
+nonzero cells are converted or evaluated, and elimination scales and
+subtracts over the pivot row's nonzero columns only.
 """
 
 from __future__ import annotations
@@ -52,6 +57,16 @@ def distinct_up_to_scale(polys: Iterable[Poly]) -> list[Poly]:
     return list(kept.values())
 
 
+# The one zero every converted matrix shares: elimination reads it and
+# never writes it.
+_ZERO = RatFunc(Poly.zero())
+
+
+def _ratfunc_rows(matrix: Sequence[Sequence]) -> list[list[RatFunc]]:
+    """The matrix as fresh rows of ``RatFunc``; only nonzero cells convert."""
+    return [[as_ratfunc(e) if e else _ZERO for e in row] for row in matrix]
+
+
 def _pivot_complexity(entry: RatFunc) -> tuple[int, int]:
     return (len(entry.num), len(entry.den))
 
@@ -62,6 +77,10 @@ def _gauss_jordan(m: list[list], pivot_key) -> list[tuple[int, object]]:
     In each column the pivot is the first candidate row (from the current
     one down) with a nonzero entry of least ``pivot_key(entry)``.  Returns
     (column, pivot value before scaling) for every pivot, in order.
+
+    Every entry left of the pivot in its row is zero, and a zero entry of
+    the pivot row leaves the other rows as they are, so the pivot row is
+    scaled, and the others eliminated, over its nonzero columns only.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -75,12 +94,17 @@ def _gauss_jordan(m: list[list], pivot_key) -> list[tuple[int, object]]:
             continue
         best = min(candidates, key=lambda i: pivot_key(m[i][c]))
         m[r], m[best] = m[best], m[r]
-        pivot = m[r][c]
-        m[r] = [e / pivot for e in m[r]]
+        row = m[r]
+        pivot = row[c]
+        support = [k for k in range(c, ncols) if row[k]]
+        for k in support:
+            row[k] = row[k] / pivot
         for i in range(nrows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            factor = m[i][c]
+            if i != r and factor:
+                other = m[i]
+                for k in support:
+                    other[k] = other[k] - factor * row[k]
         pivots.append((c, pivot))
         r += 1
     return pivots
@@ -105,7 +129,7 @@ def rref(matrix: Sequence[Sequence]) -> RrefResult:
     whose numerator is a nonconstant polynomial are recorded as nonvanishing
     assumptions, one per class up to a constant factor.
     """
-    m = [[as_ratfunc(e) for e in row] for row in matrix]
+    m = _ratfunc_rows(matrix)
     pivots = _gauss_jordan(m, _pivot_complexity)
     assumptions = distinct_up_to_scale(p.num for _, p in pivots
                                        if not p.num.is_constant())
@@ -136,8 +160,7 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolveResult
     if rank_aug > rank:
         return LinearSolveResult("inconsistent", None, rank, rank_aug,
                                  tuple(), result.assumptions)
-    zero = as_ratfunc(0)
-    solution = [zero] * ncols
+    solution = [_ZERO] * ncols
     for row_idx, col in enumerate(result.pivot_cols):
         solution[col] = result.rows[row_idx][ncols]
     free = tuple(c for c in range(ncols) if c not in result.pivot_cols)
@@ -147,18 +170,17 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolveResult
 
 def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction]) -> int:
     """Rank after substituting exact rationals for every parameter."""
-    rows: list[list[Fraction]] = []
-    for row in matrix:
-        vals = []
-        for e in row:
-            r = as_ratfunc(e).substitute(point)
-            poly = r.as_poly()
-            if poly is None or not poly.is_constant():
-                raise ValueError("point does not evaluate all parameters")
-            vals.append(poly.as_fraction())
-        rows.append(vals)
+    zero = Fraction(0)
+    rows = [[_value_at(e, point) if e else zero for e in row] for row in matrix]
     # The first nonzero entry is the pivot: every one costs the same.
     return len(_gauss_jordan(rows, lambda entry: 0))
+
+
+def _value_at(entry, point: dict[str, Fraction]) -> Fraction:
+    poly = as_ratfunc(entry).substitute(point).as_poly()
+    if poly is None or not poly.is_constant():
+        raise ValueError("point does not evaluate all parameters")
+    return poly.as_fraction()
 
 
 # The genericity check samples SAMPLE_COUNT points from a fixed seed, so a
@@ -195,16 +217,17 @@ def verify_rank_generically(matrix: Sequence[Sequence], expected_rank: int,
     rank to be reproduced at two independent random points is a strong guard
     against pivoting mistakes.
     """
-    rows = [[as_ratfunc(e) for e in row] for row in matrix]
+    rows = _ratfunc_rows(matrix)
     if not rows:
         return
     params: set[str] = set()
     avoid: list[Poly] = list(assumptions)
     for row in rows:
         for e in row:
-            params |= e.parameters()
-            if not e.den.is_constant():
-                avoid.append(e.den)
+            if e:
+                params |= e.parameters()
+                if not e.den.is_constant():
+                    avoid.append(e.den)
     if not params:
         return  # constant matrix: the symbolic computation was already exact
     for point in sample_points(sorted(params), avoid):

@@ -91,6 +91,34 @@ def _mono_graded_degree(mono: Monomial, graded: frozenset[str]) -> int:
     return sum(e for name, e in mono if name in graded)
 
 
+# ``str(int)`` refuses more than sys.get_int_max_str_digits() digits (4,300
+# by default, never under 640), so longer values are rendered in chunks of
+# this many digits; the process-wide limit stays as it is.
+_CHUNK_DIGITS = 500
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_str(n: int) -> str:
+    """The exact decimal digits of n, however many there are."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    chunks = []
+    while n:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(low)
+    return str(chunks.pop()) + "".join(f"{low:0{_CHUNK_DIGITS}d}"
+                                       for low in reversed(chunks))
+
+
+def _fraction_str(value: Fraction) -> str:
+    """``str(value)``, exact at any size."""
+    if value.denominator == 1:
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+
+
 def _mono_str(mono: Monomial) -> str:
     parts = []
     for name, e in mono:
@@ -331,11 +359,11 @@ class Poly:
             sign = "-" if coeff < 0 else "+"
             mag = -coeff if coeff < 0 else coeff
             if not mono:
-                body = str(mag)
+                body = _fraction_str(mag)
             elif mag == 1:
                 body = _mono_str(mono)
             else:
-                body = f"{mag}*{_mono_str(mono)}"
+                body = f"{_fraction_str(mag)}*{_mono_str(mono)}"
             chunks.append((sign, body))
         first_sign, first_body = chunks[0]
         text = ("-" if first_sign == "-" else "") + first_body
@@ -424,6 +452,9 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             den = Poly.one()
+        elif den.is_constant():
+            # What _reduce returns, without its division by a constant.
+            num, den = num * (1 / den.constant_term()), Poly.one()
         else:
             num, den = self._reduce(num, den)
         self.num = num

@@ -60,7 +60,7 @@ CASES = [
      "ParseError: line 1, col 44: expected an algebra name, found ';'"),
     ("check twist;", "ParseError: line 1, col 12: expected 'jordanian' or "
      "'extended', found ';'"),
-    ("check twist bogus;", "ParseError: line 1, col 18: twist kind must be "
+    ("check twist bogus;", "ParseError: line 1, col 13: twist kind must be "
      "'jordanian' or 'extended'"),
     ("check twist extended;",
      "ParseError: line 1, col 21: expected a size N, found ';'"),

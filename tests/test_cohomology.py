@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieworkbench.catalog import (
+    catalog_get,
+    catalog_names,
     make_borel,
     make_dual_jordanian,
     make_dual_standard,
@@ -30,6 +32,8 @@ from lieworkbench.cohomology import (
     mixed_jacobiator,
     solve_coboundary,
 )
+from lieworkbench.cohomology import (_cochain2_coords, _d1_matrix, _d2_matrix,
+                                     _unknown_slots)
 from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra,
                                  canonical_pairs, canonical_triples, pencil)
 from lieworkbench.scalars import Poly, RatFunc, as_poly, param
@@ -362,6 +366,66 @@ def test_non_cocycle_input_is_rejected_with_a_witness():
     assert not out.found
     assert out.psi is None
     assert out.witness == ("H1", "E12", "E21")
+
+
+# -- the d1 and d2 matrices ----------------------------------------------------------------
+
+
+def _unit_d1_matrix(A, parity, coords):
+    """The d1 matrix column by column: d1 of each unit 1-cochain."""
+    basis = A.basis
+    columns = []
+    for (j, k) in _unknown_slots(basis, parity):
+        unit = Cochain1(basis, {basis.names[j]: {basis.names[k]: 1}},
+                        parity=parity)
+        image = d1(A, unit)
+        columns.append([image.table.get((i, jj), {}).get(basis.names[t],
+                                                          Poly.zero())
+                        for (i, jj, t) in coords])
+    return [[col[r] for col in columns] for r in range(len(coords))]
+
+
+def _unit_d2_matrix(A, parity, coords):
+    """The d2 matrix column by column: d2 of each unit 2-cochain."""
+    basis = A.basis
+    triples = canonical_triples(basis)
+    columns = []
+    for (i, j, t) in coords:
+        unit = Cochain2(basis, {(basis.names[i], basis.names[j]):
+                                {basis.names[t]: 1}}, parity=parity)
+        columns.append([d2_residual(A, unit, *triple).get(m, Poly.zero())
+                        for triple in triples for m in basis.names])
+    return [[col[r] for col in columns]
+            for r in range(len(triples) * len(basis))]
+
+
+def _assert_assembly_matches_unit_cochains(A):
+    basis = A.basis
+    every_target = [(i, j, t) for (i, j) in canonical_pairs(basis)
+                    for t in range(len(basis))]
+    for parity in (0, 1):
+        coords = _cochain2_coords(basis, parity)
+        for rows in (coords, every_target):
+            assert (_d1_matrix(A, parity, rows)
+                    == _unit_d1_matrix(A, parity, rows)), (A.name, parity)
+        assert (_d2_matrix(A, parity, coords)
+                == _unit_d2_matrix(A, parity, coords)), (A.name, parity)
+
+
+def test_matrices_from_the_bracket_table_match_unit_cochains_on_the_catalog():
+    algebras = [catalog_get(name) for name in catalog_names()]
+    small = [A for A in algebras
+             if isinstance(A, LieSuperAlgebra) and A.dim <= 9]
+    assert {A.basis.parities != (0,) * A.dim for A in small} == {False, True}
+    for A in small:
+        _assert_assembly_matches_unit_cochains(A)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_bracket_pairs())
+def test_matrices_from_the_bracket_table_match_unit_cochains_at_random(pair):
+    for A in pair:
+        _assert_assembly_matches_unit_cochains(A)
 
 
 # -- cohomology dimensions ---------------------------------------------------------------

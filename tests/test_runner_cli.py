@@ -354,6 +354,18 @@ def test_cli_unconvertible_number_literals_are_usage_errors(tmp_path, capsys):
         assert captured.err == f"{path}: {message}\n"
 
 
+def test_cli_renders_coefficients_of_any_length(tmp_path, capsys):
+    # Each literal converts, but the witness coefficient, -2 * 10^12000, has
+    # more digits than Python's str(int) gives by default.
+    digits = "1" + "0" * 3000
+    path = _write(tmp_path, f"tensor t = {digits} * {digits} * H1 (x) E12 "
+                            "on sl2;\ncheck cybe t;\n")
+    assert main(["run", path]) == 1
+    out = capsys.readouterr().out
+    assert f"first at ('H1', 'E12', 'E12'): -2{'0' * 12000}\n" in out
+    assert "1 failed" in out
+
+
 def test_a_new_check_kind_needs_one_row_and_one_run_function(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(dsl.CHECK_FORMS, "dimension", (

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieworkbench.scalars import (
     Poly,
@@ -160,6 +162,27 @@ def test_ratfunc_arithmetic_and_equality():
     assert RatFunc(XI * H, H * H) == RatFunc(XI, H)  # cross-multiplied
     assert half == XI / 2 / RatFunc(H)  # mixed Poly arithmetic coerces
     assert half.parameters() == frozenset({"h", "xi"})
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.one_of(
+    st.sampled_from((Fraction(1), Fraction(-1))),
+    st.fractions(-50, 50, max_denominator=20).filter(bool)))
+def test_a_constant_denominator_divides_as_reduce_does(seed, constant):
+    # RatFunc skips _reduce for a constant denominator; both give the same
+    # numerator and denominator.
+    num = _random_poly(random.Random(seed))
+    ratio = RatFunc(num, constant)
+    assert (ratio.num, ratio.den) == RatFunc._reduce(num, Poly.const(constant))
+
+
+def test_long_coefficients_render_exactly_in_chunks():
+    # Rendering splits values of 500 digits or more into chunks; below
+    # Python's str(int) limit it must agree with str digit for digit.
+    for n in (10**500 - 1, 10**500, 10**500 + 1, 10**1000 + 7, 3**4000):
+        for value in (Fraction(n), Fraction(-n), Fraction(n, 10**600 + 1)):
+            assert str(Poly.const(value)) == str(value)
+            assert str(Poly.const(value) * H) == f"{value}*h"
 
 
 def test_ratfunc_substitution():
