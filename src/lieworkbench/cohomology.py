@@ -8,7 +8,8 @@ d2 of one bracket over another is their mixed jacobiator: two brackets are
 compatible exactly when each is a 2-cocycle of the other.  The
 differentials carry Koszul signs for both the argument parities and the
 parity of the cochain itself; in the purely even case they reduce to the
-classical formulas.
+classical formulas.  Those signs live in one place, the term table
+``liealg.CE_TERMS``: d1, d2 and the d1 and d2 matrices all read it.
 
 Cochain values are sparse vectors over the basis whose scalars may be
 polynomials or rational functions in the parameters: the coboundary solver
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import (Element, GradedBasis, LieSuperAlgebra, PairTable,
-                     accumulate, add_bracket, add_signed, as_vector,
-                     canonical_pairs, canonical_triples, cocycle2_witness,
+from .liealg import (CE_TERMS, Element, GradedBasis, LieSuperAlgebra,
+                     PairTable, accumulate, as_vector, canonical_pairs,
+                     canonical_triples, ce_residual, cocycle2_witness,
                      common_parity, d2_residual, orient, render_sum)
 from .linsolve import (
     RatFunc,
@@ -90,16 +91,10 @@ class Cochain1:
             clean[name] = vec
         self.values = clean
 
-    def apply_name(self, name: str) -> Vector:
+    def apply_names(self, name: str) -> Vector:
+        """The value at e_name, read as ``PairTable.apply_names`` is."""
         self.basis.index(name)
         return dict(self.values.get(name, {}))
-
-    def apply_vec(self, vec: Mapping) -> Vector:
-        out: Vector = {}
-        for name, scalar in vec.items():
-            for target, value in self.apply_name(name).items():
-                accumulate(out, target, value * scalar)
-        return out
 
     def __bool__(self):
         return bool(self.values)
@@ -143,26 +138,14 @@ class Cochain2(PairTable):
 
 
 def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
-    """The degree-1 CE differential with adjoint coefficients.
-
-    (d1 psi)(x, y) = (-1)^{|x||psi|}[x, psi(y)]
-                   - (-1)^{|y||psi| + |x||y|}[y, psi(x)] - psi([x, y]).
-    """
+    """The degree-1 CE differential with adjoint coefficients, read at each
+    canonical pair by :func:`liealg.ce_residual`."""
     basis = A.basis
     if basis != psi.basis:
         raise ValueError("cochain is not over the algebra's basis")
-    p = psi.parity
-    values: dict[tuple, Vector] = {}
-    for (i, j) in canonical_pairs(basis):
-        a, b = basis.names[i], basis.names[j]
-        pa, pb = basis.parities[i], basis.parities[j]
-        term: Vector = {}
-        add_bracket(term, A, a, psi.apply_name(b), (-1) ** (pa * p))
-        add_bracket(term, A, b, psi.apply_name(a), -((-1) ** (pb * p + pa * pb)))
-        add_signed(term, psi.apply_vec(A.bracket_basis(a, b).coeffs), -1)
-        if term:
-            values[(a, b)] = term
-    return Cochain2(basis, values, parity=p)
+    pairs = [(basis.names[i], basis.names[j]) for (i, j) in canonical_pairs(basis)]
+    return Cochain2(basis, {pair: ce_residual(A, psi, pair) for pair in pairs},
+                    parity=psi.parity)
 
 
 def is_cocycle2(A: LieSuperAlgebra, phi: PairTable) -> bool:
@@ -217,126 +200,72 @@ class CoboundaryOutcome:
         return self.status == "solved"
 
 
-def _unknown_slots(basis: GradedBasis, parity: int) -> list[tuple[int, int]]:
-    """(source index, target index) slots a parity-p 1-cochain may use."""
-    n = len(basis)
-    return [(j, k) for j in range(n) for k in range(n)
-            if (basis.parities[j] + parity) % 2 == basis.parities[k]]
-
-
-def _cochain2_coords(basis: GradedBasis, parity: int) -> list[tuple[int, int, int]]:
-    """The coordinates (i, j, t) of parity-p 2-cochains: canonical pair
-    (i, j) and a target t of parity |i| + |j| + p."""
+def _coords(basis: GradedBasis, arguments, parity: int | None = None
+            ) -> list[tuple[int, ...]]:
+    """The coordinates (args..., t) over the given index tuples and every
+    target t; with a parity p, only the targets of parity |args| + p, the
+    coordinates of a parity-p cochain."""
     odd = basis.parities
-    return [(i, j, t) for (i, j) in canonical_pairs(basis)
-            for t in range(len(basis)) if (odd[i] + odd[j] + parity) % 2 == odd[t]]
+    return [(*args, t) for args in arguments for t in range(len(basis))
+            if parity is None
+            or (sum(odd[a] for a in args) + parity) % 2 == odd[t]]
 
 
-def _bracket_by_index(A: LieSuperAlgebra) -> list[list[list[tuple[int, Poly]]]]:
-    """[e_a, e_b] for every pair of basis indices, as (index, coefficient)
-    terms."""
-    index = A.basis.index
-    return [[[(index(t), c) for t, c in A.bracket_basis(a, b).coeffs.items()]
-             for b in A.basis.names] for a in A.basis.names]
+def _ce_matrix(A: LieSuperAlgebra, parity: int, rows, cols) -> list[list]:
+    """The matrix of the CE differential on parity-p 1- or 2-cochains, read
+    off ``liealg.CE_TERMS`` on unit cochains.
 
+    Column c is the unit cochain of ``cols[c]`` = (args..., t): e_t at the
+    argument indices args.  A unit 1-cochain E_jk is nonzero only at e_j; a
+    unit 2-cochain is read at any pair through ``orient``.  Row r is the
+    coefficient of e_t in the image at the arguments args, for
+    ``rows[r]`` = (args..., t).
+    """
+    basis = A.basis
+    names, index = basis.names, basis.index
+    bracket = [[[(index(t), c) for t, c in A.bracket_basis(a, b).coeffs.items()]
+                for b in names] for a in names]
+    row_of = {coord: r for r, coord in enumerate(rows)}
+    units: dict[tuple, list[tuple[int, int]]] = {}
+    for c, (*args, t) in enumerate(cols):
+        units.setdefault(tuple(args), []).append((t, c))
 
-def _dense(cells: dict, nrows: int, ncols: int) -> list[list]:
-    """The nrows x ncols matrix with the given (row, column) cells."""
+    def read(args):
+        """The sign of the unit cochains at args, and their (target,
+        column) pairs."""
+        if len(args) == 2:
+            oriented = orient(basis, names[args[0]], names[args[1]], {0: 1})
+            if oriented is None:
+                return 0, ()
+            args, vec = oriented
+            return vec[0], units.get(args, ())
+        return 1, units.get(args, ())
+
+    cells: dict[tuple[int, int], Poly] = {}
+
+    def add(coord, col, c, sign):
+        r = row_of.get(coord)
+        if r is not None:
+            accumulate(cells, (r, col), c if sign > 0 else -c)
+
+    for args in dict.fromkeys(coord[:-1] for coord in rows):
+        brackets, cochains = CE_TERMS[tuple(basis.parities[a] for a in args),
+                                      parity]
+        for i, rest, sign in brackets:
+            unit, columns = read(rest(args))
+            for t, col in columns:
+                for m, c in bracket[args[i]][t]:
+                    add((*args, m), col, c, sign * unit)
+        for (i, j), rest, sign in cochains:
+            for s, c in bracket[args[i]][args[j]]:
+                unit, columns = read((s, *rest(args)))
+                for t, col in columns:
+                    add((*args, t), col, c, sign * unit)
     zero = Poly.zero()
-    matrix = [[zero] * ncols for _ in range(nrows)]
+    matrix = [[zero] * len(cols) for _ in rows]
     for (r, c), value in cells.items():
         matrix[r][c] = value
     return matrix
-
-
-def _d1_matrix(A: LieSuperAlgebra, parity: int, coords) -> list[list]:
-    """The matrix of d1 on parity-p 1-cochains: one column per slot (j, k)
-    of ``_unknown_slots``, the unit cochain E_jk: e_j -> e_k, one row per
-    coordinate (i, j, t), the coefficient of basis element t at canonical
-    pair (i, j).
-
-    Read on E_jk, the formula of :func:`d1` has three terms at (x, y):
-    (-1)^{|x|p} [x, e_k] if y = e_j; -(-1)^{|y|p + |x||y|} [y, e_k] if
-    x = e_j; and -c e_k, for c the coefficient of e_j in [x, y].
-    """
-    basis = A.basis
-    odd = basis.parities
-    n = len(basis)
-    bracket = _bracket_by_index(A)
-    rows = {coord: r for r, coord in enumerate(coords)}
-    cols = {slot: c for c, slot in enumerate(_unknown_slots(basis, parity))}
-    targets = [[k for k in range(n) if (j, k) in cols] for j in range(n)]
-    cells: dict[tuple[int, int], Poly] = {}
-
-    def add(i, j, t, slot, value):
-        r = rows.get((i, j, t))
-        if r is not None:
-            accumulate(cells, (r, cols[slot]), value)
-
-    for (x, y) in canonical_pairs(basis):
-        for source, other, sign in (
-                (y, x, (-1) ** (odd[x] * parity)),
-                (x, y, -((-1) ** (odd[y] * parity + odd[x] * odd[y])))):
-            for k in targets[source]:
-                for t, c in bracket[other][k]:
-                    add(x, y, t, (source, k), c if sign > 0 else -c)
-        for j, c in bracket[x][y]:
-            for k in targets[j]:
-                add(x, y, k, (j, k), -c)
-    return _dense(cells, len(coords), len(cols))
-
-
-def _d2_matrix(A: LieSuperAlgebra, parity: int, coords) -> list[list]:
-    """The matrix of d2 on parity-p 2-cochains: one column per coordinate
-    (i, j, t) of ``coords``, the unit cochain (e_i, e_j) -> e_t, one row per
-    canonical triple and basis element m, the coefficient of e_m there.
-
-    Read on a unit cochain, each term of :func:`d2_residual` is a bracket
-    [w, e_t] where the cochain's pair is two of the triple, or e_t itself
-    where it is (e_s, w) for e_s a term of the bracket of the other two.
-    """
-    basis = A.basis
-    odd = basis.parities
-    n = len(basis)
-    p = parity
-    bracket = _bracket_by_index(A)
-    cols: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for c, (i, j, t) in enumerate(coords):
-        cols.setdefault((i, j), []).append((t, c))
-
-    names, index = basis.names, basis.index
-
-    def units(a, b):
-        """The sign graded antisymmetry gives the unit cochains at
-        (e_a, e_b), and their (target, column) pairs."""
-        oriented = orient(basis, names[a], names[b], {a: 1})
-        if oriented is None:
-            return 0, ()
-        key, vec = oriented
-        return vec[a], cols.get(key, ())
-
-    triples = [tuple(map(index, triple)) for triple in canonical_triples(basis)]
-    cells: dict[tuple[int, int], Poly] = {}
-    for q, (x, y, z) in enumerate(triples):
-        px, py, pz = odd[x], odd[y], odd[z]
-        # The pair the cochain is read on, the third argument and the sign.
-        for w, (a, b), sign in ((x, (y, z), (-1) ** (px * p)),
-                                (y, (x, z), -((-1) ** (py * (p + px)))),
-                                (z, (x, y), (-1) ** (pz * (p + px + py)))):
-            unit_sign, columns = units(a, b)
-            for t, col in columns:
-                for m, c in bracket[w][t]:
-                    accumulate(cells, (q * n + m, col),
-                               c if sign * unit_sign > 0 else -c)
-        for (a, b), w, sign in (((x, y), z, -1),
-                                ((x, z), y, (-1) ** (py * pz)),
-                                ((y, z), x, -((-1) ** (px * (py + pz))))):
-            for s, c in bracket[a][b]:
-                unit_sign, columns = units(s, w)
-                for t, col in columns:
-                    accumulate(cells, (q * n + t, col),
-                               c if sign * unit_sign > 0 else -c)
-    return _dense(cells, len(triples) * n, len(coords))
 
 
 def _as_assumed_polys(assume_nonzero) -> list[Poly]:
@@ -482,8 +411,10 @@ def solve_coboundary(A: LieSuperAlgebra, phi: PairTable,
     The canonical solution sets free coordinates to zero; unknowns are
     ordered by (source basis index, target basis index).  A system that is
     inconsistent over the function field itself yields the generic rank
-    certificate (rank, rank_augmented).  Every symbolic rank decision is
-    re-verified at random rational parameter points.
+    certificate (rank, rank_augmented), re-verified at random rational
+    parameter points (``verify_rank_generically``).  A "solved" verdict is
+    checked exactly, by d1(psi) = phi; an "obstructed" rank pair is exact
+    at its rational point.
     """
     basis = A.basis
     if basis != phi.basis:
@@ -493,10 +424,9 @@ def solve_coboundary(A: LieSuperAlgebra, phi: PairTable,
         return CoboundaryOutcome("not-cocycle", None, 0, 0, tuple(),
                                  witness[0])
     parity = phi.parity
-    slots = _unknown_slots(basis, parity)
-    coords = [(i, j, t) for (i, j) in canonical_pairs(basis)
-              for t in range(len(basis))]
-    matrix = _d1_matrix(A, parity, coords)
+    slots = _coords(basis, [(j,) for j in range(len(basis))], parity)
+    coords = _coords(basis, canonical_pairs(basis))
+    matrix = _ce_matrix(A, parity, coords, slots)
     rhs = [phi.table.get((i, j), {}).get(basis.names[t], Poly.zero())
            for (i, j, t) in coords]
     outcome = solve_linear(matrix, rhs)
@@ -576,15 +506,20 @@ def h2_dim(A: LieSuperAlgebra) -> CohomologyReport:
     image_dim = 0
     assumptions: list[Poly] = []
 
+    generators = [(j,) for j in range(len(basis))]
+    triple_coords = _coords(basis, [tuple(map(basis.index, triple))
+                                    for triple in canonical_triples(basis)])
     for parity in (0, 1):
-        pair_coords = _cochain2_coords(basis, parity)
-        d1_matrix = _d1_matrix(A, parity, pair_coords)
+        pair_coords = _coords(basis, canonical_pairs(basis), parity)
+        d1_matrix = _ce_matrix(A, parity, pair_coords,
+                               _coords(basis, generators, parity))
         if d1_matrix and d1_matrix[0]:
             res = verify_and_rank(d1_matrix)
             image_dim += res.rank
             assumptions.extend(res.assumptions)
         if pair_coords:
-            res = verify_and_rank(_d2_matrix(A, parity, pair_coords))
+            res = verify_and_rank(_ce_matrix(A, parity, triple_coords,
+                                             pair_coords))
             kernel_dim += len(pair_coords) - res.rank
             assumptions.extend(res.assumptions)
 

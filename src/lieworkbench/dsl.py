@@ -448,9 +448,10 @@ class _Parser:
 
     def parse_check(self) -> CheckDecl:
         start = self.advance()
-        kind = self.expect("ident", "a check kind").text
+        token = self.expect("ident", "a check kind")
+        kind = token.text
         if kind not in CHECK_FORMS:
-            self.fail(f"unknown check kind {kind!r}")
+            self.fail(f"unknown check kind {kind!r}", token)
         args = []
         for item in CHECK_FORMS[kind]:
             if isinstance(item, str):

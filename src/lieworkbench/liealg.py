@@ -11,6 +11,12 @@ vector per canonical index pair, the other orderings read through graded
 antisymmetry.  :class:`LieSuperAlgebra` is its parity-0 case, so a bracket
 is a 2-cochain as it stands.
 
+The signed terms of the Chevalley-Eilenberg differential on 1- and
+2-cochains are one table, :data:`CE_TERMS`, keyed by the argument
+parities and the cochain parity: the one place its Koszul signs live.
+:func:`ce_residual` reads it for d1 and d2, and the d1 and d2 matrices of
+``cohomology`` read it on unit cochains.
+
 Every trilinear residual is :func:`d2_residual`, d2 of a 2-cochain over a
 bracket, scanned by :func:`cocycle2_witness`: Jacobi is half of d2 of a
 bracket over itself.  The residual is graded-alternating, so the scan
@@ -29,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .scalars import Poly, RatFunc, as_poly, scalar_str
@@ -43,6 +51,8 @@ __all__ = [
     "canonical_pairs",
     "canonical_triples",
     "orient",
+    "CE_TERMS",
+    "ce_residual",
     "d2_residual",
     "cocycle2_witness",
     "JacobiReport",
@@ -50,8 +60,6 @@ __all__ = [
     "otimes",
     "pencil",
     "accumulate",
-    "add_signed",
-    "add_bracket",
     "render_sum",
 ]
 
@@ -476,33 +484,76 @@ class PairTable:
             return dict(entry)
         return {n: -c for n, c in entry.items()}
 
-    def apply_vec_name(self, vec: Mapping, b: str) -> dict:
-        """The value at (vec, e_b), extended linearly in the first argument."""
-        out: dict = {}
-        for name, scalar in vec.items():
-            for target, value in self.apply_names(name, b).items():
-                accumulate(out, target, value * scalar)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, PairTable):
             return NotImplemented
         return self.basis == other.basis and self.table == other.table
 
 
-def add_signed(out: dict, vec: Mapping, sign: int) -> None:
-    """out += sign * vec, in place."""
-    for name, value in vec.items():
-        accumulate(out, name, -value if sign < 0 else value)
+def _picker(indices: tuple[int, ...]) -> itemgetter:
+    """The items of a tuple at the given indices, as a tuple.
+
+    An ``itemgetter`` of one index returns the item bare, so a lone index
+    is taken as a one-item slice and none as an empty one.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(*indices, indices[0] + 1) if indices
+                      else slice(0))
 
 
-def add_bracket(out: dict, A: LieSuperAlgebra, name: str, vec: Mapping,
-                sign: int) -> None:
-    """out += sign * [e_name, vec], over possibly-rational scalars."""
-    for target, scalar in vec.items():
-        scalar = -scalar if sign < 0 else scalar
-        for t, c in A.bracket_basis(name, target).coeffs.items():
-            accumulate(out, t, c * scalar)
+def _ce_terms(parities: tuple[int, ...], p: int) -> tuple[tuple, tuple]:
+    """The signed terms of (d phi)(x_0, ..., x_k) for a parity-p cochain phi
+    and arguments of the given parities.
+
+    A bracket term (i, rest, sign) is sign * [x_i, phi(rest)], with
+    sign = (-1)^{i + |x_i|(p + sum_{l<i} |x_l|)}.  A cochain term
+    ((i, j), rest, sign) is sign * phi([x_i, x_j], rest), with
+    sign = (-1)^{i + j + |x_i| sum_{l<i} |x_l| + |x_j| sum_{l<j, l!=i} |x_l|}.
+    ``rest`` picks the other arguments, in order, from the argument tuple.
+    """
+    args = range(len(parities))
+
+    def before(i: int, skip: int = -1) -> int:
+        return sum(parities[l] for l in range(i) if l != skip)
+
+    brackets = tuple(
+        (i, _picker(tuple(l for l in args if l != i)),
+         (-1) ** (i + parities[i] * (p + before(i))))
+        for i in args)
+    cochains = tuple(
+        ((i, j), _picker(tuple(l for l in args if l not in (i, j))),
+         (-1) ** (i + j + parities[i] * before(i) + parities[j] * before(j, i)))
+        for i in args for j in args if i < j)
+    return brackets, cochains
+
+
+CE_TERMS = {(parities, p): _ce_terms(parities, p)
+            for k in (2, 3) for parities in product((0, 1), repeat=k)
+            for p in (0, 1)}
+
+
+def ce_residual(A: LieSuperAlgebra, phi, args: tuple[str, ...]) -> dict:
+    """(d phi)(args) for basis labels, summed from :data:`CE_TERMS`.
+
+    ``phi`` is a 1-cochain with two arguments (``cohomology.Cochain1``) or
+    a :class:`PairTable` with three; either is read by
+    ``apply_names(*names)``.
+    """
+    brackets, cochains = CE_TERMS[tuple(map(A.basis.parity, args)),
+                                  phi.parity]
+    out: dict = {}
+    for i, rest, sign in brackets:
+        for name, value in phi.apply_names(*rest(args)).items():
+            value = -value if sign < 0 else value
+            for t, c in A.bracket_basis(args[i], name).coeffs.items():
+                accumulate(out, t, c * value)
+    for (i, j), rest, sign in cochains:
+        others = rest(args)
+        for name, c in A.bracket_basis(args[i], args[j]).coeffs.items():
+            for t, value in phi.apply_names(name, *others).items():
+                accumulate(out, t, value * c if sign > 0 else -(value * c))
+    return out
 
 
 def d2_residual(A: LieSuperAlgebra, phi: PairTable,
@@ -511,25 +562,8 @@ def d2_residual(A: LieSuperAlgebra, phi: PairTable,
 
     ``phi`` is any :class:`PairTable`: a 2-cochain, or a bracket, which is a
     parity-0 cochain; d2 of a bracket over itself is twice its jacobiator.
-
-    (d2 phi)(x,y,z) = (-1)^{|x|p}[x, phi(y,z)]
-                    - (-1)^{|y|(p+|x|)}[y, phi(x,z)]
-                    + (-1)^{|z|(p+|x|+|y|)}[z, phi(x,y)]
-                    - phi([x,y], z) + (-1)^{|y||z|} phi([x,z], y)
-                    - (-1)^{|x|(|y|+|z|)} phi([y,z], x).
     """
-    p = phi.parity
-    px, py, pz = map(A.basis.parity, (x, y, z))
-    out: dict = {}
-    add_bracket(out, A, x, phi.apply_names(y, z), (-1) ** (px * p))
-    add_bracket(out, A, y, phi.apply_names(x, z), -((-1) ** (py * (p + px))))
-    add_bracket(out, A, z, phi.apply_names(x, y), (-1) ** (pz * (p + px + py)))
-    add_signed(out, phi.apply_vec_name(A.bracket_basis(x, y).coeffs, z), -1)
-    add_signed(out, phi.apply_vec_name(A.bracket_basis(x, z).coeffs, y),
-               (-1) ** (py * pz))
-    add_signed(out, phi.apply_vec_name(A.bracket_basis(y, z).coeffs, x),
-               -((-1) ** (px * (py + pz))))
-    return out
+    return ce_residual(A, phi, (x, y, z))
 
 
 def cocycle2_witness(A: LieSuperAlgebra, phi: PairTable,

@@ -17,7 +17,7 @@ from lieworkbench.runner import LoadError, load
 CASES = [
     # syntax errors
     ("check;", "ParseError: line 1, col 6: expected a check kind, found ';'"),
-    ("check bogus x;", "ParseError: line 1, col 13: unknown check kind 'bogus'"),
+    ("check bogus x;", "ParseError: line 1, col 7: unknown check kind 'bogus'"),
     ("check jacobi;", "ParseError: line 1, col 13: expected a name, found ';'"),
     ("check jacobi sl2 on sl2;",
      "ParseError: line 1, col 18: expected ';', found 'on'"),

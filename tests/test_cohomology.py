@@ -32,9 +32,9 @@ from lieworkbench.cohomology import (
     mixed_jacobiator,
     solve_coboundary,
 )
-from lieworkbench.cohomology import (_cochain2_coords, _d1_matrix, _d2_matrix,
-                                     _unknown_slots)
-from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra,
+from lieworkbench.cohomology import _ce_matrix
+from lieworkbench.liealg import (CE_TERMS, Element, GradedBasis,
+                                 LieSuperAlgebra, accumulate,
                                  canonical_pairs, canonical_triples, pencil)
 from lieworkbench.scalars import Poly, RatFunc, as_poly, param
 
@@ -255,6 +255,126 @@ def test_canonical_scans_match_an_ordered_scan(drawn):
         assert (witness[0], Element(basis, witness[1])) == expected
 
 
+# -- the term table against the signs written out ----------------------------------------
+
+
+def _add_bracket(out, A, name, vec, sign):
+    """out += sign * [e_name, vec], in place."""
+    for target, scalar in vec.items():
+        scalar = -scalar if sign < 0 else scalar
+        for t, c in A.bracket_basis(name, target).coeffs.items():
+            accumulate(out, t, c * scalar)
+
+
+def _add_signed(out, vec, sign):
+    """out += sign * vec, in place."""
+    for name, value in vec.items():
+        accumulate(out, name, -value if sign < 0 else value)
+
+
+def _apply_vec(phi, vec, *names):
+    """phi at (vec, names...), extended linearly in its first argument."""
+    out = {}
+    for name, scalar in vec.items():
+        for target, value in phi.apply_names(name, *names).items():
+            accumulate(out, target, value * scalar)
+    return out
+
+
+def _reference_d1(A, psi, a, b):
+    """(d1 psi)(a, b) with its signs written out, apart from ``CE_TERMS``:
+
+    (d1 psi)(x, y) = (-1)^{|x||psi|}[x, psi(y)]
+                   - (-1)^{|y||psi| + |x||y|}[y, psi(x)] - psi([x, y]).
+    """
+    p = psi.parity
+    pa, pb = A.basis.parity(a), A.basis.parity(b)
+    term = {}
+    _add_bracket(term, A, a, psi.apply_names(b), (-1) ** (pa * p))
+    _add_bracket(term, A, b, psi.apply_names(a), -((-1) ** (pb * p + pa * pb)))
+    _add_signed(term, _apply_vec(psi, A.bracket_basis(a, b).coeffs), -1)
+    return term
+
+
+def _reference_d2(A, phi, x, y, z):
+    """(d2 phi)(x, y, z) with its signs written out, apart from ``CE_TERMS``:
+
+    (d2 phi)(x,y,z) = (-1)^{|x|p}[x, phi(y,z)]
+                    - (-1)^{|y|(p+|x|)}[y, phi(x,z)]
+                    + (-1)^{|z|(p+|x|+|y|)}[z, phi(x,y)]
+                    - phi([x,y], z) + (-1)^{|y||z|} phi([x,z], y)
+                    - (-1)^{|x|(|y|+|z|)} phi([y,z], x).
+    """
+    p = phi.parity
+    px, py, pz = map(A.basis.parity, (x, y, z))
+    out = {}
+    _add_bracket(out, A, x, phi.apply_names(y, z), (-1) ** (px * p))
+    _add_bracket(out, A, y, phi.apply_names(x, z), -((-1) ** (py * (p + px))))
+    _add_bracket(out, A, z, phi.apply_names(x, y), (-1) ** (pz * (p + px + py)))
+    _add_signed(out, _apply_vec(phi, A.bracket_basis(x, y).coeffs, z), -1)
+    _add_signed(out, _apply_vec(phi, A.bracket_basis(x, z).coeffs, y),
+                (-1) ** (py * pz))
+    _add_signed(out, _apply_vec(phi, A.bracket_basis(y, z).coeffs, x),
+                -((-1) ** (px * (py + pz))))
+    return out
+
+
+def _reference_terms(parities, p):
+    """The terms of :func:`_reference_d1` or :func:`_reference_d2`, in the
+    form of ``CE_TERMS``."""
+    if len(parities) == 2:
+        px, py = parities
+        return (((0, (1,), (-1) ** (px * p)),
+                 (1, (0,), -((-1) ** (py * p + px * py)))),
+                (((0, 1), (), -1),))
+    px, py, pz = parities
+    return (((0, (1, 2), (-1) ** (px * p)),
+             (1, (0, 2), -((-1) ** (py * (p + px)))),
+             (2, (0, 1), (-1) ** (pz * (p + px + py)))),
+            (((0, 1), (2,), -1),
+             ((0, 2), (1,), (-1) ** (py * pz)),
+             ((1, 2), (0,), -((-1) ** (px * (py + pz))))))
+
+
+def test_the_term_table_has_the_written_out_signs():
+    keys = [(parities, p) for k in (2, 3)
+            for parities in product((0, 1), repeat=k) for p in (0, 1)]
+    assert len(keys) == 24 and sorted(CE_TERMS) == sorted(keys)
+    for parities, p in keys:
+        args = tuple(range(len(parities)))
+        brackets, cochains = CE_TERMS[parities, p]
+        read = (tuple((i, rest(args), sign) for i, rest, sign in brackets),
+                tuple((ij, rest(args), sign) for ij, rest, sign in cochains))
+        assert read == _reference_terms(parities, p), (parities, p)
+
+
+@st.composite
+def _cochain1s(draw, basis, parity):
+    values = {}
+    for name in basis.names:
+        want = (basis.parity(name) + parity) % 2
+        values[name] = {t: draw(st.integers(-2, 2)) for t in basis.names
+                        if basis.parity(t) == want and draw(st.booleans())}
+    return Cochain1(basis, values, parity=parity)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_brackets_and_odd_cochain(), st.data())
+def test_d1_and_d2_match_the_written_out_signs(drawn, data):
+    mu1, mu2, odd_phi = drawn
+    names = mu1.basis.names
+    for phi in (mu2, odd_phi):
+        for triple in product(names, repeat=3):
+            assert (d2_residual(mu1, phi, *triple)
+                    == _reference_d2(mu1, phi, *triple)), (phi.parity, triple)
+    for parity in (0, 1):
+        psi = data.draw(_cochain1s(mu1.basis, parity))
+        image = d1(mu1, psi)
+        for a, b in product(names, repeat=2):
+            assert (image.apply_names(a, b)
+                    == _reference_d1(mu1, psi, a, b)), (parity, a, b)
+
+
 # -- the coboundary solver --------------------------------------------------------------
 
 
@@ -371,29 +491,36 @@ def test_non_cocycle_input_is_rejected_with_a_witness():
 # -- the d1 and d2 matrices ----------------------------------------------------------------
 
 
+def _slots(basis, parity):
+    """(j, k) for each unit 1-cochain e_j -> e_k of the given parity."""
+    odd, n = basis.parities, len(basis)
+    return [(j, k) for j in range(n) for k in range(n)
+            if (odd[j] + parity) % 2 == odd[k]]
+
+
 def _unit_d1_matrix(A, parity, coords):
-    """The d1 matrix column by column: d1 of each unit 1-cochain."""
-    basis = A.basis
+    """The d1 matrix column by column: the written-out d1 of each unit
+    1-cochain."""
+    basis, names = A.basis, A.basis.names
     columns = []
-    for (j, k) in _unknown_slots(basis, parity):
-        unit = Cochain1(basis, {basis.names[j]: {basis.names[k]: 1}},
-                        parity=parity)
-        image = d1(A, unit)
-        columns.append([image.table.get((i, jj), {}).get(basis.names[t],
-                                                          Poly.zero())
+    for (j, k) in _slots(basis, parity):
+        unit = Cochain1(basis, {names[j]: {names[k]: 1}}, parity=parity)
+        columns.append([_reference_d1(A, unit, names[i], names[jj]).get(
+                            names[t], Poly.zero())
                         for (i, jj, t) in coords])
     return [[col[r] for col in columns] for r in range(len(coords))]
 
 
 def _unit_d2_matrix(A, parity, coords):
-    """The d2 matrix column by column: d2 of each unit 2-cochain."""
+    """The d2 matrix column by column: the written-out d2 of each unit
+    2-cochain."""
     basis = A.basis
     triples = canonical_triples(basis)
     columns = []
     for (i, j, t) in coords:
         unit = Cochain2(basis, {(basis.names[i], basis.names[j]):
                                 {basis.names[t]: 1}}, parity=parity)
-        columns.append([d2_residual(A, unit, *triple).get(m, Poly.zero())
+        columns.append([_reference_d2(A, unit, *triple).get(m, Poly.zero())
                         for triple in triples for m in basis.names])
     return [[col[r] for col in columns]
             for r in range(len(triples) * len(basis))]
@@ -401,14 +528,18 @@ def _unit_d2_matrix(A, parity, coords):
 
 def _assert_assembly_matches_unit_cochains(A):
     basis = A.basis
+    odd, n = basis.parities, len(basis)
     every_target = [(i, j, t) for (i, j) in canonical_pairs(basis)
-                    for t in range(len(basis))]
+                    for t in range(n)]
+    triples = [(*map(basis.index, triple), m)
+               for triple in canonical_triples(basis) for m in range(n)]
     for parity in (0, 1):
-        coords = _cochain2_coords(basis, parity)
+        coords = [(i, j, t) for (i, j, t) in every_target
+                  if (odd[i] + odd[j] + parity) % 2 == odd[t]]
         for rows in (coords, every_target):
-            assert (_d1_matrix(A, parity, rows)
+            assert (_ce_matrix(A, parity, rows, _slots(basis, parity))
                     == _unit_d1_matrix(A, parity, rows)), (A.name, parity)
-        assert (_d2_matrix(A, parity, coords)
+        assert (_ce_matrix(A, parity, triples, coords)
                 == _unit_d2_matrix(A, parity, coords)), (A.name, parity)
 
 

@@ -204,7 +204,7 @@ def test_error_positions_are_precise():
         ("algebra A { basis x:weird; }",
          "line 1, col 21: parity must be 'even' or 'odd'"),
         ("tensor t = 1 +;", "line 1, col 15: expected a value, found ';'"),
-        ("check bogus x;", "line 1, col 13: unknown check kind 'bogus'"),
+        ("check bogus x;", "line 1, col 7: unknown check kind 'bogus'"),
         ("check jacobi sl2 on nowhere;",
          "line 1, col 18: expected ';', found 'on'"),
     ]
