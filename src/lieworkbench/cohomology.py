@@ -246,7 +246,7 @@ def _ce_matrix(A: LieSuperAlgebra, parity: int, rows, cols) -> list[list]:
     def add(coord, col, c, sign):
         r = row_of.get(coord)
         if r is not None:
-            accumulate(cells, (r, col), c if sign > 0 else -c)
+            accumulate(cells, (r, col), c, sign)
 
     for args in dict.fromkeys(coord[:-1] for coord in rows):
         brackets, cochains = CE_TERMS[tuple(basis.parities[a] for a in args),
@@ -497,11 +497,18 @@ def h2_dim(A: LieSuperAlgebra) -> CohomologyReport:
     parameters, with the recorded nonvanishing assumptions.  The d1 and d2
     matrices are assembled from the bracket table, and elimination works on
     their nonzero cells only.  Guarded to algebras of dimension at most
-    ``H2_MAX_DIM`` (exact linear algebra over the function field).
+    ``H2_MAX_DIM`` (exact linear algebra over the function field), and to
+    brackets that satisfy Jacobi, checked before any matrix is built: over
+    a bracket that fails it the CE complex is not a complex, so a
+    ``ValueError`` names the first failing triple instead.
     """
     basis = A.basis
     if A.dim > H2_MAX_DIM:
         raise ValueError(f"h2_dim guard: dim {A.dim} exceeds {H2_MAX_DIM}")
+    jacobi = A.verify_jacobi()
+    if not jacobi.ok:
+        raise ValueError(f"h2_dim needs a Lie bracket; {A.name!r} is not one: "
+                         f"{jacobi}")
     kernel_dim = 0
     image_dim = 0
     assumptions: list[Poly] = []

@@ -64,12 +64,17 @@ __all__ = [
 ]
 
 
-def accumulate(store: dict, key, value) -> None:
-    """Add value to store[key] in place, dropping the key if it cancels."""
+def accumulate(store: dict, key, value, sign: int = 1) -> None:
+    """Add sign * value to store[key] in place, for a sign of +1 or -1,
+    dropping the key if it cancels.  With a sign of -1 the value is
+    subtracted from the total; it is negated only to start a new key."""
     if not value:
         return
     total = store.get(key)
-    total = value if total is None else total + value
+    if sign > 0:
+        total = value if total is None else total + value
+    else:
+        total = -value if total is None else total - value
     if total:
         store[key] = total
     else:
@@ -545,14 +550,13 @@ def ce_residual(A: LieSuperAlgebra, phi, args: tuple[str, ...]) -> dict:
     out: dict = {}
     for i, rest, sign in brackets:
         for name, value in phi.apply_names(*rest(args)).items():
-            value = -value if sign < 0 else value
             for t, c in A.bracket_basis(args[i], name).coeffs.items():
-                accumulate(out, t, c * value)
+                accumulate(out, t, c * value, sign)
     for (i, j), rest, sign in cochains:
         others = rest(args)
         for name, c in A.bracket_basis(args[i], args[j]).coeffs.items():
             for t, value in phi.apply_names(name, *others).items():
-                accumulate(out, t, value * c if sign > 0 else -(value * c))
+                accumulate(out, t, value * c, sign)
     return out
 
 

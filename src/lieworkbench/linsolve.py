@@ -2,8 +2,10 @@
 
 Supports the cohomology solver: reduced row echelon form with deterministic
 pivot selection, linear solving with a canonical representative (free
-variables set to zero), rank certificates, and a genericity cross-check that
-re-verifies symbolic rank decisions at random rational parameter points.
+variables set to zero) and its rank pair (rank, augmented rank), and a
+genericity cross-check that re-computes a symbolic rank at random rational
+parameter points.  Nothing else checks a rank: the pair is what the
+elimination found, and the random-point re-check is its only guard.
 
 Rank decisions over a function field are generic-parameter statements: a
 pivot that is a nonconstant polynomial is only nonzero away from its zero
@@ -177,7 +179,10 @@ def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction]) -> int
 
 
 def _value_at(entry, point: dict[str, Fraction]) -> Fraction:
-    poly = as_ratfunc(entry).substitute(point).as_poly()
+    if isinstance(entry, Poly):
+        poly = entry.substitute(point)
+    else:
+        poly = as_ratfunc(entry).substitute(point).as_poly()
     if poly is None or not poly.is_constant():
         raise ValueError("point does not evaluate all parameters")
     return poly.as_fraction()

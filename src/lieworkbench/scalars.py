@@ -2,9 +2,17 @@
 
 Scalars are sparse multivariate polynomials over the rationals in declared
 formal parameters (deformation parameters such as ``h``, ``xi``, ``theta``).
-Coefficients are :class:`fractions.Fraction`; nothing in this package ever
-touches floating point.  A :class:`RatFunc` quotient type backs exact linear
-solving over the field of rational functions in the parameters.
+Coefficients are always :class:`fractions.Fraction`, whatever path computed
+them; nothing in this package ever touches floating point.  A
+:class:`RatFunc` quotient type backs exact linear solving over the field of
+rational functions in the parameters.
+
+Most operands the workbench meets are constants, zeros or quotients over a
+unit denominator, so each operator takes a short branch for them inside
+itself: ``Poly`` addition returns the other operand when one is zero, a
+product with a constant scales the other operand's terms, subtraction works
+on a copy of the left operand, and a ``RatFunc`` over the constant 1 keeps
+its numerator as it is and shares one unit ``Poly`` as its denominator.
 """
 
 from __future__ import annotations
@@ -187,7 +195,8 @@ class Poly:
         return len(self._terms)
 
     def is_constant(self) -> bool:
-        return all(not mono for mono in self._terms)
+        terms = self._terms
+        return not terms or (len(terms) == 1 and () in terms)
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -218,61 +227,65 @@ class Poly:
         return Poly({m: -c for m, c in self._terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, RatFunc):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        if not isinstance(other, Poly):
-            frac = _coerce_fraction(other)
-            if frac is None:
-                return NotImplemented
-            other = Poly.const(frac)
+        # Poly is immutable, so a zero operand can return the other one.
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
+            acc = out.get(mono)
+            acc = coeff if acc is None else acc + coeff
             if acc:
                 out[mono] = acc
             else:
-                out.pop(mono, None)
-        result = Poly.__new__(Poly)
-        result._terms = out
-        return result
+                del out[mono]
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, RatFunc):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        if not isinstance(other, Poly):
-            frac = _coerce_fraction(other)
-            if frac is None:
-                return NotImplemented
-            other = Poly.const(frac)
-        return self + (-other)
+        out = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            acc = out.get(mono)
+            acc = -coeff if acc is None else acc - coeff
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+        return _trusted(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        if not isinstance(other, Poly):
-            frac = _coerce_fraction(other)
-            if frac is None:
-                return NotImplemented
-            if not frac:
-                return Poly.zero()
-            return Poly({m: c * frac for m, c in self._terms.items()})
+        mine, theirs = self._terms, other._terms
+        if len(theirs) == 1 and () in theirs:
+            mine, theirs = theirs, mine
+        if len(mine) == 1 and () in mine:
+            # A constant factor scales the other operand's terms: a product
+            # of nonzero Fractions is nonzero, so nothing cancels.
+            scale = mine[()]
+            return _trusted({m: scale * c for m, c in theirs.items()})
         out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        for m1, c1 in mine.items():
+            for m2, c2 in theirs.items():
                 mono = _mono_mul(m1, m2)
                 acc = out.get(mono, Fraction(0)) + c1 * c2
                 if acc:
                     out[mono] = acc
                 else:
                     out.pop(mono, None)
-        result = Poly.__new__(Poly)
-        result._terms = out
-        return result
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -340,9 +353,7 @@ class Poly:
                 out[key] = acc
             else:
                 out.pop(key, None)
-        result = Poly.__new__(Poly)
-        result._terms = out
-        return result
+        return _trusted(out)
 
     def truncate(self, order: TruncationOrder) -> "Poly":
         """Drop terms whose graded degree exceeds the truncation order."""
@@ -373,6 +384,27 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _trusted(terms: dict[Monomial, Fraction]) -> Poly:
+    """A Poly over terms that are already clean: nonzero Fractions, sorted
+    monomials.  The dict becomes the polynomial's own."""
+    result = Poly.__new__(Poly)
+    result._terms = terms
+    return result
+
+
+def _operand(other) -> Poly | None:
+    """The other operand of Poly arithmetic as a Poly; None for a RatFunc,
+    which takes the operation over, or for anything that is not exact."""
+    if isinstance(other, Poly):
+        return other
+    frac = _coerce_fraction(other)
+    return None if frac is None else Poly.const(frac)
+
+
+# The unit polynomial every unit denominator shares (Poly is immutable).
+_ONE = Poly.one()
 
 
 def _content(poly: Poly) -> Fraction:
@@ -447,14 +479,18 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         num = as_poly(num)
-        den = Poly.one() if den is None else as_poly(den)
+        den = _ONE if den is None else as_poly(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = Poly.one()
+            den = _ONE
         elif den.is_constant():
-            # What _reduce returns, without its division by a constant.
-            num, den = num * (1 / den.constant_term()), Poly.one()
+            # What _reduce returns, without its division by a constant;
+            # over a unit denominator the numerator is kept as it is.
+            scale = den.constant_term()
+            if scale != 1:
+                num = num * (1 / scale)
+            den = _ONE
         else:
             num, den = self._reduce(num, den)
         self.num = num
@@ -481,7 +517,7 @@ class RatFunc:
         # Attempt exact division.
         q, r = poly_divmod(num, den)
         if not r:
-            return q, Poly.one()
+            return q, _ONE
         # Normalise the denominator: integer coefficients, positive leading.
         scale = _content(den)
         if den.leading_coefficient() < 0:
@@ -489,7 +525,7 @@ class RatFunc:
         return num * (1 / scale), den * (1 / scale)
 
     def as_poly(self) -> Poly | None:
-        return self.num if self.den == Poly.one() else None
+        return self.num if self.den == _ONE else None
 
     def __bool__(self):
         return bool(self.num)
@@ -564,7 +600,7 @@ class RatFunc:
         return self.num.parameters() | self.den.parameters()
 
     def __str__(self):
-        if self.den == Poly.one():
+        if self.den == _ONE:
             return str(self.num)
         num = str(self.num)
         den = str(self.den)
