@@ -20,7 +20,7 @@ from .liealg import (
     SparseSum,
     Tensor,
     accumulate,
-    canonical_pairs,
+    canonical_tuples,
 )
 from .scalars import Poly, RatFunc, UnsupportedInputError, as_poly
 
@@ -182,13 +182,13 @@ def check_cocycle_compat(delta: Cobracket) -> tuple[bool, tuple[str, str] | None
 
     delta([x,y]) = ad_x.delta(y) - (-1)^{|x||y|} ad_y.delta(x) for all basis
     pairs, where ad acts as a derivation on tensor slots.  The defect is
-    graded-antisymmetric in (x, y), so the pairs of :func:`canonical_pairs`
-    suffice and the witness is the first failing ordered pair.  Returns the
-    status and a witness pair on failure.
+    graded-antisymmetric in (x, y), so the pairs of
+    ``canonical_tuples(basis, 2)`` suffice and the witness is the first
+    failing ordered pair.  Returns the status and a witness pair on failure.
     """
     A = delta.algebra
     names = A.basis.names
-    for i, j in canonical_pairs(A.basis):
+    for i, j in canonical_tuples(A.basis, 2):
         a, b = names[i], names[j]
         x, y = A.gen(a), A.gen(b)
         sign = (-1) ** (A.basis.parities[i] * A.basis.parities[j])
@@ -236,7 +236,7 @@ def dual_algebra(delta: Cobracket, suffix: str = "_hat") -> LieSuperAlgebra:
     table = {(dual[i], dual[j]):
              {dual[k]: delta.coeffs[name].coefficient((names[i], names[j]))
               for k, name in enumerate(names) if name in delta.coeffs}
-             for (i, j) in canonical_pairs(basis)}
+             for (i, j) in canonical_tuples(basis, 2)}
     return LieSuperAlgebra(f"dual({delta.algebra.name})", dual_basis, table)
 
 

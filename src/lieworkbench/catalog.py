@@ -472,14 +472,15 @@ def mu_prime_transcription(N: int) -> MuPrimeTranscription:
 
     for label, formula, condition, instances, unsatisfiable in _mu_prime_lines(N):
         for (a, b, value) in instances:
-            oriented = orient(basis, a, b, value)
+            oriented = orient(basis, (a, b))
             if oriented is None:
                 if value:
                     conflicts.append(
                         f"{label}: nonzero value on the even diagonal pair "
                         f"({a}, {a})")
                 continue
-            key, entry = oriented
+            key, negate = oriented
+            entry = {n: -c for n, c in value.items()} if negate else value
             if key not in claims:
                 claims[key] = (entry, label, f"{a}, {b}")
                 continue

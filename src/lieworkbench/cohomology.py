@@ -1,15 +1,14 @@
 """Chevalley-Eilenberg cohomology in low degree, with a coboundary solver.
 
-Cochains take values in the adjoint module.  Degree-1 cochains are linear
-maps g -> g; degree-2 cochains are graded-antisymmetric bilinear maps
-g x g -> g, stored in the bracket's own ``liealg.PairTable``, so a bracket
-is a 2-cochain as it stands; the d2 residual lives beside it, in ``liealg``.
-d2 of one bracket over another is their mixed jacobiator: two brackets are
-compatible exactly when each is a 2-cocycle of the other.  The
-differentials carry Koszul signs for both the argument parities and the
-parity of the cochain itself; in the purely even case they reduce to the
-classical formulas.  Those signs live in one place, the term table
-``liealg.CE_TERMS``: d1, d2 and the d1 and d2 matrices all read it.
+Cochains take values in the adjoint module.  A k-cochain is a
+graded-alternating map g^k -> g, stored in the bracket's own
+``liealg.CochainTable``, so a bracket is a 2-cochain as it stands; the d2
+residual lives beside it, in ``liealg``.  d2 of one bracket over another
+is their mixed jacobiator: two brackets are compatible exactly when each
+is a 2-cocycle of the other.  The differentials carry Koszul signs for
+both the argument parities and the parity of the cochain itself; in the
+purely even case they reduce to the classical formulas.  Those signs live
+in one place, ``liealg.ce_terms``: d1, d2 and their matrices all read it.
 
 Cochain values are sparse vectors over the basis whose scalars may be
 polynomials or rational functions in the parameters: the coboundary solver
@@ -24,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import (CE_TERMS, Element, GradedBasis, LieSuperAlgebra,
-                     PairTable, accumulate, as_vector, canonical_pairs,
-                     canonical_triples, ce_residual, cocycle2_witness,
-                     common_parity, d2_residual, orient, render_sum)
+from .liealg import (CochainTable, Element, GradedBasis, LieSuperAlgebra,
+                     accumulate, args_label, canonical_tuples, ce_residual,
+                     ce_terms, cocycle2_witness, d2_residual, orient,
+                     render_sum)
 from .linsolve import (
     RatFunc,
     distinct_up_to_scale,
@@ -39,6 +38,7 @@ from .linsolve import (
 from .scalars import Poly, as_poly, param, poly_divmod, scalar_str
 
 __all__ = [
+    "Cochain",
     "Cochain1",
     "Cochain2",
     "d1",
@@ -68,58 +68,9 @@ def _vec_str(vec: Vector, basis: GradedBasis) -> str:
                       for name in basis.names if name in vec)
 
 
-class Cochain1:
-    """A parity-homogeneous linear map g -> g given on basis elements."""
-
-    __slots__ = ("basis", "parity", "values")
-
-    def __init__(self, basis: GradedBasis,
-                 values: Mapping[str, Mapping | Element] | None = None,
-                 parity: int = 0):
-        self.basis = basis
-        self.parity = int(parity) % 2
-        clean: dict[str, Vector] = {}
-        for name, value in (values or {}).items():
-            basis.index(name)
-            vec = as_vector(value)
-            if not vec:
-                continue
-            vp = common_parity(basis.parity(n) for n in vec)
-            if vp is None or vp != (basis.parity(name) + self.parity) % 2:
-                raise ValueError(
-                    f"cochain value at {name!r} violates the declared parity")
-            clean[name] = vec
-        self.values = clean
-
-    def apply_names(self, name: str) -> Vector:
-        """The value at e_name, read as ``PairTable.apply_names`` is."""
-        self.basis.index(name)
-        return dict(self.values.get(name, {}))
-
-    def __bool__(self):
-        return bool(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain1):
-            return NotImplemented
-        return (self.basis == other.basis and self.parity == other.parity
-                and self.values == other.values)
-
-    def table_lines(self) -> list[str]:
-        return [f"{name} -> {_vec_str(self.values.get(name, {}), self.basis)}"
-                for name in self.basis.names]
-
-    def __repr__(self):
-        return f"Cochain1({'; '.join(self.table_lines())})"
-
-
-class Cochain2(PairTable):
-    """A parity-homogeneous graded-antisymmetric bilinear map g x g -> g.
-
-    It is stored as the :class:`PairTable` a bracket is stored as (values
-    may also be ``RatFunc``), so a Lie algebra's own bracket is a 2-cochain
-    as it stands: the functions here take any :class:`PairTable`.
-    """
+class Cochain(CochainTable):
+    """A k-cochain of any degree: false when zero, and printed one line per
+    canonical argument tuple."""
 
     __slots__ = ()
 
@@ -128,27 +79,47 @@ class Cochain2(PairTable):
 
     def table_lines(self) -> list[str]:
         names = self.basis.names
-        return [f"({names[i]}, {names[j]}) -> "
-                f"{_vec_str(self.table.get((i, j), {}), self.basis)}"
-                for (i, j) in canonical_pairs(self.basis)]
+        return [f"{args_label([names[i] for i in key])} -> "
+                f"{_vec_str(self.table.get(key, {}), self.basis)}"
+                for key in canonical_tuples(self.basis, self.degree)]
 
     def __repr__(self):
         body = "; ".join(line for line in self.table_lines() if not line.endswith(" 0"))
-        return f"Cochain2({body or '0'})"
+        return f"{type(self).__name__}({body or '0'})"
 
 
-def d1(A: LieSuperAlgebra, psi: Cochain1) -> Cochain2:
-    """The degree-1 CE differential with adjoint coefficients, read at each
-    canonical pair by :func:`liealg.ce_residual`."""
+class Cochain1(Cochain):
+    """A parity-homogeneous linear map g -> g given on basis elements."""
+
+    __slots__ = ()
+
+    def __init__(self, basis: GradedBasis,
+                 values: Mapping[str, Mapping | Element] | None = None,
+                 parity: int = 0):
+        super().__init__(basis, {(n,): v for n, v in (values or {}).items()},
+                         parity, degree=1)
+
+
+# A 2-cochain is a Cochain of the default degree.  The functions here take
+# any 2-cochain, a Lie algebra's own bracket included.
+Cochain2 = Cochain
+
+
+def d1(A: LieSuperAlgebra, psi: CochainTable) -> Cochain:
+    """The CE differential of a k-cochain with adjoint coefficients: the
+    (k+1)-cochain read at each canonical tuple by
+    :func:`liealg.ce_residual`."""
     basis = A.basis
     if basis != psi.basis:
         raise ValueError("cochain is not over the algebra's basis")
-    pairs = [(basis.names[i], basis.names[j]) for (i, j) in canonical_pairs(basis)]
-    return Cochain2(basis, {pair: ce_residual(A, psi, pair) for pair in pairs},
-                    parity=psi.parity)
+    degree = psi.degree + 1
+    tuples = [tuple(basis.names[i] for i in key)
+              for key in canonical_tuples(basis, degree)]
+    return Cochain(basis, {args: ce_residual(A, psi, args) for args in tuples},
+                   parity=psi.parity, degree=degree)
 
 
-def is_cocycle2(A: LieSuperAlgebra, phi: PairTable) -> bool:
+def is_cocycle2(A: LieSuperAlgebra, phi: CochainTable) -> bool:
     """True iff d2(phi) vanishes on every basis triple."""
     return cocycle2_witness(A, phi) is None
 
@@ -171,8 +142,9 @@ def mixed_jacobiator(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra,
 
 def compatible_pair(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra) -> bool:
     """True iff the mixed jacobiator vanishes on every canonical triple."""
-    return all(not mixed_jacobiator(mu1, mu2, *triple)
-               for triple in canonical_triples(mu1.basis))
+    names = mu1.basis.names
+    return all(not mixed_jacobiator(mu1, mu2, names[i], names[j], names[k])
+               for i, j, k in canonical_tuples(mu1.basis, 3))
 
 
 @dataclass(frozen=True)
@@ -200,26 +172,26 @@ class CoboundaryOutcome:
         return self.status == "solved"
 
 
-def _coords(basis: GradedBasis, arguments, parity: int | None = None
+def _coords(basis: GradedBasis, degree: int, parity: int | None = None
             ) -> list[tuple[int, ...]]:
-    """The coordinates (args..., t) over the given index tuples and every
-    target t; with a parity p, only the targets of parity |args| + p, the
-    coordinates of a parity-p cochain."""
+    """The coordinates (args..., t) of k-cochains: args over
+    ``canonical_tuples(basis, k)`` and every target t; with a parity p,
+    only the targets of parity |args| + p, those of a parity-p cochain."""
     odd = basis.parities
-    return [(*args, t) for args in arguments for t in range(len(basis))
+    return [(*args, t) for args in canonical_tuples(basis, degree)
+            for t in range(len(basis))
             if parity is None
             or (sum(odd[a] for a in args) + parity) % 2 == odd[t]]
 
 
 def _ce_matrix(A: LieSuperAlgebra, parity: int, rows, cols) -> list[list]:
-    """The matrix of the CE differential on parity-p 1- or 2-cochains, read
-    off ``liealg.CE_TERMS`` on unit cochains.
+    """The matrix of the CE differential on parity-p k-cochains, read off
+    ``liealg.ce_terms`` on unit cochains.
 
     Column c is the unit cochain of ``cols[c]`` = (args..., t): e_t at the
-    argument indices args.  A unit 1-cochain E_jk is nonzero only at e_j; a
-    unit 2-cochain is read at any pair through ``orient``.  Row r is the
-    coefficient of e_t in the image at the arguments args, for
-    ``rows[r]`` = (args..., t).
+    canonical argument indices args, read at any ordering through
+    ``orient``.  Row r is the coefficient of e_t in the image at the
+    arguments args, for ``rows[r]`` = (args..., t).
     """
     basis = A.basis
     names, index = basis.names, basis.index
@@ -233,13 +205,9 @@ def _ce_matrix(A: LieSuperAlgebra, parity: int, rows, cols) -> list[list]:
     def read(args):
         """The sign of the unit cochains at args, and their (target,
         column) pairs."""
-        if len(args) == 2:
-            oriented = orient(basis, names[args[0]], names[args[1]], {0: 1})
-            if oriented is None:
-                return 0, ()
-            args, vec = oriented
-            return vec[0], units.get(args, ())
-        return 1, units.get(args, ())
+        # An even repeat reads at the empty key, which holds no unit.
+        key, negate = orient(basis, [names[a] for a in args]) or ((), False)
+        return -1 if negate else 1, units.get(key, ())
 
     cells: dict[tuple[int, int], Poly] = {}
 
@@ -249,8 +217,8 @@ def _ce_matrix(A: LieSuperAlgebra, parity: int, rows, cols) -> list[list]:
             accumulate(cells, (r, col), c, sign)
 
     for args in dict.fromkeys(coord[:-1] for coord in rows):
-        brackets, cochains = CE_TERMS[tuple(basis.parities[a] for a in args),
-                                      parity]
+        brackets, cochains = ce_terms(tuple(basis.parities[a] for a in args),
+                                      parity)
         for i, rest, sign in brackets:
             unit, columns = read(rest(args))
             for t, col in columns:
@@ -391,7 +359,7 @@ def _obstruction_point(matrix, rhs, dens, assumed):
     return None
 
 
-def solve_coboundary(A: LieSuperAlgebra, phi: PairTable,
+def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
                      assume_nonzero=()) -> CoboundaryOutcome:
     """Find psi with d1(psi) = phi, or certify that none exists.
 
@@ -424,8 +392,8 @@ def solve_coboundary(A: LieSuperAlgebra, phi: PairTable,
         return CoboundaryOutcome("not-cocycle", None, 0, 0, tuple(),
                                  witness[0])
     parity = phi.parity
-    slots = _coords(basis, [(j,) for j in range(len(basis))], parity)
-    coords = _coords(basis, canonical_pairs(basis))
+    slots = _coords(basis, 1, parity)
+    coords = _coords(basis, 2)
     matrix = _ce_matrix(A, parity, coords, slots)
     rhs = [phi.table.get((i, j), {}).get(basis.names[t], Poly.zero())
            for (i, j, t) in coords]
@@ -513,13 +481,11 @@ def h2_dim(A: LieSuperAlgebra) -> CohomologyReport:
     image_dim = 0
     assumptions: list[Poly] = []
 
-    generators = [(j,) for j in range(len(basis))]
-    triple_coords = _coords(basis, [tuple(map(basis.index, triple))
-                                    for triple in canonical_triples(basis)])
+    triple_coords = _coords(basis, 3)
     for parity in (0, 1):
-        pair_coords = _coords(basis, canonical_pairs(basis), parity)
+        pair_coords = _coords(basis, 2, parity)
         d1_matrix = _ce_matrix(A, parity, pair_coords,
-                               _coords(basis, generators, parity))
+                               _coords(basis, 1, parity))
         if d1_matrix and d1_matrix[0]:
             res = verify_and_rank(d1_matrix)
             image_dim += res.rank
@@ -560,15 +526,15 @@ class Cochain2Comparison:
         return "\n".join(rows)
 
 
-def compare_cochain2(left: PairTable, right: PairTable) -> Cochain2Comparison:
-    if left.basis != right.basis:
-        raise ValueError("comparison requires a shared basis")
+def compare_cochain2(left: CochainTable, right: CochainTable) -> Cochain2Comparison:
+    if left.basis != right.basis or {left.degree, right.degree} != {2}:
+        raise ValueError("comparison requires 2-cochains over a shared basis")
     basis = left.basis
     lines = []
     mismatches = []
-    for (i, j) in canonical_pairs(basis):
-        pair = f"({basis.names[i]}, {basis.names[j]})"
-        left_vec, right_vec = left.table.get((i, j), {}), right.table.get((i, j), {})
+    for key in canonical_tuples(basis, 2):
+        pair = args_label([basis.names[i] for i in key])
+        left_vec, right_vec = left.table.get(key, {}), right.table.get(key, {})
         lines.append((pair, _vec_str(left_vec, basis), _vec_str(right_vec, basis)))
         if left_vec != right_vec:
             mismatches.append(pair)

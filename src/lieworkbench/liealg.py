@@ -6,22 +6,22 @@ dictionaries over basis labels.  All sign conventions follow the Koszul
 rule: transposing two homogeneous factors of parities p and q contributes
 ``(-1)**(p*q)``.
 
-A bracket and a 2-cochain are stored alike, as a :class:`PairTable`: one
-vector per canonical index pair, the other orderings read through graded
-antisymmetry.  :class:`LieSuperAlgebra` is its parity-0 case, so a bracket
-is a 2-cochain as it stands.
+A bracket and a k-cochain are stored alike, as a :class:`CochainTable`:
+one vector per tuple of :func:`canonical_tuples`, the other orderings read
+through :func:`orient`.  :class:`LieSuperAlgebra` is its parity-0 case of
+degree 2, so a bracket is a 2-cochain as it stands.
 
-The signed terms of the Chevalley-Eilenberg differential on 1- and
-2-cochains are one table, :data:`CE_TERMS`, keyed by the argument
-parities and the cochain parity: the one place its Koszul signs live.
-:func:`ce_residual` reads it for d1 and d2, and the d1 and d2 matrices of
-``cohomology`` read it on unit cochains.
+The signed terms of the Chevalley-Eilenberg differential on k-cochains
+are one function, :func:`ce_terms`, of the argument parities and the
+cochain parity: the one place its Koszul signs live.  :func:`ce_residual`
+reads it for d1 and d2, and the CE matrices of ``cohomology`` read it on
+unit cochains.
 
 Every trilinear residual is :func:`d2_residual`, d2 of a 2-cochain over a
 bracket, scanned by :func:`cocycle2_witness`: Jacobi is half of d2 of a
 bracket over itself.  The residual is graded-alternating, so the scan
-visits only :func:`canonical_triples`, about n^3/6 of the n^3 ordered
-triples, and still finds the first failing ordered triple.
+visits only ``canonical_tuples(basis, 3)``, about n^3/6 of the n^3
+ordered triples, and still finds the first failing ordered triple.
 
 Every sparse sum above ``Poly`` (here, in ``cohomology`` and in
 ``enveloping``) adds a term in place with :func:`accumulate`, which drops
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cache
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -46,12 +46,12 @@ __all__ = [
     "SparseSum",
     "Element",
     "Tensor",
-    "PairTable",
+    "CochainTable",
     "LieSuperAlgebra",
-    "canonical_pairs",
-    "canonical_triples",
+    "canonical_tuples",
     "orient",
-    "CE_TERMS",
+    "args_label",
+    "ce_terms",
     "ce_residual",
     "d2_residual",
     "cocycle2_witness",
@@ -391,24 +391,19 @@ class JacobiReport:
                 f"({self.triples_checked} triples checked)")
 
 
-def canonical_pairs(basis: GradedBasis) -> list[tuple[int, int]]:
-    """The index pairs a :class:`PairTable` stores: i < j, and (i, i) for odd i."""
-    n = len(basis)
-    return [(i, j) for i in range(n) for j in range(i, n)
-            if i != j or basis.parities[i]]
-
-
-def canonical_triples(basis: GradedBasis) -> list[tuple[str, str, str]]:
-    """Name triples of i <= j <= k in lexicographic order, an index repeated
-    only when its generator is odd.
-
-    A graded-alternating map is +- its value at the sorted triple, which
-    comes no later, and vanishes at a repeated even index: so the first
-    ordered triple where it fails is in this list.
-    """
-    names = basis.names
-    return [(names[i], names[j], names[k]) for (i, j) in canonical_pairs(basis)
-            for k in range(j, len(basis)) if j != k or basis.parities[j]]
+def canonical_tuples(basis: GradedBasis, k: int) -> list[tuple[int, ...]]:
+    """The index tuples a degree-k :class:`CochainTable` stores, in
+    lexicographic order: nondecreasing, an index repeated only when its
+    generator is odd.  A graded-alternating map is +- its value at the
+    sorted tuple, which comes no later, and vanishes where an even index
+    repeats: so the first ordered tuple where it fails is in this list."""
+    odd, n = basis.parities, len(basis)
+    tuples: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        # The next index is at least the last one, and equal only if odd.
+        tuples = [t + (i,) for t in tuples
+                  for i in range(t[-1] + 1 - odd[t[-1]] if t else 0, n)]
+    return tuples
 
 
 def as_vector(value) -> dict:
@@ -421,78 +416,103 @@ def as_vector(value) -> dict:
     return {name: c for name, c in scalars.items() if c}
 
 
-def orient(basis: GradedBasis, a: str, b: str, vec: Mapping):
-    """The canonical index pair of (a, b) and ``vec`` read there, or None
-    for an even diagonal pair, which graded antisymmetry sends to zero.
+def orient(basis: GradedBasis, names: Sequence[str]):
+    """The canonical index tuple of the arguments ``names``, and whether a
+    graded-alternating map is negated there; or None where an even
+    generator repeats, which sends the map to zero.
 
-    A swapped pair reads -(-1)^{|a||b|} times the value: negated unless
-    both generators are odd.
+    The indices are sorted by insertion, one swap of neighbours at a time,
+    and swapping neighbours a, b multiplies the value by -(-1)^{|a||b|}:
+    it negates unless both generators are odd.  An index lands next to any
+    equal one, so a repeat is seen where it is inserted.
     """
-    i, j = basis.index(a), basis.index(b)
     odd = basis.parities
-    if i == j and not odd[i]:
-        return None
-    if i > j and not (odd[i] and odd[j]):
-        vec = {n: -c for n, c in vec.items()}
-    return (min(i, j), max(i, j)), vec
+    key = list(map(basis.index, names))
+    negate = False
+    for j in range(1, len(key)):
+        a = key[j]
+        while j and key[j - 1] > a:
+            b = key[j - 1]
+            key[j] = b
+            negate ^= not (odd[a] and odd[b])
+            j -= 1
+        if j and key[j - 1] == a and not odd[a]:
+            return None
+        key[j] = a
+    return tuple(key), negate
 
 
-class PairTable:
-    """A parity-homogeneous graded-antisymmetric bilinear map g x g -> g.
+def args_label(names: Sequence[str]) -> str:
+    """Arguments as printed: a bare name for one, ``(a, b, ...)`` for more."""
+    return names[0] if len(names) == 1 else f"({', '.join(names)})"
 
-    ``table`` holds one vector (``Poly`` or ``RatFunc`` scalars) per index
-    pair of :func:`canonical_pairs`; (b, a) reads as -(-1)^{|a||b|} (a, b).
-    Construction takes either ordering of a pair.  It rejects two that
-    disagree (an explicit zero included), a nonzero even diagonal value,
-    and a value at (a, b) whose parity is not |a| + |b| + ``parity``.  A
-    bracket (:class:`LieSuperAlgebra`) is the parity-0 case.
+
+class CochainTable:
+    """A parity-homogeneous graded-alternating map g^k -> g, k = ``degree``.
+
+    ``table`` holds one vector (``Poly`` or ``RatFunc`` scalars) per tuple
+    of :func:`canonical_tuples`; every ordering of the arguments reads, and
+    constructs, through :func:`orient`.  Construction rejects two orderings
+    that disagree (an explicit zero included), a nonzero value where an
+    even generator repeats, and a value at (x_1, ..., x_k) whose parity is
+    not |x_1| + ... + |x_k| + ``parity``.
     """
 
-    __slots__ = ("basis", "parity", "table")
+    __slots__ = ("basis", "parity", "degree", "table", "_reads")
 
     def __init__(self, basis: GradedBasis,
-                 entries: Mapping[tuple[str, str], Mapping | Element] | None = None,
-                 parity: int = 0):
+                 entries: Mapping[tuple[str, ...], Mapping | Element] | None = None,
+                 parity: int = 0, degree: int = 2):
         self.basis = basis
         self.parity = int(parity) % 2
+        self.degree = degree
+        self._reads: dict[tuple[str, ...], dict] = {}
         odd = basis.parities
-        seen: dict[tuple[int, int], dict] = {}
-        for (a, b), value in (entries or {}).items():
+        seen: dict[tuple[int, ...], dict] = {}
+        for names, value in (entries or {}).items():
             vec = as_vector(value)
-            oriented = orient(basis, a, b, vec)
+            oriented = self._orient(names)
             if oriented is None:
                 if vec:
-                    raise ValueError(
-                        f"[{a}, {a}] must vanish for even {a!r}; got {vec}")
+                    raise ValueError(f"{args_label(names)} repeats an even "
+                                     f"generator but has the value {vec}")
                 continue
-            key, vec = oriented
-            if key in seen and seen[key] != vec:
+            key, negate = oriented
+            if negate:
+                vec = {n: -c for n, c in vec.items()}
+            if seen.setdefault(key, vec) != vec:
                 raise ValueError(
-                    f"conflicting table entries for pair {a!r}, {b!r}")
-            seen[key] = vec
-        for (i, j), vec in seen.items():
-            expected = (odd[i] + odd[j] + self.parity) % 2
+                    f"conflicting table entries at {args_label(names)}")
+            expected = (sum(map(odd.__getitem__, key)) + self.parity) % 2
             for target in vec:
                 if basis.parity(target) != expected:
-                    raise ValueError(
-                        f"bracket of {basis.names[i]!r} and {basis.names[j]!r}"
-                        f" hits {target!r} of wrong parity")
+                    raise ValueError(f"value at {args_label(names)} hits "
+                                     f"{target!r} of wrong parity")
         self.table = {key: vec for key, vec in seen.items() if vec}
 
-    def apply_names(self, a: str, b: str) -> dict:
-        """The value at (e_a, e_b), resolved through graded antisymmetry."""
-        i, j = self.basis.index(a), self.basis.index(b)
-        if i <= j:
-            return dict(self.table.get((i, j), {}))
-        entry = self.table.get((j, i), {})
-        if self.basis.parities[i] and self.basis.parities[j]:
-            return dict(entry)
-        return {n: -c for n, c in entry.items()}
+    def _orient(self, names: Sequence[str]):
+        if len(names) != self.degree:
+            raise ValueError(f"{args_label(names)} given to a degree-"
+                             f"{self.degree} cochain")
+        return orient(self.basis, names)
+
+    def apply_names(self, *names: str) -> dict:
+        """The value at (e_names...), a fresh dict; each ordering of the
+        arguments is oriented once, on its first read, and kept as its
+        canonical vector and sign."""
+        read = self._reads.get(names)
+        if read is None:
+            # An even repeat reads at the empty key, which holds nothing.
+            key, negate = self._orient(names) or ((), False)
+            read = self._reads[names] = self.table.get(key, {}), negate
+        vec, negate = read
+        return {n: -c for n, c in vec.items()} if negate else dict(vec)
 
     def __eq__(self, other):
-        if not isinstance(other, PairTable):
+        if not isinstance(other, CochainTable):
             return NotImplemented
-        return self.basis == other.basis and self.table == other.table
+        return (self.basis == other.basis and self.degree == other.degree
+                and self.parity == other.parity and self.table == other.table)
 
 
 def _picker(indices: tuple[int, ...]) -> itemgetter:
@@ -507,9 +527,10 @@ def _picker(indices: tuple[int, ...]) -> itemgetter:
                       else slice(0))
 
 
-def _ce_terms(parities: tuple[int, ...], p: int) -> tuple[tuple, tuple]:
+@cache
+def ce_terms(parities: tuple[int, ...], p: int) -> tuple[tuple, tuple]:
     """The signed terms of (d phi)(x_0, ..., x_k) for a parity-p cochain phi
-    and arguments of the given parities.
+    and arguments of the given parities, built on first use for any k.
 
     A bracket term (i, rest, sign) is sign * [x_i, phi(rest)], with
     sign = (-1)^{i + |x_i|(p + sum_{l<i} |x_l|)}.  A cochain term
@@ -533,20 +554,14 @@ def _ce_terms(parities: tuple[int, ...], p: int) -> tuple[tuple, tuple]:
     return brackets, cochains
 
 
-CE_TERMS = {(parities, p): _ce_terms(parities, p)
-            for k in (2, 3) for parities in product((0, 1), repeat=k)
-            for p in (0, 1)}
-
-
 def ce_residual(A: LieSuperAlgebra, phi, args: tuple[str, ...]) -> dict:
-    """(d phi)(args) for basis labels, summed from :data:`CE_TERMS`.
+    """(d phi)(args) for basis labels, summed from :func:`ce_terms`.
 
-    ``phi`` is a 1-cochain with two arguments (``cohomology.Cochain1``) or
-    a :class:`PairTable` with three; either is read by
-    ``apply_names(*names)``.
+    ``phi`` is a :class:`CochainTable` of degree k, read by
+    ``apply_names(*names)``, and ``args`` holds k + 1 labels.
     """
-    brackets, cochains = CE_TERMS[tuple(map(A.basis.parity, args)),
-                                  phi.parity]
+    brackets, cochains = ce_terms(tuple(map(A.basis.parity, args)),
+                                  phi.parity)
     out: dict = {}
     for i, rest, sign in brackets:
         for name, value in phi.apply_names(*rest(args)).items():
@@ -560,34 +575,38 @@ def ce_residual(A: LieSuperAlgebra, phi, args: tuple[str, ...]) -> dict:
     return out
 
 
-def d2_residual(A: LieSuperAlgebra, phi: PairTable,
+def d2_residual(A: LieSuperAlgebra, phi: CochainTable,
                 x: str, y: str, z: str) -> dict:
     """(d2 phi)(x, y, z) for basis labels, with graded signs.
 
-    ``phi`` is any :class:`PairTable`: a 2-cochain, or a bracket, which is a
-    parity-0 cochain; d2 of a bracket over itself is twice its jacobiator.
+    ``phi`` is any :class:`CochainTable` of degree 2: a 2-cochain, or a
+    bracket, which is a parity-0 cochain; d2 of a bracket over itself is
+    twice its jacobiator.
     """
     return ce_residual(A, phi, (x, y, z))
 
 
-def cocycle2_witness(A: LieSuperAlgebra, phi: PairTable,
-                     triples: Sequence[tuple[str, str, str]] = ()):
-    """First canonical triple where d2(phi) fails, with its residual; or None.
-    ``triples`` is ``canonical_triples(A.basis)``, if the caller holds it."""
-    for triple in triples or canonical_triples(A.basis):
+def cocycle2_witness(A: LieSuperAlgebra, phi: CochainTable,
+                     triples: Sequence[tuple[int, int, int]] = ()):
+    """First canonical name triple where d2(phi) fails, with its residual;
+    or None.  ``triples`` is ``canonical_tuples(A.basis, 3)``, if the
+    caller holds it."""
+    names = A.basis.names
+    for i, j, k in triples or canonical_tuples(A.basis, 3):
+        triple = names[i], names[j], names[k]
         residual = d2_residual(A, phi, *triple)
         if residual:
             return triple, residual
     return None
 
 
-class LieSuperAlgebra(PairTable):
+class LieSuperAlgebra(CochainTable):
     """A Lie superalgebra given by structure constants over the scalar ring.
 
-    The bracket is the parity-0 :class:`PairTable`: ``table[(i, j)]`` is
-    [x_i, x_j] for the canonical pairs.  Construction validates the
-    table's symmetry and parities; it does not verify Jacobi (use
-    :meth:`verify_jacobi`).
+    The bracket is the parity-0 :class:`CochainTable` of degree 2:
+    ``table[(i, j)]`` is [x_i, x_j] for the canonical pairs.  Construction
+    validates the table's symmetry and parities; it does not verify Jacobi
+    (use :meth:`verify_jacobi`).
     """
 
     __slots__ = ("name",)
@@ -643,12 +662,13 @@ class LieSuperAlgebra(PairTable):
         """Check graded Jacobi by :func:`cocycle2_witness` of the bracket over
         itself, which is twice the jacobiator: the witness is the first
         failing ordered triple, the residual half the d2 residual there."""
-        triples = canonical_triples(self.basis)
+        triples = canonical_tuples(self.basis, 3)
         found = cocycle2_witness(self, self, triples)
         if found is None:
             return JacobiReport(True, None, None, len(triples))
         half = Element(self.basis, found[1]).scaled(Fraction(1, 2))
-        return JacobiReport(False, found[0], half, triples.index(found[0]) + 1)
+        checked = triples.index(tuple(map(self.basis.index, found[0]))) + 1
+        return JacobiReport(False, found[0], half, checked)
 
     def substitute(self, assignment, name: str | None = None) -> "LieSuperAlgebra":
         names = self.basis.names

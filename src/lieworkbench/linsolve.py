@@ -64,11 +64,6 @@ def distinct_up_to_scale(polys: Iterable[Poly]) -> list[Poly]:
 _ZERO = RatFunc(Poly.zero())
 
 
-def _ratfunc_rows(matrix: Sequence[Sequence]) -> list[list[RatFunc]]:
-    """The matrix as fresh rows of ``RatFunc``; only nonzero cells convert."""
-    return [[as_ratfunc(e) if e else _ZERO for e in row] for row in matrix]
-
-
 def _pivot_complexity(entry: RatFunc) -> tuple[int, int]:
     return (len(entry.num), len(entry.den))
 
@@ -129,9 +124,10 @@ def rref(matrix: Sequence[Sequence]) -> RrefResult:
     Pivot choice: among candidate rows, the entry with the fewest numerator
     terms (then fewest denominator terms, then lowest row index).  Pivots
     whose numerator is a nonconstant polynomial are recorded as nonvanishing
-    assumptions, one per class up to a constant factor.
+    assumptions, one per class up to a constant factor.  Elimination works
+    on fresh rows of ``RatFunc``; only nonzero cells convert.
     """
-    m = _ratfunc_rows(matrix)
+    m = [[as_ratfunc(e) if e else _ZERO for e in row] for row in matrix]
     pivots = _gauss_jordan(m, _pivot_complexity)
     assumptions = distinct_up_to_scale(p.num for _, p in pivots
                                        if not p.num.is_constant())
@@ -222,20 +218,17 @@ def verify_rank_generically(matrix: Sequence[Sequence], expected_rank: int,
     rank to be reproduced at two independent random points is a strong guard
     against pivoting mistakes.
     """
-    rows = _ratfunc_rows(matrix)
-    if not rows:
-        return
     params: set[str] = set()
     avoid: list[Poly] = list(assumptions)
-    for row in rows:
+    for row in matrix:
         for e in row:
             if e:
                 params |= e.parameters()
-                if not e.den.is_constant():
+                if isinstance(e, RatFunc) and not e.den.is_constant():
                     avoid.append(e.den)
     if not params:
         return  # constant matrix: the symbolic computation was already exact
     for point in sample_points(sorted(params), avoid):
-        if rank_at_point(rows, point) != expected_rank:
+        if rank_at_point(matrix, point) != expected_rank:
             raise GenericityError(
                 f"symbolic rank {expected_rank} not reproduced at {point}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from lieworkbench.catalog import (
     make_sl,
 )
 from lieworkbench.cohomology import (
+    Cochain,
     Cochain1,
     Cochain2,
     cocycle2_witness,
@@ -33,9 +34,9 @@ from lieworkbench.cohomology import (
     solve_coboundary,
 )
 from lieworkbench.cohomology import _ce_matrix
-from lieworkbench.liealg import (CE_TERMS, Element, GradedBasis,
-                                 LieSuperAlgebra, accumulate,
-                                 canonical_pairs, canonical_triples, pencil)
+from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra,
+                                 accumulate, canonical_tuples, ce_terms,
+                                 orient, pencil)
 from lieworkbench.scalars import Poly, RatFunc, as_poly, param
 
 
@@ -58,6 +59,34 @@ def test_cochain1_rejects_parity_violations():
     with pytest.raises(ValueError):
         Cochain1(A.basis, {"h": {"vp": 1}}, parity=0)
     Cochain1(A.basis, {"h": {"vp": 1}}, parity=1)  # declared odd: fine
+
+
+def test_construction_errors_read_alike_at_every_degree():
+    A, _, _, _ = make_osp12()
+    odd = GradedBasis(("h", "v"), (0, 1))
+    for build, message in (
+            (lambda: Cochain1(A.basis, {"h": {"vp": 1}}),
+             "value at h hits 'vp' of wrong parity"),
+            (lambda: Cochain2(odd, {("v", "h"): {"v": 1}}, parity=1),
+             "value at (v, h) hits 'v' of wrong parity"),
+            (lambda: LieSuperAlgebra("bad", odd, {("h", "v"): {"h": 1}}),
+             "value at (h, v) hits 'h' of wrong parity"),
+            (lambda: LieSuperAlgebra("bad", odd, {("h", "h"): {"h": 1}}),
+             "(h, h) repeats an even generator but has the value "
+             "{'h': Poly(1)}"),
+            (lambda: Cochain(odd, {("v", "h", "h"): {"v": 1}}, degree=3),
+             "(v, h, h) repeats an even generator but has the value "
+             "{'v': Poly(1)}"),
+            (lambda: Cochain2(odd, {("h", "v"): {"v": 1},
+                                    ("v", "h"): {"v": 1}}),
+             "conflicting table entries at (v, h)"),
+            (lambda: Cochain(odd, {("h", "v"): {"v": 1}}, degree=1),
+             "(h, v) given to a degree-1 cochain"),
+            (lambda: Cochain2(odd).apply_names("h"),
+             "h given to a degree-2 cochain")):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_cochain1_table_lines():
@@ -93,6 +122,16 @@ def test_rational_scalars_equal_their_polynomial_values():
     assert comparison.equal and comparison.mismatches == ()
 
 
+def test_comparison_takes_only_2_cochains():
+    # A 1-cochain has no value at a pair, so two different ones would
+    # compare equal pair by pair.
+    basis = make_sl(2).basis
+    psi = Cochain1(basis, {"H1": {"E12": 1}})
+    with pytest.raises(ValueError) as err:
+        compare_cochain2(psi, Cochain1(basis))
+    assert str(err.value) == "comparison requires 2-cochains over a shared basis"
+
+
 # -- the shared table: brackets are 2-cochains ------------------------------------------
 
 
@@ -110,7 +149,7 @@ def _bracket_pairs(draw):
 
     def table():
         out = {}
-        for (i, j) in canonical_pairs(basis):
+        for (i, j) in canonical_tuples(basis, 2):
             parity = (basis.parities[i] + basis.parities[j]) % 2
             out[(basis.names[i], basis.names[j])] = {
                 t: draw(coeffs) for t in basis.names
@@ -153,6 +192,96 @@ def test_pair_tables_read_reversed_pairs_through_graded_antisymmetry(pair):
         assert mu1.apply_names(b, a) == expected
 
 
+# -- the k-ary reads against the two-argument code they replaced ----------------------
+
+
+def _ref_orient(basis, a, b, vec):
+    """The pair orientation the k-ary ``orient`` replaced."""
+    i, j = basis.index(a), basis.index(b)
+    odd = basis.parities
+    if i == j and not odd[i]:
+        return None
+    if i > j and not (odd[i] and odd[j]):
+        vec = {n: -c for n, c in vec.items()}
+    return (min(i, j), max(i, j)), vec
+
+
+def _ref_apply_names(table, a, b):
+    """The pair read the k-ary ``apply_names`` replaced."""
+    i, j = table.basis.index(a), table.basis.index(b)
+    if i <= j:
+        return dict(table.table.get((i, j), {}))
+    entry = table.table.get((j, i), {})
+    if table.basis.parities[i] and table.basis.parities[j]:
+        return dict(entry)
+    return {n: -c for n, c in entry.items()}
+
+
+def _ref_canonical_pairs(basis):
+    n = len(basis)
+    return [(i, j) for i in range(n) for j in range(i, n)
+            if i != j or basis.parities[i]]
+
+
+def _ref_canonical_triples(basis):
+    names = basis.names
+    return [(names[i], names[j], names[k])
+            for (i, j) in _ref_canonical_pairs(basis)
+            for k in range(j, len(basis)) if j != k or basis.parities[j]]
+
+
+def _brute_orientation(basis, names):
+    """orient by brute force: the sign of every permutation that sorts the
+    indices, as its sign times -1 for each pair of odd arguments it
+    reorders.  Sorting permutations that disagree force the value to 0."""
+    key = [basis.index(n) for n in names]
+    signs = set()
+    for perm in permutations(range(len(key))):
+        if [key[p] for p in perm] != sorted(key):
+            continue
+        seen, cycles = set(), 0
+        for start in perm:
+            if start not in seen:
+                cycles += 1
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+        odd_swaps = sum(1 for l, m in combinations(range(len(key)), 2)
+                        if perm[l] > perm[m] and basis.parities[key[perm[l]]]
+                        and basis.parities[key[perm[m]]])
+        signs.add((-1) ** (len(key) - cycles + odd_swaps))
+    if signs == {1, -1}:
+        return None
+    return tuple(sorted(key)), signs == {-1}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_bracket_pairs())
+def test_reads_and_enumerators_match_the_pair_code(pair):
+    mu1, mu2 = pair
+    basis = mu1.basis
+    assert canonical_tuples(basis, 2) == _ref_canonical_pairs(basis)
+    assert _name_triples(basis) == _ref_canonical_triples(basis)
+    for A in pair:
+        table = {key: dict(vec) for key, vec in A.table.items()}
+        for _ in range(2):  # the first read orients, the second is cached
+            for a, b in product(basis.names, repeat=2):
+                assert A.apply_names(a, b) == _ref_apply_names(A, a, b)
+                oriented = orient(basis, (a, b))
+                expected = _ref_orient(basis, a, b, {"v": 1})
+                assert (oriented == expected if expected is None
+                        else oriented == (expected[0], expected[1]["v"] == -1))
+        for a, b in product(basis.names, repeat=2):
+            read = A.apply_names(a, b)
+            read["e0"] = param("s")
+            read.pop(next(iter(read)))
+            assert A.apply_names(a, b) == _ref_apply_names(A, a, b)
+        assert A.table == table
+    for k in (1, 3, 4):
+        for names in product(basis.names, repeat=k):
+            assert orient(basis, names) == _brute_orientation(basis, names)
+
+
 # -- the complex is a complex ---------------------------------------------------------
 
 
@@ -163,6 +292,29 @@ def test_d2_of_d1_vanishes_for_even_and_odd_cochains():
         for parity in (0, 1):
             psi = _random_cochain1(rng, A, parity)
             assert cocycle2_witness(A, d1(A, psi)) is None
+
+
+def _unit_cochains(basis, k, parity):
+    """Every unit k-cochain of the given parity: e_t at one canonical
+    argument tuple."""
+    names, odd = basis.names, basis.parities
+    return [Cochain(basis, {tuple(names[i] for i in key): {names[t]: 1}},
+                    parity=parity, degree=k)
+            for key in canonical_tuples(basis, k) for t in range(len(basis))
+            if (sum(odd[i] for i in key) + parity) % 2 == odd[t]]
+
+
+def test_d_of_d_vanishes_on_unit_cochains_of_degree_1_to_3():
+    algebras = [A for A in map(catalog_get, catalog_names())
+                if isinstance(A, LieSuperAlgebra) and A.dim <= 5]
+    assert len(algebras) == 12 and any(any(A.basis.parities) for A in algebras)
+    for A in algebras:
+        for k in (1, 2, 3):
+            for parity in (0, 1):
+                for unit in _unit_cochains(A.basis, k, parity):
+                    image = d1(A, d1(A, unit))
+                    assert image.degree == k + 2 and not image, (
+                        A.name, unit, image)
 
 
 def test_bracket_cochain_is_a_cocycle():
@@ -207,12 +359,18 @@ def _brackets_and_odd_cochain(draw):
     mu1, mu2 = draw(_bracket_pairs())
     basis = mu1.basis
     values = {}
-    for (i, j) in canonical_pairs(basis):
+    for (i, j) in canonical_tuples(basis, 2):
         parity = (basis.parities[i] + basis.parities[j] + 1) % 2
         values[(basis.names[i], basis.names[j])] = {
             t: draw(st.integers(-2, 2)) for t in basis.names
             if basis.parity(t) == parity and draw(st.booleans())}
     return mu1, mu2, Cochain2(basis, values, parity=1)
+
+
+def _name_triples(basis):
+    """The name triples of ``canonical_tuples(basis, 3)``."""
+    return [tuple(basis.names[i] for i in key)
+            for key in canonical_tuples(basis, 3)]
 
 
 def _ordered_scan(residual_at, names):
@@ -230,7 +388,7 @@ def _ordered_scan(residual_at, names):
 def test_canonical_scans_match_an_ordered_scan(drawn):
     mu1, mu2, odd_phi = drawn
     basis = mu1.basis
-    triples = canonical_triples(basis)
+    triples = _name_triples(basis)
 
     expected = _ordered_scan(
         lambda *t: mu1.jacobiator(*(mu1.gen(n) for n in t)), basis.names)
@@ -282,7 +440,7 @@ def _apply_vec(phi, vec, *names):
 
 
 def _reference_d1(A, psi, a, b):
-    """(d1 psi)(a, b) with its signs written out, apart from ``CE_TERMS``:
+    """(d1 psi)(a, b) with its signs written out, apart from ``ce_terms``:
 
     (d1 psi)(x, y) = (-1)^{|x||psi|}[x, psi(y)]
                    - (-1)^{|y||psi| + |x||y|}[y, psi(x)] - psi([x, y]).
@@ -297,7 +455,7 @@ def _reference_d1(A, psi, a, b):
 
 
 def _reference_d2(A, phi, x, y, z):
-    """(d2 phi)(x, y, z) with its signs written out, apart from ``CE_TERMS``:
+    """(d2 phi)(x, y, z) with its signs written out, apart from ``ce_terms``:
 
     (d2 phi)(x,y,z) = (-1)^{|x|p}[x, phi(y,z)]
                     - (-1)^{|y|(p+|x|)}[y, phi(x,z)]
@@ -321,7 +479,7 @@ def _reference_d2(A, phi, x, y, z):
 
 def _reference_terms(parities, p):
     """The terms of :func:`_reference_d1` or :func:`_reference_d2`, in the
-    form of ``CE_TERMS``."""
+    form of ``ce_terms``."""
     if len(parities) == 2:
         px, py = parities
         return (((0, (1,), (-1) ** (px * p)),
@@ -339,10 +497,10 @@ def _reference_terms(parities, p):
 def test_the_term_table_has_the_written_out_signs():
     keys = [(parities, p) for k in (2, 3)
             for parities in product((0, 1), repeat=k) for p in (0, 1)]
-    assert len(keys) == 24 and sorted(CE_TERMS) == sorted(keys)
+    assert len(keys) == 24
     for parities, p in keys:
         args = tuple(range(len(parities)))
-        brackets, cochains = CE_TERMS[parities, p]
+        brackets, cochains = ce_terms(parities, p)
         read = (tuple((i, rest(args), sign) for i, rest, sign in brackets),
                 tuple((ij, rest(args), sign) for ij, rest, sign in cochains))
         assert read == _reference_terms(parities, p), (parities, p)
@@ -515,7 +673,7 @@ def _unit_d2_matrix(A, parity, coords):
     """The d2 matrix column by column: the written-out d2 of each unit
     2-cochain."""
     basis = A.basis
-    triples = canonical_triples(basis)
+    triples = _name_triples(basis)
     columns = []
     for (i, j, t) in coords:
         unit = Cochain2(basis, {(basis.names[i], basis.names[j]):
@@ -529,10 +687,10 @@ def _unit_d2_matrix(A, parity, coords):
 def _assert_assembly_matches_unit_cochains(A):
     basis = A.basis
     odd, n = basis.parities, len(basis)
-    every_target = [(i, j, t) for (i, j) in canonical_pairs(basis)
+    every_target = [(i, j, t) for (i, j) in canonical_tuples(basis, 2)
                     for t in range(n)]
-    triples = [(*map(basis.index, triple), m)
-               for triple in canonical_triples(basis) for m in range(n)]
+    triples = [(*triple, m)
+               for triple in canonical_tuples(basis, 3) for m in range(n)]
     for parity in (0, 1):
         coords = [(i, j, t) for (i, j, t) in every_target
                   if (odd[i] + odd[j] + parity) % 2 == odd[t]]

@@ -3,7 +3,7 @@
 ``Poly`` addition, subtraction and multiplication, ``RatFunc``
 construction, the point evaluation behind ``rank_at_point`` and the CE
 residual each take a short branch for constant, zero or unit-denominator
-operands.  The general versions they replaced are copied here as
+operands, and the genericity check takes a matrix's cells as they are.  The general versions they replaced are copied here as
 references, and every result is compared with the reference's term by
 term, on zero, constant, unit, negative and multi-parameter operands.
 Every coefficient must stay a ``Fraction``, and no operand may change.
@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from lieworkbench import cohomology, linsolve
 from lieworkbench.catalog import catalog_get
 from lieworkbench.cohomology import Cochain1, Cochain2, h2_dim
-from lieworkbench.liealg import (CE_TERMS, GradedBasis, LieSuperAlgebra,
-                                 canonical_pairs, ce_residual)
+from lieworkbench.liealg import (GradedBasis, LieSuperAlgebra,
+                                 canonical_tuples, ce_residual, ce_terms)
 from lieworkbench.linsolve import (GenericityError, as_ratfunc, rank_at_point,
                                    rref, verify_rank_generically)
 from lieworkbench.scalars import Poly, RatFunc, _mono_mul, param
@@ -105,8 +105,8 @@ def _ref_accumulate(store, key, value):
 
 
 def _ref_ce_residual(A, phi, args):
-    brackets, cochains = CE_TERMS[tuple(map(A.basis.parity, args)),
-                                  phi.parity]
+    brackets, cochains = ce_terms(tuple(map(A.basis.parity, args)),
+                                  phi.parity)
     out: dict = {}
     for i, rest, sign in brackets:
         for name, value in phi.apply_names(*rest(args)).items():
@@ -318,6 +318,60 @@ def test_generic_rank_checks_match_the_ratfunc_path(drawn):
     assert expected[0] == "ok"
 
 
+def _ref_verify_rank_generically(matrix, expected_rank, assumptions):
+    """The genericity check as it was, with every nonzero cell made a
+    ``RatFunc`` first."""
+    rows = [[as_ratfunc(e) if e else RatFunc(Poly.zero()) for e in row]
+            for row in matrix]
+    if not rows:
+        return
+    params: set[str] = set()
+    avoid = list(assumptions)
+    for row in rows:
+        for e in row:
+            if e:
+                params |= e.parameters()
+                if not e.den.is_constant():
+                    avoid.append(e.den)
+    if not params:
+        return
+    for point in linsolve.sample_points(sorted(params), avoid):
+        if rank_at_point(rows, point) != expected_rank:
+            raise GenericityError(
+                f"symbolic rank {expected_rank} not reproduced at {point}")
+
+
+def _as_kind(matrix, kind):
+    """The matrix with its cells as drawn, as ``Poly`` (a quotient keeps
+    its numerator) or as ``RatFunc``."""
+    if kind == "poly":
+        return [[e.num if isinstance(e, RatFunc) else e for e in row]
+                for row in matrix]
+    if kind == "ratfunc":
+        return [[as_ratfunc(e) if e else e for e in row] for row in matrix]
+    return matrix
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_matrices(names=("h", "s"), degree=1, size=2),
+       st.sampled_from(("poly", "ratfunc", "mixed")))
+def test_generic_rank_checks_take_the_cells_as_they_are(drawn, kind):
+    matrix = _as_kind(drawn[0], kind)
+    before = [_snapshot(*row) for row in matrix]
+    result = rref(matrix)
+    for rank in {result.rank, result.rank + 1, max(result.rank - 1, 0)}:
+        verdicts = []
+        for check in (verify_rank_generically, _ref_verify_rank_generically):
+            try:
+                check(matrix, rank, result.assumptions)
+                verdicts.append("ok")
+            except GenericityError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1], (kind, rank)
+        assert (verdicts[0] == "ok") >= (rank == result.rank)
+    assert [_snapshot(*row) for row in matrix] == before
+
+
 # -- the CE residual --------------------------------------------------------------------
 
 
@@ -344,7 +398,7 @@ def _algebras_and_cochains(draw):
     def pairs(p, scalars):
         return {(basis.names[i], basis.names[j]): vector(
                     (basis.parities[i] + basis.parities[j] + p) % 2, scalars)
-                for (i, j) in canonical_pairs(basis)}
+                for (i, j) in canonical_tuples(basis, 2)}
 
     A = LieSuperAlgebra("mu", basis, pairs(0, coeffs))
     p1, p2 = draw(st.integers(0, 1)), draw(st.integers(0, 1))

@@ -21,7 +21,7 @@ from lieworkbench.liealg import (
     GradedBasis,
     LieSuperAlgebra,
     Tensor,
-    canonical_triples,
+    canonical_tuples,
     otimes,
     pencil,
     wedge,
@@ -153,13 +153,13 @@ def test_jacobi_passes_on_catalog_algebras():
         report = A.verify_jacobi()
         assert report.ok
         assert report.witness is None
-        assert report.triples_checked == len(canonical_triples(A.basis))
+        assert report.triples_checked == len(canonical_tuples(A.basis, 3))
     assert make_sl(3).verify_jacobi().triples_checked == 56
 
 
 def test_canonical_triples_repeat_only_odd_generators():
     basis = GradedBasis(("a", "b"), (0, 1))
-    assert canonical_triples(basis) == [("a", "b", "b"), ("b", "b", "b")]
+    assert canonical_tuples(basis, 3) == [(0, 1, 1), (1, 1, 1)]
 
 
 def test_jacobi_fails_with_witness_on_a_corrupted_table():

@@ -185,6 +185,17 @@ def test_load_errors_carry_line_numbers():
     assert "does not carry this tensor" in str(err.value)
 
 
+def test_wrong_parity_values_are_load_errors_at_every_degree():
+    for src, message in (
+            ("cochain psi:even over osp12 { h -> vp; }",
+             "value at h hits 'vp' of wrong parity"),
+            ("algebra a { basis h:even v:odd; bracket [h,v] = h; }",
+             "value at (h, v) hits 'h' of wrong parity")):
+        with pytest.raises(LoadError) as err:
+            run_source(src)
+        assert str(err.value) == f"line 1: {message}"
+
+
 def test_every_name_on_a_check_line_resolves_before_its_checks():
     # Names resolve in slot order before any carrier or basis check, so
     # an unknown name is reported before the fault of another operand.
