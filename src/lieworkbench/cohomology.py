@@ -155,8 +155,9 @@ class CoboundaryOutcome:
     function field; generic rank certificate), "obstructed" (solutions exist
     over the function field but every one inverts a polynomial that was not
     assumed nonzero, and a parameter point witnesses the rank gap), and
-    "not-cocycle" (phi fails d2; witness holds the failing triple).  For
-    "obstructed" the rank pair is the specialized one at the witness point.
+    "not-cocycle" (phi fails d2; witness holds the failing triple, found
+    as :func:`solve_coboundary` describes).  For "obstructed" the rank pair
+    is the specialized one at the witness point.
     """
 
     status: str  # "solved" | "inconsistent" | "obstructed" | "not-cocycle"
@@ -359,6 +360,16 @@ def _obstruction_point(matrix, rhs, dens, assumed):
     return None
 
 
+def _not_cocycle(A: LieSuperAlgebra,
+                 phi: CochainTable) -> CoboundaryOutcome | None:
+    """The "not-cocycle" outcome at the first triple where d2(phi) fails,
+    or None if phi is closed."""
+    witness = cocycle2_witness(A, phi)
+    if witness is None:
+        return None
+    return CoboundaryOutcome("not-cocycle", None, 0, 0, tuple(), witness[0])
+
+
 def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
                      assume_nonzero=()) -> CoboundaryOutcome:
     """Find psi with d1(psi) = phi, or certify that none exists.
@@ -377,20 +388,28 @@ def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
     in the assumptions.
 
     The canonical solution sets free coordinates to zero; unknowns are
-    ordered by (source basis index, target basis index).  A system that is
-    inconsistent over the function field itself yields the generic rank
-    certificate (rank, rank_augmented), re-verified at random rational
-    parameter points (``verify_rank_generically``).  A "solved" verdict is
-    checked exactly, by d1(psi) = phi; an "obstructed" rank pair is exact
-    at its rational point.
+    ordered by (source basis index, target basis index).  A triple where
+    d2(phi) fails is the "not-cocycle" witness.  Over a bracket that
+    satisfies Jacobi, d2 of d1 vanishes, so a system consistent over the
+    function field already proves phi closed: the system is eliminated
+    first, and only an inconsistent one is scanned for a witness.  Over a
+    bracket that fails Jacobi, d2 of d1 need not vanish, so phi is scanned
+    before the elimination.  An inconsistent system without a witness
+    yields the generic rank certificate (rank, rank_augmented), re-verified
+    at random rational parameter points (``verify_rank_generically``).  A
+    "solved" verdict is checked exactly, by d1(psi) = phi; an "obstructed"
+    rank pair is exact at its rational point.  Every solve checks Jacobi
+    on A once, and a phi that is not closed over a Lie bracket pays one
+    elimination before its witness scan.
     """
     basis = A.basis
     if basis != phi.basis:
         raise ValueError("cochain is not over the algebra's basis")
-    witness = cocycle2_witness(A, phi)
-    if witness is not None:
-        return CoboundaryOutcome("not-cocycle", None, 0, 0, tuple(),
-                                 witness[0])
+    lie = A.verify_jacobi().ok
+    if not lie:
+        not_closed = _not_cocycle(A, phi)
+        if not_closed is not None:
+            return not_closed
     parity = phi.parity
     slots = _coords(basis, 1, parity)
     coords = _coords(basis, 2)
@@ -400,6 +419,9 @@ def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
     outcome = solve_linear(matrix, rhs)
     assumptions = tuple(str(p) for p in outcome.assumptions)
     if outcome.status == "inconsistent":
+        not_closed = _not_cocycle(A, phi) if lie else None
+        if not_closed is not None:
+            return not_closed
         verify_rank_generically(matrix, outcome.rank, outcome.assumptions)
         aug = [row + [rhs[i]] for i, row in enumerate(matrix)]
         verify_rank_generically(aug, outcome.rank_augmented,

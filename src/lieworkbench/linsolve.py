@@ -11,10 +11,12 @@ Rank decisions over a function field are generic-parameter statements: a
 pivot that is a nonconstant polynomial is only nonzero away from its zero
 set.  Every such pivot is recorded as an assumption and surfaced to callers.
 
-Matrices are passed as lists of rows whose entries are ``Poly``,
-``RatFunc`` or falsy.  The cohomology matrices are mostly zero, so only
-nonzero cells are converted or evaluated, and elimination scales and
-subtracts over the pivot row's nonzero columns only.
+Matrices are passed, and reduced rows returned, as dense lists of rows
+whose entries are ``Poly``, ``RatFunc`` or falsy.  The cohomology matrices
+are mostly zero, so inside, elimination works on sparse rows: each row is
+built once as a {column: nonzero value} dict, only nonzero cells are
+converted or evaluated, a cell that cancels is dropped, and the pivot row
+is scaled and subtracted over its stored columns only.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ def distinct_up_to_scale(polys: Iterable[Poly]) -> list[Poly]:
     return list(kept.values())
 
 
-# The one zero every converted matrix shares: elimination reads it and
-# never writes it.
+# The one zero that fills the empty cells of every dense result.
 _ZERO = RatFunc(Poly.zero())
 
 
@@ -68,40 +69,64 @@ def _pivot_complexity(entry: RatFunc) -> tuple[int, int]:
     return (len(entry.num), len(entry.den))
 
 
-def _gauss_jordan(m: list[list], pivot_key) -> list[tuple[int, object]]:
-    """Reduce the rows of m in place to reduced row echelon form.
+def _sparse_rows(matrix: Sequence[Sequence], convert) -> list[dict]:
+    """Each row of a dense matrix as {column: convert(entry)}, keeping only
+    the entries that are nonzero both before and after conversion."""
+    rows = []
+    for row in matrix:
+        sparse = {}
+        for k, entry in enumerate(row):
+            if entry:
+                value = convert(entry)
+                if value:
+                    sparse[k] = value
+        rows.append(sparse)
+    return rows
 
-    In each column the pivot is the first candidate row (from the current
-    one down) with a nonzero entry of least ``pivot_key(entry)``.  Returns
-    (column, pivot value before scaling) for every pivot, in order.
 
-    Every entry left of the pivot in its row is zero, and a zero entry of
-    the pivot row leaves the other rows as they are, so the pivot row is
-    scaled, and the others eliminated, over its nonzero columns only.
+def _gauss_jordan(rows: list[dict], ncols: int,
+                  pivot_key) -> list[tuple[int, object]]:
+    """Reduce sparse rows in place to reduced row echelon form.
+
+    Each row is a {column: nonzero value} dict; a cell that becomes zero
+    is removed, so no zero is ever read.  In each column the pivot is the
+    first candidate row (from the current one down) with an entry of least
+    ``pivot_key(entry)``; it is swapped into place.  Returns (column, pivot
+    value before scaling) for every pivot, in order.
+
+    Every entry left of the pivot in its row is zero, so the pivot row is
+    scaled, and the others eliminated, over its stored columns only.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    nrows = len(rows)
     pivots: list[tuple[int, object]] = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        candidates = [i for i in range(r, nrows) if m[i][c]]
+        candidates = [i for i in range(r, nrows) if c in rows[i]]
         if not candidates:
             continue
-        best = min(candidates, key=lambda i: pivot_key(m[i][c]))
-        m[r], m[best] = m[best], m[r]
-        row = m[r]
+        best = min(candidates, key=lambda i: pivot_key(rows[i][c]))
+        rows[r], rows[best] = rows[best], rows[r]
+        row = rows[r]
         pivot = row[c]
-        support = [k for k in range(c, ncols) if row[k]]
-        for k in support:
-            row[k] = row[k] / pivot
-        for i in range(nrows):
-            factor = m[i][c]
-            if i != r and factor:
-                other = m[i]
-                for k in support:
-                    other[k] = other[k] - factor * row[k]
+        for k, value in row.items():
+            row[k] = value / pivot
+        for i, other in enumerate(rows):
+            factor = other.get(c)
+            if factor is None or i == r:
+                continue
+            for k, value in row.items():
+                product = factor * value
+                cell = other.get(k)
+                if cell is None:
+                    other[k] = -product
+                else:
+                    cell = cell - product
+                    if cell:
+                        other[k] = cell
+                    else:
+                        del other[k]
         pivots.append((c, pivot))
         r += 1
     return pivots
@@ -124,15 +149,25 @@ def rref(matrix: Sequence[Sequence]) -> RrefResult:
     Pivot choice: among candidate rows, the entry with the fewest numerator
     terms (then fewest denominator terms, then lowest row index).  Pivots
     whose numerator is a nonconstant polynomial are recorded as nonvanishing
-    assumptions, one per class up to a constant factor.  Elimination works
-    on fresh rows of ``RatFunc``; only nonzero cells convert.
+    assumptions, one per class up to a constant factor.  The matrix comes
+    in dense and the rows of the result are dense; in between, elimination
+    works on sparse rows of ``RatFunc``, into which only the nonzero cells
+    convert.
     """
-    m = [[as_ratfunc(e) if e else _ZERO for e in row] for row in matrix]
-    pivots = _gauss_jordan(m, _pivot_complexity)
+    ncols = len(matrix[0]) if matrix else 0
+    rows = _sparse_rows(matrix, as_ratfunc)
+    pivots = _gauss_jordan(rows, ncols, _pivot_complexity)
     assumptions = distinct_up_to_scale(p.num for _, p in pivots
                                        if not p.num.is_constant())
-    return RrefResult(tuple(tuple(row) for row in m),
+    return RrefResult(tuple(_dense(row, ncols) for row in rows),
                       tuple(c for c, _ in pivots), tuple(assumptions))
+
+
+def _dense(row: dict, ncols: int) -> tuple[RatFunc, ...]:
+    cells = [_ZERO] * ncols
+    for k, value in row.items():
+        cells[k] = value
+    return tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -167,11 +202,14 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolveResult
 
 
 def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction]) -> int:
-    """Rank after substituting exact rationals for every parameter."""
-    zero = Fraction(0)
-    rows = [[_value_at(e, point) if e else zero for e in row] for row in matrix]
+    """Rank after substituting exact rationals for every parameter.
+
+    The matrix comes in dense; elimination works on sparse rows of
+    ``Fraction``, which keep no cell that vanishes at the point."""
+    ncols = len(matrix[0]) if matrix else 0
+    rows = _sparse_rows(matrix, lambda entry: _value_at(entry, point))
     # The first nonzero entry is the pivot: every one costs the same.
-    return len(_gauss_jordan(rows, lambda entry: 0))
+    return len(_gauss_jordan(rows, ncols, lambda entry: 0))
 
 
 def _value_at(entry, point: dict[str, Fraction]) -> Fraction:

@@ -646,6 +646,76 @@ def test_non_cocycle_input_is_rejected_with_a_witness():
     assert out.witness == ("H1", "E12", "E21")
 
 
+def test_a_bracket_that_fails_jacobi_is_scanned_on_a_consistent_system():
+    # mu.prime is d1 of the identity over itself, so the system is
+    # consistent; but it fails Jacobi, so d2 of d1 does not vanish and
+    # phi is not closed.
+    mu_prime = catalog_get("mu.prime")
+    out = solve_coboundary(mu_prime, mu_prime)
+    assert out.status == "not-cocycle"
+    assert out.witness == ("Y11", "Y12", "Y23")
+
+
+@st.composite
+def _coboundary_problems(draw):
+    """(algebra, phi): d1 of a random 1-cochain, the same plus a unit
+    perturbation at one coordinate, the algebra's own bracket, or mu2star
+    over mu1star.  The algebra is from the catalog, or a random table that
+    need not satisfy Jacobi, with its spectator parameter set to an integer
+    (elimination over Q(s) of a dense random table can take seconds)."""
+    kind = draw(st.sampled_from(("coboundary", "perturbed", "own bracket",
+                                 "mu2star")))
+    if kind == "mu2star":
+        return catalog_get("mu1star"), catalog_get("mu2star")
+    name = draw(st.sampled_from(("sl2", "osp12", "borel", "mu1star",
+                                 "dual.standard.sl2", "mu.prime", "random")))
+    if name == "random":
+        A = draw(_bracket_pairs())[0].substitute({"s": draw(st.integers(-2, 2))})
+    else:
+        A = catalog_get(name)
+    if kind == "own bracket":
+        return A, A
+    basis, names = A.basis, A.basis.names
+    # A purely even algebra has no odd cochain but zero.
+    parity = draw(st.integers(0, 1)) if any(basis.parities) else 0
+    h = param("h")
+    coeffs = st.tuples(st.integers(-2, 2), st.integers(-1, 1)).map(
+        lambda ab: ab[0] + (ab[1] * h if name == "dual.standard.sl2" else 0))
+    values = {}
+    for source in names:
+        want = (basis.parity(source) + parity) % 2
+        values[source] = {t: draw(coeffs) for t in names
+                          if basis.parity(t) == want and draw(st.booleans())}
+    phi = d1(A, Cochain1(basis, values, parity=parity))
+    if kind == "coboundary":
+        return A, phi
+    table = {tuple(names[i] for i in key): dict(vec)
+             for key, vec in phi.table.items()}
+    i, j = draw(st.sampled_from(list(canonical_tuples(basis, 2))))
+    want = (basis.parities[i] + basis.parities[j] + parity) % 2
+    target = draw(st.sampled_from([t for t in names
+                                   if basis.parity(t) == want]))
+    vec = table.setdefault((names[i], names[j]), {})
+    vec[target] = vec.get(target, Poly.zero()) + draw(st.sampled_from((-1, 1)))
+    if not vec[target]:
+        del vec[target]
+    return A, Cochain2(basis, table, parity=parity)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_coboundary_problems())
+def test_not_cocycle_is_reported_exactly_where_the_d2_scan_finds_a_witness(
+        problem):
+    # The scan runs only on some paths of the solver; the verdict must be
+    # the one a scan of every input would give.
+    A, phi = problem
+    out = solve_coboundary(A, phi)
+    witness = cocycle2_witness(A, phi)
+    assert (out.status == "not-cocycle") == (witness is not None)
+    if witness is not None:
+        assert out.witness == witness[0]
+
+
 # -- the d1 and d2 matrices ----------------------------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """Exact elimination: rref, solve_linear and rank_at_point on sparse input.
 
-Elimination skips the zero cells of the pivot row.  The oracles are the
-dense loop it replaced, which scales and eliminates every cell, copied
-here, and sympy's reduced row echelon form and rank over the same field.
+Elimination works on sparse rows and never reads a zero cell.  The oracles
+are the dense loop it replaced, which scales and eliminates every cell,
+copied here, and sympy's reduced row echelon form and rank over the same
+field.
 """
 
 from __future__ import annotations
@@ -178,3 +179,51 @@ def test_rank_at_point_matches_sympy(drawn, values):
 def test_rank_at_point_needs_every_parameter():
     with pytest.raises(ValueError, match="does not evaluate"):
         rank_at_point([[param("t"), Poly.zero()]], {"u": Fraction(1)})
+
+
+# -- edges of the sparse loop -----------------------------------------------------------
+
+
+def _densified(rows, ncols, zero):
+    return [[row.get(k, zero) for k in range(ncols)] for row in rows]
+
+
+@pytest.mark.parametrize("pivot_key", [
+    lambda entry: (len(entry.num), len(entry.den)),
+    lambda entry: 0,
+], ids=["rref", "rank_at_point"])
+def test_equal_pivot_keys_swap_rows_as_the_dense_loop_does(pivot_key):
+    # Columns 0 and 1 each offer several candidates of one key, and the
+    # first from the current row down is the pivot.  Swapping rows 0 and 2
+    # puts row 1 before row 0, so column 1 pivots on 2; moving row 2 up
+    # instead would pivot on 1.
+    t = param("t")
+    matrix = [[0, 1, 2, t],
+              [0, 2, 1, t + 1],
+              [3, 1, 0, t - 2],
+              [5, 0, 1, 1],
+              [t + 1, t - 1, 0, 1]]
+    ncols = len(matrix[0])
+    rows = linsolve._sparse_rows(matrix, as_ratfunc)
+    dense = [[as_ratfunc(e) for e in row] for row in matrix]
+    pivots = linsolve._gauss_jordan(rows, ncols, pivot_key)
+    dense_pivots = _dense_gauss_jordan(dense, pivot_key)
+    assert ([(c, p.num, p.den) for c, p in pivots]
+            == [(c, p.num, p.den) for c, p in dense_pivots])
+    assert (_cells(_densified(rows, ncols, RatFunc(Poly.zero())))
+            == _cells(dense))
+
+
+def test_a_cell_that_vanishes_at_the_point_is_not_a_pivot():
+    t = param("t")
+    assert rank_at_point([[t - 1, 0], [0, t]], {"t": Fraction(1)}) == 1
+    assert rank_at_point([[t - 1, t], [t - 1, 2 * t]],
+                         {"t": Fraction(1)}) == 1
+
+
+def test_rows_that_end_empty_keep_their_full_width():
+    result = rref([[1, 2, 0], [2, 4, 0], [0, 0, 0]])
+    assert result.pivot_cols == (0,)
+    assert [len(row) for row in result.rows] == [3, 3, 3]
+    assert _cells(result.rows[1:]) == [[(Poly.zero(), Poly.one())] * 3] * 2
+    assert rref([[0, 0]]).rows == ((RatFunc(Poly.zero()),) * 2,)
