@@ -262,10 +262,10 @@ def _divides_out(den: Poly, assumed: list[Poly]) -> bool:
     return True
 
 
-def _solution_denominators(solution) -> list[Poly]:
+def _solution_denominators(solution: dict[int, RatFunc]) -> list[Poly]:
     dens: dict[str, Poly] = {}
-    for value in solution:
-        if isinstance(value, RatFunc) and not value.den.is_constant():
+    for value in solution.values():
+        if not value.den.is_constant():
             dens.setdefault(str(value.den), value.den)
     return [dens[key] for key in sorted(dens)]
 
@@ -444,13 +444,13 @@ def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
             return CoboundaryOutcome("obstructed", None, rank, rank_aug,
                                      assumptions, obstruction=description)
     values: dict[str, Vector] = {}
-    for (j, k), coeff in zip(slots, outcome.solution):
-        if coeff:
-            # A unit denominator is stored as its Poly, which prints the
-            # same and keeps the d1 check below in Poly arithmetic.
-            poly = coeff.as_poly()
-            values.setdefault(basis.names[j], {})[basis.names[k]] = (
-                coeff if poly is None else poly)
+    for column, coeff in outcome.solution.items():
+        j, k = slots[column]
+        # A unit denominator is stored as its Poly, which prints the same
+        # and keeps the d1 check below in Poly arithmetic.
+        poly = coeff.as_poly()
+        values.setdefault(basis.names[j], {})[basis.names[k]] = (
+            coeff if poly is None else poly)
     psi = Cochain1(basis, values, parity=parity)
     if d1(A, psi) != phi:
         raise AssertionError("solver produced a non-solution")  # pragma: no cover

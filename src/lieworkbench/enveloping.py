@@ -465,16 +465,25 @@ class TensorUEA(_GradedTerms):
             out[tuple(new_key)] = c
         return TensorUEA._trusted(self.uea, rank, out)
 
+    def _check_slot(self, slot: int) -> None:
+        if not 0 <= slot < self.rank:
+            raise ValueError(
+                f"slot {slot} is out of range for a rank-{self.rank} tensor "
+                f"(slots 0 to {self.rank - 1})")
+
     def coproduct_slot(self, slot: int) -> "TensorUEA":
         """Apply the coproduct to one slot, raising the rank by one."""
+        self._check_slot(slot)
         return TensorUEA._trusted(self.uea, self.rank + 1,
                                   _coproduct_terms(self.uea, self.coeffs, slot))
 
     def counit_slot(self, slot: int):
         """Apply the counit to one slot (the rank drops by one); a rank-2
         tensor collapses to an enveloping-algebra element."""
+        self._check_slot(slot)
         if self.rank == 1:
-            raise ValueError("tensor rank must be at least 1")
+            raise ValueError("the counit of a rank-1 tensor is a scalar; "
+                             "counit_slot needs rank at least 2")
         out = {key[:slot] + key[slot + 1:]: c
                for key, c in self.coeffs.items() if not key[slot]}
         kind = UEAElement if self.rank == 2 else TensorUEA
@@ -649,16 +658,14 @@ def factored_r_matrix(N: int, order: int) -> TensorUEA:
         raise ValueError("the factored R-matrix needs N >= 3")
     uea, xi, cartan, sigma = _sl_twist_parts(N, order)
     damp = exp_trunc(-sigma)
+    pairs = [(uea.gen(pair_name("E", j, N, N)) * damp,
+              uea.gen(pair_name("E", 1, j, N))) for j in range(2, N)]
     result = TensorUEA.unit(uea, 2)
-    for j in range(2, N):
-        lowered = uea.gen(pair_name("E", j, N, N)) * damp
-        raiser = uea.gen(pair_name("E", 1, j, N))
+    for lowered, raiser in pairs:
         result = result * exp_trunc(tensor_product(lowered, raiser).scaled(xi * 2))
     result = result * exp_trunc(tensor_product(sigma, cartan))
     result = result * exp_trunc(-tensor_product(cartan, sigma))
-    for j in range(2, N):
-        lowered = uea.gen(pair_name("E", j, N, N)) * damp
-        raiser = uea.gen(pair_name("E", 1, j, N))
+    for lowered, raiser in pairs:
         result = result * exp_trunc(tensor_product(raiser, lowered).scaled(xi * -2))
     return result
 

@@ -11,12 +11,13 @@ Rank decisions over a function field are generic-parameter statements: a
 pivot that is a nonconstant polynomial is only nonzero away from its zero
 set.  Every such pivot is recorded as an assumption and surfaced to callers.
 
-Matrices are passed, and reduced rows returned, as dense lists of rows
-whose entries are ``Poly``, ``RatFunc`` or falsy.  The cohomology matrices
-are mostly zero, so inside, elimination works on sparse rows: each row is
-built once as a {column: nonzero value} dict, only nonzero cells are
-converted or evaluated, a cell that cancels is dropped, and the pivot row
-is scaled and subtracted over its stored columns only.
+Matrices are passed as dense lists of rows whose entries are ``Poly``,
+``RatFunc`` or falsy.  The cohomology matrices are mostly zero, so
+elimination works on sparse rows: each row is built once as a
+{column: nonzero value} dict, only nonzero cells are converted or
+evaluated, a cell that cancels is dropped, and the pivot row is scaled and
+subtracted over its stored columns only.  Reduced rows and solutions are
+returned in that sparse form, with no zero stored.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ def distinct_up_to_scale(polys: Iterable[Poly]) -> list[Poly]:
     for poly in polys:
         kept.setdefault(poly * (1 / poly.leading_coefficient()), poly)
     return list(kept.values())
-
-
-# The one zero that fills the empty cells of every dense result.
-_ZERO = RatFunc(Poly.zero())
 
 
 def _pivot_complexity(entry: RatFunc) -> tuple[int, int]:
@@ -134,7 +131,7 @@ def _gauss_jordan(rows: list[dict], ncols: int,
 
 @dataclass(frozen=True)
 class RrefResult:
-    rows: tuple[tuple[RatFunc, ...], ...]
+    rows: tuple[dict[int, RatFunc], ...]  # {column: nonzero value}; {} if emptied
     pivot_cols: tuple[int, ...]
     assumptions: tuple[Poly, ...]
 
@@ -150,55 +147,46 @@ def rref(matrix: Sequence[Sequence]) -> RrefResult:
     terms (then fewest denominator terms, then lowest row index).  Pivots
     whose numerator is a nonconstant polynomial are recorded as nonvanishing
     assumptions, one per class up to a constant factor.  The matrix comes
-    in dense and the rows of the result are dense; in between, elimination
-    works on sparse rows of ``RatFunc``, into which only the nonzero cells
-    convert.
+    in dense; elimination works on sparse rows of ``RatFunc``, into which
+    only the nonzero cells convert, and the result keeps those rows.
     """
     ncols = len(matrix[0]) if matrix else 0
     rows = _sparse_rows(matrix, as_ratfunc)
     pivots = _gauss_jordan(rows, ncols, _pivot_complexity)
     assumptions = distinct_up_to_scale(p.num for _, p in pivots
                                        if not p.num.is_constant())
-    return RrefResult(tuple(_dense(row, ncols) for row in rows),
-                      tuple(c for c, _ in pivots), tuple(assumptions))
-
-
-def _dense(row: dict, ncols: int) -> tuple[RatFunc, ...]:
-    cells = [_ZERO] * ncols
-    for k, value in row.items():
-        cells[k] = value
-    return tuple(cells)
+    return RrefResult(tuple(rows), tuple(c for c, _ in pivots),
+                      tuple(assumptions))
 
 
 @dataclass(frozen=True)
 class LinearSolveResult:
     status: str  # "solved" | "inconsistent"
-    solution: tuple[RatFunc, ...] | None
+    solution: dict[int, RatFunc] | None  # {column: nonzero value}
     rank: int
     rank_augmented: int
-    free_columns: tuple[int, ...]
     assumptions: tuple[Poly, ...]
 
 
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolveResult:
-    """Solve A x = b exactly; canonical solution sets free variables to zero."""
+    """Solve A x = b exactly; canonical solution sets free variables to zero,
+    so it holds each pivot row's right-hand value where that is nonzero."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     if not nrows:
-        return LinearSolveResult("solved", tuple(), 0, 0, tuple(), tuple())
+        return LinearSolveResult("solved", {}, 0, 0, tuple())
     result = rref(aug)
     rank_aug = result.rank
     rank = sum(1 for c in result.pivot_cols if c < ncols)
     if rank_aug > rank:
         return LinearSolveResult("inconsistent", None, rank, rank_aug,
-                                 tuple(), result.assumptions)
-    solution = [_ZERO] * ncols
-    for row_idx, col in enumerate(result.pivot_cols):
-        solution[col] = result.rows[row_idx][ncols]
-    free = tuple(c for c in range(ncols) if c not in result.pivot_cols)
-    return LinearSolveResult("solved", tuple(solution), rank, rank_aug,
-                             free, result.assumptions)
+                                 result.assumptions)
+    solution = {col: row[ncols]
+                for row, col in zip(result.rows, result.pivot_cols)
+                if ncols in row}
+    return LinearSolveResult("solved", solution, rank, rank_aug,
+                             result.assumptions)
 
 
 def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction]) -> int:

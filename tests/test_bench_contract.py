@@ -28,11 +28,12 @@ CHEAP_COHOMOLOGY_JOBS = ("h2_dim dual.standard.sl2",
                          "solve_coboundary dual.standard.sl2 even")
 
 # What the tracer reads off the rref calls of those jobs: the split of the
-# calls by their entries, and the cells and nonzero cells of their dense
-# input matrices.  An rref whose input the tracer can no longer read
-# changes these.
+# calls by their entries, the cells and nonzero cells of their dense input
+# matrices, and the ranks of their results.  An rref whose input or result
+# the tracer can no longer read changes these.
 CHEAP_COHOMOLOGY_RREF = {"linsolve.rref.const": 1, "linsolve.rref.param": 3,
-                         "linsolve.rref.cells": 1038, "linsolve.rref.nnz": 102}
+                         "linsolve.rref.cells": 1038, "linsolve.rref.nnz": 102,
+                         "linsolve.rref.rank": 19}
 
 
 def _counts(tracer: tracing.Tracer) -> dict[str, float]:

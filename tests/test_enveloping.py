@@ -169,6 +169,21 @@ def test_counit_axiom():
         assert counit(U.one()) == Poly.one()
 
 
+@pytest.mark.parametrize("slot", [2, -1])
+def test_slot_operations_refuse_a_slot_out_of_range(slot):
+    F = build_jordanian_twist(2)
+    for apply in (F.counit_slot, F.coproduct_slot):
+        with pytest.raises(ValueError,
+                           match=rf"slot {slot} is out of range for a rank-2"):
+            apply(slot)
+
+
+def test_the_counit_of_a_rank_one_tensor_is_refused():
+    unit = TensorUEA.unit(UEA(make_borel(), UNTRUNCATED), 1)
+    with pytest.raises(ValueError, match="counit of a rank-1 tensor"):
+        unit.counit_slot(0)
+
+
 def test_coproduct_of_a_generator_is_primitive():
     U = UEA(make_borel(), UNTRUNCATED)
     x = U.gen("x")

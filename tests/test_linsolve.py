@@ -61,7 +61,8 @@ def _dense_rref(matrix):
         m, lambda entry: (len(entry.num), len(entry.den)))
     assumptions = distinct_up_to_scale(p.num for _, p in pivots
                                        if not p.num.is_constant())
-    return RrefResult(tuple(tuple(row) for row in m),
+    return RrefResult(tuple({k: e for k, e in enumerate(row) if e}
+                            for row in m),
                       tuple(c for c, _ in pivots), tuple(assumptions))
 
 
@@ -128,16 +129,31 @@ def _cells(rows):
     return [[(e.num, e.den) for e in row] for row in rows]
 
 
+ZERO = RatFunc(Poly.zero())
+
+
+def _densified(rows, ncols, zero=ZERO):
+    return [[row.get(k, zero) for k in range(ncols)] for row in rows]
+
+
+def _stored(sparse):
+    """A sparse row as {column: (numerator, denominator)}."""
+    return {k: (e.num, e.den) for k, e in sparse.items()}
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(_sparse_matrices())
 def test_rref_matches_the_dense_loop_and_sympy(drawn):
     params, matrix, _ = drawn
+    ncols = len(matrix[0])
     result, dense = rref(matrix), _dense_rref(matrix)
-    assert _cells(result.rows) == _cells(dense.rows)
+    rows = _densified(result.rows, ncols)
+    assert all(value for row in result.rows for value in row.values())
+    assert _cells(rows) == _cells(_densified(dense.rows, ncols))
     assert result.pivot_cols == dense.pivot_cols
     assert ([str(p) for p in result.assumptions]
             == [str(p) for p in dense.assumptions])
-    ours = _domain_matrix(result.rows, params)
+    ours = _domain_matrix(rows, params)
     theirs, pivots = _domain_matrix(matrix, params).rref()
     assert result.pivot_cols == tuple(pivots)
     assert ours == theirs
@@ -150,18 +166,19 @@ def test_solve_linear_matches_the_dense_loop(drawn):
     outcome = solve_linear(matrix, rhs)
     with mock.patch.object(linsolve, "rref", _dense_rref):
         dense = solve_linear(matrix, rhs)
-    assert (outcome.status, outcome.rank, outcome.rank_augmented,
-            outcome.free_columns) == (dense.status, dense.rank,
-                                      dense.rank_augmented, dense.free_columns)
+    assert ((outcome.status, outcome.rank, outcome.rank_augmented)
+            == (dense.status, dense.rank, dense.rank_augmented))
     assert ([str(p) for p in outcome.assumptions]
             == [str(p) for p in dense.assumptions])
     if outcome.status == "inconsistent":
         assert outcome.solution is dense.solution is None
         return
-    assert _cells([outcome.solution]) == _cells([dense.solution])
+    assert all(outcome.solution.values())
+    assert _stored(outcome.solution) == _stored(dense.solution)
+    x = _densified([outcome.solution], len(matrix[0]))[0]
     for row, b in zip(matrix, rhs):
-        assert sum((as_ratfunc(a) * x for a, x in zip(row, outcome.solution)),
-                   RatFunc(Poly.zero())) == as_ratfunc(b)
+        assert sum((as_ratfunc(a) * value for a, value in zip(row, x)),
+                   ZERO) == as_ratfunc(b)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -182,10 +199,6 @@ def test_rank_at_point_needs_every_parameter():
 
 
 # -- edges of the sparse loop -----------------------------------------------------------
-
-
-def _densified(rows, ncols, zero):
-    return [[row.get(k, zero) for k in range(ncols)] for row in rows]
 
 
 @pytest.mark.parametrize("pivot_key", [
@@ -210,8 +223,7 @@ def test_equal_pivot_keys_swap_rows_as_the_dense_loop_does(pivot_key):
     dense_pivots = _dense_gauss_jordan(dense, pivot_key)
     assert ([(c, p.num, p.den) for c, p in pivots]
             == [(c, p.num, p.den) for c, p in dense_pivots])
-    assert (_cells(_densified(rows, ncols, RatFunc(Poly.zero())))
-            == _cells(dense))
+    assert _cells(_densified(rows, ncols)) == _cells(dense)
 
 
 def test_a_cell_that_vanishes_at_the_point_is_not_a_pivot():
@@ -221,9 +233,13 @@ def test_a_cell_that_vanishes_at_the_point_is_not_a_pivot():
                          {"t": Fraction(1)}) == 1
 
 
-def test_rows_that_end_empty_keep_their_full_width():
+def test_rows_that_end_empty_are_empty_and_no_zero_is_stored():
     result = rref([[1, 2, 0], [2, 4, 0], [0, 0, 0]])
     assert result.pivot_cols == (0,)
-    assert [len(row) for row in result.rows] == [3, 3, 3]
-    assert _cells(result.rows[1:]) == [[(Poly.zero(), Poly.one())] * 3] * 2
-    assert rref([[0, 0]]).rows == ((RatFunc(Poly.zero()),) * 2,)
+    assert _stored(result.rows[0]) == {0: (Poly.one(), Poly.one()),
+                                       1: (Poly.one() * 2, Poly.one())}
+    assert result.rows[1:] == ({}, {})
+    assert rref([[0, 0]]).rows == ({},)
+    # x = (2, 0): the second coordinate cancels and is not stored.
+    outcome = solve_linear([[1, 1], [1, -1]], [2, 2])
+    assert _stored(outcome.solution) == {0: (Poly.one() * 2, Poly.one())}
