@@ -14,7 +14,6 @@ definition-file format; ``catalog_get`` memoizes construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -32,6 +31,7 @@ from .liealg import (
     pencil,
     wedge,
 )
+from .record import Record
 from .scalars import Poly, param
 
 __all__ = [
@@ -322,8 +322,7 @@ def make_dual_jordanian(N: int) -> LieSuperAlgebra:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranscriptionLine:
+class TranscriptionLine(Record):
     """One printed table line: its formula, index conditions, and tallies."""
 
     label: str
@@ -344,8 +343,7 @@ class TranscriptionLine:
         return f"{self.label}: {self.formula}{cond}  [{status}]"
 
 
-@dataclass(frozen=True)
-class MuPrimeTranscription:
+class MuPrimeTranscription(Record):
     """Deterministic report of the table-to-algebra transcription."""
 
     N: int
@@ -449,22 +447,13 @@ def _mu_prime_lines(N: int):
             for label, formula, condition, unsatisfiable, holds, claim in rows]
 
 
-def mu_prime_transcription(N: int) -> MuPrimeTranscription:
-    """Transcribe the printed first-order dual bracket table for gl(N).
-
-    The table is taken literally, line by line; every index assignment
-    satisfying a line's printed condition contributes a claim about one
-    ordered basis pair.  Claims are merged under antisymmetry; differing
-    claims about the same pair are recorded as conflicts (first claim wins,
-    processing lines in order).  Lines with unsatisfiable conditions are
-    flagged rather than repaired.  The Jacobi status of the resulting
-    bracket and its compatibility with the standard dual bracket on the
-    same coordinates are computed, not assumed.
-    """
+def _merge_mu_prime_claims(N: int):
+    """The table's claims merged under antisymmetry: the bracket, the
+    printed lines with their tallies, and the conflicts (first claim wins,
+    processing lines in order)."""
     if N < 2:
         raise ValueError("mu_prime_transcription requires N >= 2")
-    A_gl = make_gl(N)
-    basis = A_gl.basis
+    basis = make_gl(N).basis
 
     claims: dict[tuple[int, int], tuple[dict[str, int], str, str]] = {}
     conflicts: list[str] = []
@@ -498,17 +487,35 @@ def mu_prime_transcription(N: int) -> MuPrimeTranscription:
     table = {(basis.names[i], basis.names[j]): entry
              for (i, j), (entry, _, _) in claims.items() if entry}
     algebra = LieSuperAlgebra(f"mu.prime.gl{N}", basis, table)
+    return algebra, tuple(lines), tuple(conflicts)
+
+
+def mu_prime_transcription(N: int) -> MuPrimeTranscription:
+    """Transcribe the printed first-order dual bracket table for gl(N).
+
+    The table is taken literally, line by line; every index assignment
+    satisfying a line's printed condition contributes a claim about one
+    ordered basis pair.  Claims are merged under antisymmetry; differing
+    claims about the same pair are recorded as conflicts (first claim wins,
+    processing lines in order).  Lines with unsatisfiable conditions are
+    flagged rather than repaired.  The Jacobi status of the resulting
+    bracket and its compatibility with the standard dual bracket on the
+    same coordinates are computed, not assumed.
+    """
+    algebra, lines, conflicts = _merge_mu_prime_claims(N)
     jacobi = algebra.verify_jacobi()
-    standard_dual = _coboundary_dual(A_gl, _rdj_on_gl(N),
+    standard_dual = _coboundary_dual(make_gl(N), _rdj_on_gl(N),
                                      f"dual.standard.gl{N}", suffix="")
     compatible = compatible_pair(algebra, standard_dual)
-    return MuPrimeTranscription(N, algebra, tuple(lines), tuple(conflicts),
-                                jacobi, compatible)
+    return MuPrimeTranscription(N, algebra, lines, conflicts, jacobi,
+                                compatible)
 
 
 def make_mu_prime(N: int) -> LieSuperAlgebra:
-    """The transcribed first-order dual bracket on gl(N) coordinates."""
-    return mu_prime_transcription(N).algebra
+    """The transcribed first-order dual bracket on gl(N) coordinates (the
+    bracket alone, without the transcription's Jacobi and compatibility
+    checks)."""
+    return _merge_mu_prime_claims(N)[0]
 
 
 # --------------------------------------------------------------------------
@@ -516,8 +523,7 @@ def make_mu_prime(N: int) -> LieSuperAlgebra:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A named catalog object with its default algebra association."""
 
     name: str

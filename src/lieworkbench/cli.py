@@ -6,7 +6,8 @@ prints a report; ``workbench catalog`` lists the built-in objects;
 prints a one-page verdict.
 
 Exit codes: 0 when every check passes, 1 when some check fails (or is
-unsupported), 2 on usage, parse, or load errors.
+unsupported), 2 on usage, parse, or load errors, and when the input file
+cannot be read or the ``--out`` report cannot be written.
 """
 
 from __future__ import annotations
@@ -88,13 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
 def _run_command(args) -> int:
     try:
         source = Path(args.file).read_text(encoding="utf-8")
@@ -109,7 +103,16 @@ def _run_command(args) -> int:
         return 2
     results = run_checks(checks)
     render = render_structured if args.format == "structured" else render_text
-    _emit(render(results), args.out)
+    report = render(results)
+    if args.out is None:
+        sys.stdout.write(report)
+    else:
+        try:
+            Path(args.out).write_text(report, encoding="utf-8")
+        except OSError as exc:
+            print(f"workbench: cannot write {args.out}: {exc}",
+                  file=sys.stderr)
+            return 2
     return exit_code(results)
 
 

@@ -19,7 +19,6 @@ which polynomials were assumed nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -35,6 +34,7 @@ from .linsolve import (
     solve_linear,
     verify_rank_generically,
 )
+from .record import Record
 from .scalars import Poly, as_poly, param, poly_divmod, scalar_str
 
 __all__ = [
@@ -147,8 +147,7 @@ def compatible_pair(mu1: LieSuperAlgebra, mu2: LieSuperAlgebra) -> bool:
                for i, j, k in canonical_tuples(mu1.basis, 3))
 
 
-@dataclass(frozen=True)
-class CoboundaryOutcome:
+class CoboundaryOutcome(Record):
     """Result of solving d1(psi) = phi.
 
     statuses: "solved" (psi returned), "inconsistent" (no solution over the
@@ -460,8 +459,7 @@ def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
                              outcome.rank_augmented, solved_assumptions)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Record):
     kernel_dim: int
     image_dim: int
     quotient_dim: int
@@ -530,8 +528,7 @@ def verify_and_rank(matrix):
     return res
 
 
-@dataclass(frozen=True)
-class Cochain2Comparison:
+class Cochain2Comparison(Record):
     """Side-by-side comparison of two 2-cochains over a shared basis."""
 
     equal: bool

@@ -27,9 +27,10 @@ the original file (statement positions are not part of equality).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import ClassVar
 from fractions import Fraction
+
+from .record import Record
 
 __all__ = [
     "ParseError",
@@ -65,32 +66,28 @@ class ParseError(ValueError):
 # -- expressions ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: Fraction
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record):
     ident: str
 
     def __str__(self):
         return self.ident
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     operand: "Expr"
 
     def __str__(self):
         return f"-{_wrap(self.operand, above='*')}"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str  # "+", "-", "*", "^", "(x)"
     left: "Expr"
     right: "Expr"
@@ -135,65 +132,63 @@ def _wrap(expr: Expr, above: str) -> str:
 # -- statements -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamDecl:
+class ParamDecl(Record):
     names: tuple[str, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class BracketDecl:
+class BracketDecl(Record):
     left: str
     right: str
     rhs: Expr
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class AlgebraDecl:
+class AlgebraDecl(Record):
     name: str
     basis: tuple[tuple[str, str], ...]  # (generator, "even" | "odd")
     brackets: tuple[BracketDecl, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class TensorDecl:
+class TensorDecl(Record):
     name: str
     expr: Expr
     algebra: str | None = None  # explicit carrier: "on ALG"
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class CochainDecl:
+class CochainDecl(Record):
     name: str
     parity: str  # "even" | "odd"
     algebra: str
     entries: tuple[tuple[str, Expr], ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    _uncompared = ("line",)
 
 
-@dataclass(frozen=True)
-class CheckDecl:
+class CheckDecl(Record):
     kind: str
     args: tuple  # the values of the operands of the kind's row, in order
-    line: int = field(default=0, compare=False)
+    line: int = 0
+    _uncompared = ("line",)
 
 
 Statement = ParamDecl | AlgebraDecl | TensorDecl | CochainDecl | CheckDecl
 
 
-@dataclass(frozen=True)
-class WorkbenchFile:
+class WorkbenchFile(Record):
     statements: tuple[Statement, ...]
 
 
 # -- check forms ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(Record):
     """An operand: a name the runner resolves as ``kind`` ("algebra",
     "tensor", "1-cochain" or "2-cochain"), or a whole number (kind "int").
     ``what`` names it in a syntax error.  With a ``clause`` word it is
@@ -203,8 +198,7 @@ class Slot:
     clause: str | None = None
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Record):
     """One of ``words``, the word ``taker`` followed by ``slot``.  Its value
     is the pair of the word and the operand, None after any other word."""
     words: tuple[str, ...]
@@ -249,8 +243,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # "rational" | "ident" | "otimes" | "arrow" | punct text
     text: str
     line: int

@@ -33,12 +33,12 @@ enveloping terms) take their arithmetic and comparison from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+from .record import Record
 from .scalars import Poly, RatFunc, as_poly, scalar_str
 
 __all__ = [
@@ -376,8 +376,7 @@ def wedge(x: Element, y: Element) -> Tensor:
     return otimes(x, y) - otimes(y, x).scaled(sign)
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(Record):
     ok: bool
     witness: tuple[str, str, str] | None
     residual: "Element | None"

@@ -23,10 +23,10 @@ returned in that sparse form, with no zero stored.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .record import Record
 from .scalars import Poly, RatFunc, as_poly
 
 __all__ = [
@@ -129,8 +129,7 @@ def _gauss_jordan(rows: list[dict], ncols: int,
     return pivots
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(Record):
     rows: tuple[dict[int, RatFunc], ...]  # {column: nonzero value}; {} if emptied
     pivot_cols: tuple[int, ...]
     assumptions: tuple[Poly, ...]
@@ -159,8 +158,7 @@ def rref(matrix: Sequence[Sequence]) -> RrefResult:
                       tuple(assumptions))
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
+class LinearSolveResult(Record):
     status: str  # "solved" | "inconsistent"
     solution: dict[int, RatFunc] | None  # {column: nonzero value}
     rank: int

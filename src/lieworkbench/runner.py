@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import dsl
 from .bialgebra import (
@@ -69,6 +68,7 @@ from .enveloping import (
     universal_R,
 )
 from .liealg import Element, GradedBasis, LieSuperAlgebra, Tensor, otimes, wedge
+from .record import Record
 from .scalars import Poly, UnsupportedInputError, param, scalar_str
 
 __all__ = [
@@ -117,18 +117,17 @@ def check_order(order: int, line: int = 0) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class RunOptions(Record):
     order: int = DEFAULT_ORDER          # default twist truncation order
     assume_nonzero: tuple[str, ...] = ()  # parameters granted inversion
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     label: str
     status: str  # "pass" | "fail" | "unsupported"
     details: tuple[str, ...]
-    elapsed: float = field(default=0.0, compare=False)
+    elapsed: float = 0.0
+    _uncompared = ("elapsed",)
 
 
 # A loaded check: its label, and the call giving its status and detail lines.

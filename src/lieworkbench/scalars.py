@@ -18,9 +18,10 @@ its numerator as it is and shares one unit ``Poly`` as its denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
+
+from .record import Record
 
 __all__ = [
     "UnsupportedInputError",
@@ -67,8 +68,7 @@ def as_poly(value: ScalarLike) -> "Poly":
     return Poly.const(frac)
 
 
-@dataclass(frozen=True)
-class TruncationOrder:
+class TruncationOrder(Record):
     """Total-degree truncation in a chosen subset of graded parameters.
 
     Only the parameters in ``graded`` count toward the degree; all other

@@ -18,8 +18,6 @@ the expectation on r_a instead, where it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bialgebra import (
     adjoint_twist_r,
     check_cybe,
@@ -70,6 +68,7 @@ from .enveloping import (
     universal_R,
 )
 from .liealg import Element, GradedBasis, LieSuperAlgebra, pencil
+from .record import Record
 from .scalars import TruncationOrder, param, scalar_str
 
 __all__ = [
@@ -80,8 +79,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     title: str
     ok: bool

@@ -5,11 +5,17 @@ by an import statement must be read somewhere in that module or be listed
 in its ``__all__``.  A private definition must be read somewhere in the
 package, and a public function, class or method somewhere in ``src``,
 ``tests`` or ``bench``: an import or an ``__all__`` entry is not a use.
+No module imports ``dataclasses``: the package's value types derive from
+``record.Record``, and a fresh ``import lieworkbench, lieworkbench.cli``
+loads neither ``dataclasses`` nor the ``inspect`` it would pull in.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +47,36 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_imported_name_is_used_or_exported(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert _unused_imports(tree) == []
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules an import statement loads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if "dataclasses" in _imported_modules(
+                     ast.parse(path.read_text(), filename=path.name))]
+    assert importers == []
+
+
+def test_importing_the_package_and_cli_loads_no_code_generators():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, lieworkbench, lieworkbench.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _definitions(tree: ast.Module):

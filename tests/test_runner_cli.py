@@ -336,6 +336,16 @@ def test_cli_out_option(tmp_path, capsys):
     assert json.loads(target.read_text())["summary"]["pass"] == 1
 
 
+def test_cli_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "check jacobi sl2;\n")
+    target = tmp_path / "missing" / "report.txt"
+    assert main(["run", path, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"workbench: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_cli_missing_file_is_a_usage_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.wb")]) == 2
     assert capsys.readouterr().err != ""
