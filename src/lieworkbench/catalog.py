@@ -26,6 +26,7 @@ from .liealg import (
     JacobiReport,
     LieSuperAlgebra,
     Tensor,
+    accumulate,
     orient,
     otimes,
     pencil,
@@ -70,6 +71,29 @@ def pair_name(prefix: str, i: int, j: int, N: int) -> str:
     return f"{prefix}{i}_{j}" if N > 9 else f"{prefix}{i}{j}"
 
 
+def _matrix_table(matrices: dict[str, dict[tuple[int, int], int]],
+                  unit: Callable) -> dict:
+    """The brackets of the named ``matrices``, each given by its matrix-unit
+    coefficients, pair by pair in order, from [E_ij, E_kl] = delta_jk E_il -
+    delta_li E_kj; ``unit(p, q)`` gives E_pq as coefficients over the basis."""
+    names = list(matrices)
+    table: dict[tuple[str, str], dict[str, object]] = {}
+    for a, x in enumerate(names):
+        for y in names[a + 1:]:
+            coeffs: dict[str, int] = {}
+            for (i, j), c in matrices[x].items():
+                for (k, l), d in matrices[y].items():
+                    if j == k:
+                        for n, u in unit(i, l).items():
+                            accumulate(coeffs, n, c * d * u)
+                    if l == i:
+                        for n, u in unit(k, j).items():
+                            accumulate(coeffs, n, c * d * u, -1)
+            if coeffs:
+                table[(x, y)] = coeffs
+    return table
+
+
 def make_sl(N: int) -> LieSuperAlgebra:
     """sl(N): traceless Cartan combinations H_k = Y_kk - Y_{k+1,k+1} first,
     then off-diagonal matrix units E_ij in lexicographic order."""
@@ -79,41 +103,18 @@ def make_sl(N: int) -> LieSuperAlgebra:
     def e(i: int, j: int) -> str:
         return pair_name("E", i, j, N)
 
-    names = [cartan_name(k) for k in range(1, N)]
-    off = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1) if i != j]
-    names.extend(e(i, j) for (i, j) in off)
-    basis = GradedBasis(tuple(names))
+    def unit(i: int, j: int) -> dict[str, int]:
+        """E_ij, with E_ii taken as E_ii - E_NN = H_i + ... + H_{N-1}: the
+        difference of two diagonal units, all sl(N) holds, is unchanged."""
+        return {e(i, j): 1} if i != j else {cartan_name(k): 1
+                                             for k in range(i, N)}
 
-    def cartan(diag: dict[int, int]) -> dict[str, int]:
-        """Coefficients of a traceless diagonal matrix over the H_k."""
-        out = {}
-        partial = 0
-        for k in range(1, N):
-            partial += diag.get(k, 0)
-            if partial:
-                out[cartan_name(k)] = partial
-        return out
-
-    table: dict[tuple[str, str], dict[str, object]] = {}
-    for k in range(1, N):
-        for (i, j) in off:
-            coef = (i == k) - (j == k) - (i == k + 1) + (j == k + 1)
-            if coef:
-                table[(cartan_name(k), e(i, j))] = {e(i, j): coef}
-    for a in range(len(off)):
-        for b in range(a + 1, len(off)):
-            (i, j), (k, l) = off[a], off[b]
-            if j == k and i == l:
-                table[(e(i, j), e(k, l))] = cartan({i: 1, j: -1})
-                continue
-            coeffs: dict[str, int] = {}
-            if j == k:
-                coeffs[e(i, l)] = coeffs.get(e(i, l), 0) + 1
-            if l == i:
-                coeffs[e(k, j)] = coeffs.get(e(k, j), 0) - 1
-            if coeffs:
-                table[(e(i, j), e(k, l))] = coeffs
-    return LieSuperAlgebra(f"sl{N}", basis, table)
+    matrices = {cartan_name(k): {(k, k): 1, (k + 1, k + 1): -1}
+                for k in range(1, N)}
+    matrices.update({e(i, j): {(i, j): 1} for i in range(1, N + 1)
+                     for j in range(1, N + 1) if i != j})
+    return LieSuperAlgebra(f"sl{N}", GradedBasis(tuple(matrices)),
+                           _matrix_table(matrices, unit))
 
 
 def make_gl(N: int) -> LieSuperAlgebra:
@@ -124,21 +125,10 @@ def make_gl(N: int) -> LieSuperAlgebra:
     def y(i: int, j: int) -> str:
         return pair_name("Y", i, j, N)
 
-    units = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-    basis = GradedBasis(tuple(y(i, j) for (i, j) in units))
-    table: dict[tuple[str, str], dict[str, object]] = {}
-    for a in range(len(units)):
-        for b in range(a + 1, len(units)):
-            (i, j), (k, l) = units[a], units[b]
-            coeffs: dict[str, int] = {}
-            if j == k:
-                coeffs[y(i, l)] = coeffs.get(y(i, l), 0) + 1
-            if l == i:
-                coeffs[y(k, j)] = coeffs.get(y(k, j), 0) - 1
-            coeffs = {n: c for n, c in coeffs.items() if c}
-            if coeffs:
-                table[(y(i, j), y(k, l))] = coeffs
-    return LieSuperAlgebra(f"gl{N}", basis, table)
+    matrices = {y(i, j): {(i, j): 1} for i in range(1, N + 1)
+                for j in range(1, N + 1)}
+    return LieSuperAlgebra(f"gl{N}", GradedBasis(tuple(matrices)),
+                           _matrix_table(matrices, lambda i, j: {y(i, j): 1}))
 
 
 def make_borel() -> LieSuperAlgebra:
@@ -461,7 +451,7 @@ def _merge_mu_prime_claims(N: int):
 
     for label, formula, condition, instances, unsatisfiable in _mu_prime_lines(N):
         for (a, b, value) in instances:
-            oriented = orient(basis, (a, b))
+            oriented = orient(basis, map(basis.index, (a, b)))
             if oriented is None:
                 if value:
                     conflicts.append(

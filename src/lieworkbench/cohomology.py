@@ -8,7 +8,8 @@ is their mixed jacobiator: two brackets are compatible exactly when each
 is a 2-cocycle of the other.  The differentials carry Koszul signs for
 both the argument parities and the parity of the cochain itself; in the
 purely even case they reduce to the classical formulas.  Those signs live
-in one place, ``liealg.ce_terms``: d1, d2 and their matrices all read it.
+in one place, ``liealg.ce_terms``: d1, d2 and their matrices all sum the
+terms ``liealg.ce_walk`` yields from it.
 
 Cochain values are sparse vectors over the basis whose scalars may be
 polynomials or rational functions in the parameters: the coboundary solver
@@ -24,7 +25,7 @@ from typing import Mapping
 
 from .liealg import (CochainTable, Element, GradedBasis, LieSuperAlgebra,
                      accumulate, args_label, canonical_tuples, ce_residual,
-                     ce_terms, cocycle2_witness, d2_residual, orient,
+                     ce_walk, cocycle2_witness, d2_residual, orient,
                      render_sum)
 from .linsolve import (
     RatFunc,
@@ -185,50 +186,31 @@ def _coords(basis: GradedBasis, degree: int, parity: int | None = None
 
 
 def _ce_matrix(A: LieSuperAlgebra, parity: int, rows, cols) -> list[list]:
-    """The matrix of the CE differential on parity-p k-cochains, read off
-    ``liealg.ce_terms`` on unit cochains.
+    """The matrix of the CE differential on parity-p k-cochains, summed
+    from ``liealg.ce_walk`` on unit cochains.
 
     Column c is the unit cochain of ``cols[c]`` = (args..., t): e_t at the
     canonical argument indices args, read at any ordering through
     ``orient``.  Row r is the coefficient of e_t in the image at the
     arguments args, for ``rows[r]`` = (args..., t).
     """
-    basis = A.basis
-    names, index = basis.names, basis.index
-    bracket = [[[(index(t), c) for t, c in A.bracket_basis(a, b).coeffs.items()]
-                for b in names] for a in names]
     row_of = {coord: r for r, coord in enumerate(rows)}
     units: dict[tuple, list[tuple[int, int]]] = {}
     for c, (*args, t) in enumerate(cols):
         units.setdefault(tuple(args), []).append((t, c))
 
-    def read(args):
-        """The sign of the unit cochains at args, and their (target,
-        column) pairs."""
-        # An even repeat reads at the empty key, which holds no unit.
-        key, negate = orient(basis, [names[a] for a in args]) or ((), False)
-        return -1 if negate else 1, units.get(key, ())
+    def read(key):
+        """Whether the unit cochains at key are negated, and their (target,
+        column) pairs; an even repeat reads at the empty key, with none."""
+        canonical, negate = orient(A.basis, key) or ((), False)
+        return negate, units.get(canonical, ())
 
     cells: dict[tuple[int, int], Poly] = {}
-
-    def add(coord, col, c, sign):
-        r = row_of.get(coord)
-        if r is not None:
-            accumulate(cells, (r, col), c, sign)
-
     for args in dict.fromkeys(coord[:-1] for coord in rows):
-        brackets, cochains = ce_terms(tuple(basis.parities[a] for a in args),
-                                      parity)
-        for i, rest, sign in brackets:
-            unit, columns = read(rest(args))
-            for t, col in columns:
-                for m, c in bracket[args[i]][t]:
-                    add((*args, m), col, c, sign * unit)
-        for (i, j), rest, sign in cochains:
-            for s, c in bracket[args[i]][args[j]]:
-                unit, columns = read((s, *rest(args)))
-                for t, col in columns:
-                    add((*args, t), col, c, sign * unit)
+        for t, c, col, sign in ce_walk(A, parity, args, read):
+            r = row_of.get((*args, t))
+            if r is not None:
+                accumulate(cells, (r, col), c, sign)
     zero = Poly.zero()
     matrix = [[zero] * len(cols) for _ in rows]
     for (r, c), value in cells.items():

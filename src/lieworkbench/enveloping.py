@@ -177,8 +177,6 @@ class UEA:
 
     def _rewrite(self, word: Word) -> dict[tuple[Word, int], Coeff]:
         parities = self.algebra.basis.parities
-        names = self.algebra.basis.names
-        index = self.algebra.basis.index
         for i in range(len(word) - 1):
             a, b = word[i], word[i + 1]
             if a < b or (a == b and parities[a] == 0):
@@ -190,14 +188,12 @@ class UEA:
                 odd_swap = parities[a] and parities[b]
                 for key, c in self.normalize_word(head + (b, a) + tail).items():
                     accumulate(out, key, -c if odd_swap else c)
-                reduced = self.algebra.bracket_basis(names[a], names[b])
                 scale = Fraction(1)
             else:
                 # adjacent equal odd letters: x x = [x, x] / 2
-                reduced = self.algebra.bracket_basis(names[a], names[a])
                 scale = Fraction(1, 2)
-            for target, c in reduced.coeffs.items():
-                shorter = head + (index(target),) + tail
+            for target, c in self.algebra.structure[a][b]:
+                shorter = head + (target,) + tail
                 for k, coeff in self._split(c * scale).items():
                     for (w, kw), c2 in self.normalize_word(shorter).items():
                         accumulate(out, (w, k + kw), c2 * coeff)

@@ -7,15 +7,15 @@ rule: transposing two homogeneous factors of parities p and q contributes
 ``(-1)**(p*q)``.
 
 A bracket and a k-cochain are stored alike, as a :class:`CochainTable`:
-one vector per tuple of :func:`canonical_tuples`, the other orderings read
-through :func:`orient`.  :class:`LieSuperAlgebra` is its parity-0 case of
-degree 2, so a bracket is a 2-cochain as it stands.
+one vector per tuple of :func:`canonical_tuples`, each ordering of indices
+read through :func:`orient` once.  :class:`LieSuperAlgebra` is its parity-0
+case of degree 2, with every ordered pair's bracket in one index table.
 
 The signed terms of the Chevalley-Eilenberg differential on k-cochains
 are one function, :func:`ce_terms`, of the argument parities and the
-cochain parity: the one place its Koszul signs live.  :func:`ce_residual`
-reads it for d1 and d2, and the CE matrices of ``cohomology`` read it on
-unit cochains.
+cochain parity: the one place its Koszul signs live.  :func:`ce_walk`
+yields the terms over the index table, which :func:`ce_residual` sums for
+d1 and d2 and the CE matrices of ``cohomology`` sum on unit cochains.
 
 Every trilinear residual is :func:`d2_residual`, d2 of a 2-cochain over a
 bracket, scanned by :func:`cocycle2_witness`: Jacobi is half of d2 of a
@@ -52,6 +52,7 @@ __all__ = [
     "orient",
     "args_label",
     "ce_terms",
+    "ce_walk",
     "ce_residual",
     "d2_residual",
     "cocycle2_witness",
@@ -385,9 +386,8 @@ class JacobiReport(Record):
     def __str__(self):
         if self.ok:
             return f"jacobi ok ({self.triples_checked} triples)"
-        x, y, z = self.witness
-        return (f"jacobi FAILS at ({x}, {y}, {z}): residual {self.residual} "
-                f"({self.triples_checked} triples checked)")
+        return (f"jacobi FAILS at {args_label(self.witness)}: residual "
+                f"{self.residual} ({self.triples_checked} triples checked)")
 
 
 def canonical_tuples(basis: GradedBasis, k: int) -> list[tuple[int, ...]]:
@@ -415,18 +415,17 @@ def as_vector(value) -> dict:
     return {name: c for name, c in scalars.items() if c}
 
 
-def orient(basis: GradedBasis, names: Sequence[str]):
-    """The canonical index tuple of the arguments ``names``, and whether a
-    graded-alternating map is negated there; or None where an even
-    generator repeats, which sends the map to zero.
+def orient(basis: GradedBasis, args: Iterable[int]):
+    """The canonical index tuple of the arguments at the basis indices
+    ``args``, and whether a graded-alternating map is negated there; or None
+    where an even generator repeats, which sends the map to zero.
 
     The indices are sorted by insertion, one swap of neighbours at a time,
     and swapping neighbours a, b multiplies the value by -(-1)^{|a||b|}:
     it negates unless both generators are odd.  An index lands next to any
     equal one, so a repeat is seen where it is inserted.
     """
-    odd = basis.parities
-    key = list(map(basis.index, names))
+    odd, key = basis.parities, list(args)
     negate = False
     for j in range(1, len(key)):
         a = key[j]
@@ -465,16 +464,17 @@ class CochainTable:
         self.basis = basis
         self.parity = int(parity) % 2
         self.degree = degree
-        self._reads: dict[tuple[str, ...], dict] = {}
+        self._reads: dict[tuple[int, ...], tuple] = {}
         odd = basis.parities
         seen: dict[tuple[int, ...], dict] = {}
         for names, value in (entries or {}).items():
             vec = as_vector(value)
-            oriented = self._orient(names)
+            oriented = self._orient(tuple(map(basis.index, names)))
             if oriented is None:
                 if vec:
+                    value = render_sum((scalar_str(c), n) for n, c in vec.items())
                     raise ValueError(f"{args_label(names)} repeats an even "
-                                     f"generator but has the value {vec}")
+                                     f"generator but has the value {value}")
                 continue
             key, negate = oriented
             if negate:
@@ -489,23 +489,28 @@ class CochainTable:
                                      f"{target!r} of wrong parity")
         self.table = {key: vec for key, vec in seen.items() if vec}
 
-    def _orient(self, names: Sequence[str]):
-        if len(names) != self.degree:
-            raise ValueError(f"{args_label(names)} given to a degree-"
-                             f"{self.degree} cochain")
-        return orient(self.basis, names)
+    def _orient(self, key: tuple[int, ...]):
+        if len(key) != self.degree:
+            raise ValueError(f"{args_label([self.basis.names[i] for i in key])}"
+                             f" given to a degree-{self.degree} cochain")
+        return orient(self.basis, key)
+
+    def read(self, key: tuple[int, ...]) -> tuple[bool, tuple]:
+        """Whether the value at basis indices ``key`` is negated, and its
+        canonical (target index, scalar) pairs, none at an even repeat."""
+        read = self._reads.get(key)
+        if read is None:
+            canonical, negate = self._orient(key) or ((), False)
+            index = self.basis.index
+            read = self._reads[key] = negate, tuple(
+                (index(t), c) for t, c in self.table.get(canonical, {}).items())
+        return read
 
     def apply_names(self, *names: str) -> dict:
-        """The value at (e_names...), a fresh dict; each ordering of the
-        arguments is oriented once, on its first read, and kept as its
-        canonical vector and sign."""
-        read = self._reads.get(names)
-        if read is None:
-            # An even repeat reads at the empty key, which holds nothing.
-            key, negate = self._orient(names) or ((), False)
-            read = self._reads[names] = self.table.get(key, {}), negate
-        vec, negate = read
-        return {n: -c for n, c in vec.items()} if negate else dict(vec)
+        """The value at (e_names...), a fresh dict, from :meth:`read`."""
+        negate, pairs = self.read(tuple(map(self.basis.index, names)))
+        names = self.basis.names
+        return {names[t]: -c if negate else c for t, c in pairs}
 
     def __eq__(self, other):
         if not isinstance(other, CochainTable):
@@ -553,24 +558,36 @@ def ce_terms(parities: tuple[int, ...], p: int) -> tuple[tuple, tuple]:
     return brackets, cochains
 
 
-def ce_residual(A: LieSuperAlgebra, phi, args: tuple[str, ...]) -> dict:
-    """(d phi)(args) for basis labels, summed from :func:`ce_terms`.
-
-    ``phi`` is a :class:`CochainTable` of degree k, read by
-    ``apply_names(*names)``, and ``args`` holds k + 1 labels.
-    """
-    brackets, cochains = ce_terms(tuple(map(A.basis.parity, args)),
-                                  phi.parity)
-    out: dict = {}
+def ce_walk(A: LieSuperAlgebra, parity: int, args: tuple[int, ...], read):
+    """The terms (t, c, value, sign) of (d phi)(x_args) at k + 1 basis indices
+    ``args``, each adding sign * c * value to e_t for a structure constant c
+    of ``A``; ``read`` reads the parity-p phi as :meth:`CochainTable.read`."""
+    rows = A.structure
+    brackets, cochains = ce_terms(tuple(A.basis.parities[a] for a in args),
+                                  parity)
     for i, rest, sign in brackets:
-        for name, value in phi.apply_names(*rest(args)).items():
-            for t, c in A.bracket_basis(args[i], name).coeffs.items():
-                accumulate(out, t, c * value, sign)
+        row = rows[args[i]]
+        negate, values = read(rest(args))
+        for s, value in values:
+            for t, c in row[s]:
+                yield t, c, value, -sign if negate else sign
     for (i, j), rest, sign in cochains:
-        others = rest(args)
-        for name, c in A.bracket_basis(args[i], args[j]).coeffs.items():
-            for t, value in phi.apply_names(name, *others).items():
-                accumulate(out, t, value * c, sign)
+        for s, c in rows[args[i]][args[j]]:
+            negate, values = read((s, *rest(args)))
+            for t, value in values:
+                yield t, c, value, -sign if negate else sign
+
+
+def ce_residual(A: LieSuperAlgebra, phi, args: tuple[str, ...]) -> dict:
+    """(d phi)(args) for basis labels, summed from :func:`ce_walk`.
+
+    ``phi`` is a :class:`CochainTable` of degree k, and ``args`` holds
+    k + 1 labels.
+    """
+    names, out = A.basis.names, {}
+    for t, c, value, sign in ce_walk(A, phi.parity,
+                                     tuple(map(A.basis.index, args)), phi.read):
+        accumulate(out, names[t], c * value, sign)
     return out
 
 
@@ -608,11 +625,12 @@ class LieSuperAlgebra(CochainTable):
     (use :meth:`verify_jacobi`).
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_structure")
 
     def __init__(self, name: str, basis: GradedBasis,
                  table: Mapping[tuple[str, str], Mapping[str, object]]):
         self.name = name
+        self._structure = None
         # Structure constants are polynomials: _clean rejects a RatFunc.
         super().__init__(basis, {pair: _clean(v) for pair, v in table.items()})
 
@@ -635,14 +653,27 @@ class LieSuperAlgebra(CochainTable):
         result.coeffs = self.apply_names(a, b)
         return result
 
+    @property
+    def structure(self) -> list[list[tuple]]:
+        """``structure[a][b]``: the (target index, c) pairs of [x_a, x_b] for
+        basis indices, built once through :meth:`bracket_basis`."""
+        if self._structure is None:
+            names, index = self.basis.names, self.basis.index
+            self._structure = [[tuple((index(t), c) for t, c in
+                                      self.bracket_basis(a, b).coeffs.items())
+                                for b in names] for a in names]
+        return self._structure
+
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the basis bracket."""
+        rows, index, names = self.structure, self.basis.index, self.basis.names
         out: dict[str, Poly] = {}
         for a, ca in x.coeffs.items():
+            row = rows[index(a)]
             for b, cb in y.coeffs.items():
                 scale = ca * cb
-                for target, c in self.bracket_basis(a, b).coeffs.items():
-                    accumulate(out, target, c * scale)
+                for t, c in row[index(b)]:
+                    accumulate(out, names[t], c * scale)
         result = self.zero()
         result.coeffs = out
         return result

@@ -67,7 +67,8 @@ from .enveloping import (
     twist_counit_ok,
     universal_R,
 )
-from .liealg import Element, GradedBasis, LieSuperAlgebra, Tensor, otimes, wedge
+from .liealg import (Element, GradedBasis, LieSuperAlgebra, Tensor, args_label,
+                     otimes, wedge)
 from .record import Record
 from .scalars import Poly, UnsupportedInputError, param, scalar_str
 
@@ -476,8 +477,7 @@ def _run_jacobi(A: LieSuperAlgebra):
     if report.ok:
         return "pass", [f"graded Jacobi holds on all "
                         f"{report.triples_checked} canonical triples"]
-    x, y, z = report.witness
-    return "fail", [f"witness triple ({x}, {y}, {z})",
+    return "fail", [f"witness triple {args_label(report.witness)}",
                     f"residual {report.residual}"]
 
 
@@ -500,8 +500,8 @@ def _run_cocycle(phi: LieSuperAlgebra, A: LieSuperAlgebra):
     witness = cocycle2_witness(A, phi)
     if witness is None:
         return "pass", [f"closed under the differential of {A.name}"]
-    (x, y, z), residual = witness
-    return "fail", [f"witness triple ({x}, {y}, {z})",
+    triple, residual = witness
+    return "fail", [f"witness triple {args_label(triple)}",
                     f"residual {Element(A.basis, residual)}"]
 
 
@@ -511,8 +511,8 @@ def _run_compatible(first: LieSuperAlgebra, second: LieSuperAlgebra):
     witness = cocycle2_witness(first, second)
     if witness is None:
         return "pass", ["mixed jacobiator vanishes identically"]
-    (x, y, z), residual = witness
-    return "fail", [f"witness triple ({x}, {y}, {z})",
+    triple, residual = witness
+    return "fail", [f"witness triple {args_label(triple)}",
                     f"mixed jacobiator {Element(first.basis, residual)}"]
 
 
@@ -531,7 +531,8 @@ def _run_coboundary(phi: LieSuperAlgebra, A: LieSuperAlgebra,
     elif outcome.status == "obstructed":
         details.append(outcome.obstruction)
     elif outcome.status == "not-cocycle":
-        details.append(f"input is not closed; witness triple {outcome.witness}")
+        witness = args_label(outcome.witness)
+        details.append(f"input is not closed; witness triple {witness}")
     if psi is not None:
         comparison = compare_cochain2(d1(A, psi), phi)
         details.append(f"declared table {compare!r}: d1 image "

@@ -101,6 +101,16 @@ def test_coboundary_check_reports_the_solution_and_comparison():
     assert "<== differs" in details
 
 
+def test_a_not_closed_coboundary_input_prints_its_witness_like_every_scan():
+    src = ("param h; algebra A { basis x:even y:odd; bracket [y,y] = x; "
+           "bracket [x,y] = h*y; } check coboundary A over A;")
+    (result,) = run_source(src)
+    assert result.status == "fail"
+    assert result.details == ("solver status: not-cocycle",
+                              "rank 0, augmented rank 0",
+                              "input is not closed; witness triple (x, y, y)")
+
+
 def test_obstructed_coboundary_fails_without_assumptions():
     src = "check coboundary dual.jordan.sl2 over dual.standard.sl2;"
     (result,) = run_source(src)
