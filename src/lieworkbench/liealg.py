@@ -509,8 +509,8 @@ class CochainTable:
     def apply_names(self, *names: str) -> dict:
         """The value at (e_names...), a fresh dict, from :meth:`read`."""
         negate, pairs = self.read(tuple(map(self.basis.index, names)))
-        names = self.basis.names
-        return {names[t]: -c if negate else c for t, c in pairs}
+        labels = self.basis.names
+        return {labels[t]: -c if negate else c for t, c in pairs}
 
     def __eq__(self, other):
         if not isinstance(other, CochainTable):

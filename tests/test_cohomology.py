@@ -34,7 +34,7 @@ from lieworkbench.cohomology import (
     mixed_jacobiator,
     solve_coboundary,
 )
-from lieworkbench.cohomology import _ce_matrix
+from lieworkbench.cohomology import _ce_matrix, _coords
 from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra,
                                  accumulate, canonical_tuples, ce_terms,
                                  orient, pencil)
@@ -195,41 +195,24 @@ def test_pair_tables_read_reversed_pairs_through_graded_antisymmetry(pair):
 @given(_bracket_pairs(), st.integers(-2, 2))
 def test_the_index_table_is_the_basis_bracket_and_is_built_once(pair, s):
     # Each drawn table, with its spectator parameter and at a constant value
-    # of it.  The table holds [x_a, x_b] at every ordered pair: an odd repeat
-    # is read, an even one is empty.
+    # of it.  Two rounds of scans and matrices read the table, which is
+    # built once, on the first read: one basis bracket per ordered pair.
     for A in (*pair, *(B.substitute({"s": s}) for B in pair)):
-        basis, n = A.basis, A.dim
-        for a, b in product(range(n), repeat=2):
+        basis = A.basis
+        with patch.object(LieSuperAlgebra, "bracket_basis", autospec=True,
+                          side_effect=LieSuperAlgebra.bracket_basis) as spy:
+            for parity in (0, 1):
+                A.verify_jacobi()
+                _ce_matrix(A, parity, _coords(basis, 2), _coords(basis, 1))
+        assert spy.call_count == A.dim ** 2
+        # The table holds [x_a, x_b] at every ordered pair: an odd repeat
+        # is read, an even one is empty.
+        for a, b in product(range(A.dim), repeat=2):
             entry = A.structure[a][b]
             assert ({basis.names[t]: c for t, c in entry}
                     == A.bracket_basis(basis.names[a], basis.names[b]).coeffs)
             if a == b and not basis.parities[a]:
                 assert entry == ()
-        # Built above, so a scan or a matrix reads it without a basis bracket.
-        with patch.object(LieSuperAlgebra, "bracket_basis", autospec=True,
-                          side_effect=LieSuperAlgebra.bracket_basis) as spy:
-            A.verify_jacobi()
-            _ce_matrix(A, 1, _unit_rows(basis), _unit_cols(basis))
-            assert spy.call_count == 0
-    # A fresh algebra builds it on its first scan, once: n^2 basis brackets.
-    A = LieSuperAlgebra("fresh", pair[0].basis,
-                        {(pair[0].basis.names[i], pair[0].basis.names[j]): v
-                         for (i, j), v in pair[0].table.items()})
-    with patch.object(LieSuperAlgebra, "bracket_basis", autospec=True,
-                      side_effect=LieSuperAlgebra.bracket_basis) as spy:
-        for _ in range(2):
-            A.verify_jacobi()
-            _ce_matrix(A, 0, _unit_rows(A.basis), _unit_cols(A.basis))
-        assert spy.call_count == A.dim ** 2
-
-
-def _unit_rows(basis):
-    return [(*args, t) for args in canonical_tuples(basis, 2)
-            for t in range(len(basis))]
-
-
-def _unit_cols(basis):
-    return [(a, t) for a in range(len(basis)) for t in range(len(basis))]
 
 
 # -- the k-ary reads against the two-argument code they replaced ----------------------
