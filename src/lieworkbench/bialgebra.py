@@ -2,8 +2,9 @@
 
 Covers the Schouten bracket and the (modified) classical Yang-Baxter
 equations, ad-invariance scans, cobrackets obtained from r-matrices,
-bialgebra axiom checks, dual-algebra extraction via the canonical pairing,
-and the adjoint exponential action on r-matrices.
+dual-algebra extraction via the canonical pairing, and the adjoint
+exponential action on r-matrices.  The Schouten bracket and the adjoint
+action read the bracket off ``LieSuperAlgebra.structure`` by basis index.
 
 All tensor operations carry Koszul signs; r-matrices handed to the Schouten
 bracket must consist of parity-even terms (each a(x)b with |a|+|b| even),
@@ -34,8 +35,6 @@ __all__ = [
     "check_mcybe",
     "Cobracket",
     "cobracket_from_r",
-    "check_cocycle_compat",
-    "check_cojacobi",
     "dual_algebra",
     "adjoint_twist_r",
     "decompose_check",
@@ -62,21 +61,28 @@ def ad_action(A: LieSuperAlgebra, x: Element, t: Tensor) -> Tensor:
     """Derivation action of x on a tensor: sum over slots of ad_x.
 
     Acting on slot s of a(1)(x)...(x)a(n) contributes the Koszul sign
-    (-1)^{|x| * (|a(1)|+...+|a(s-1)|)}.
+    (-1)^{|x| * (|a(1)|+...+|a(s-1)|)}.  The brackets are read off
+    ``A.structure`` by basis index.
     """
     px = x.parity()
     if px is None:
         raise ValueError("ad_action requires a parity-homogeneous element")
-    basis = t.basis
+    rows, index = A.structure, A.basis.index
+    names, parities = A.basis.names, A.basis.parities
+    acting = [(rows[index(a)], ca) for a, ca in x.coeffs.items()]
     out: dict[tuple, Poly] = {}
     for key, coeff in t.coeffs.items():
-        for slot in range(t.rank):
-            sign = (-1) ** (px * sum(basis.parity(n) for n in key[:slot]))
-            image = A.bracket(x, Element.basis_vector(basis, key[slot]))
-            for target, c in image.coeffs.items():
-                accumulate(out, key[:slot] + (target,) + key[slot + 1:],
-                           coeff * c * sign)
-    return Tensor(basis, t.rank, out)
+        scaled = [(row, coeff * ca) for row, ca in acting]
+        before = 0
+        for slot, name in enumerate(key):
+            s = index(name)
+            sign = -1 if px and before else 1
+            for row, scale in scaled:
+                for target, c in row[s]:
+                    accumulate(out, (*key[:slot], names[target], *key[slot + 1:]),
+                               scale * c, sign)
+            before ^= parities[s]
+    return Tensor(t.basis, t.rank, out)
 
 
 def check_invariant(A: LieSuperAlgebra, t: Tensor) -> bool:
@@ -98,21 +104,25 @@ def schouten(A: LieSuperAlgebra, r: Tensor) -> Tensor:
             raise UnsupportedInputError(
                 f"schouten bracket requires parity-even terms; got {key}")
 
+    rows, odd = A.structure, A.basis.parities
+    index, names = A.basis.index, A.basis.names
+    items = [(index(a), index(b), c) for (a, b), c in r.coeffs.items()]
     out: dict[tuple, Poly] = {}
-    items = list(r.coeffs.items())
-    for (a, b), c1 in items:
-        for (c, d), c2 in items:
+    for a, b, c1 in items:
+        for c, d, c2 in items:
             coeff = c1 * c2
-            sign_bc = (-1) ** (basis.parity(b) * basis.parity(c))
+            sign_bc = -1 if odd[b] and odd[c] else 1
             # [r12, r13]: bracket on slot 1, spectators b, d.
-            for target, k in A.bracket_basis(a, c).coeffs.items():
-                accumulate(out, (target, b, d), coeff * k * sign_bc)
+            for t, k in rows[a][c]:
+                accumulate(out, (names[t], names[b], names[d]), coeff * k,
+                           sign_bc)
             # [r12, r23]: bracket on slot 2, spectators a, d.
-            for target, k in A.bracket_basis(b, c).coeffs.items():
-                accumulate(out, (a, target, d), coeff * k)
+            for t, k in rows[b][c]:
+                accumulate(out, (names[a], names[t], names[d]), coeff * k)
             # [r13, r23]: bracket on slot 3, spectators a, c.
-            for target, k in A.bracket_basis(b, d).coeffs.items():
-                accumulate(out, (a, c, target), coeff * k * sign_bc)
+            for t, k in rows[b][d]:
+                accumulate(out, (names[a], names[c], names[t]), coeff * k,
+                           sign_bc)
     return Tensor(basis, 3, out)
 
 
@@ -130,8 +140,8 @@ def check_mcybe(A: LieSuperAlgebra, r: Tensor) -> bool:
 class Cobracket(SparseSum):
     """A linear map delta: A -> A(x)A given by its values on basis elements:
     ``coeffs`` maps a basis label to its nonzero rank-2 tensor.  It carries
-    its algebra A, so it stands for the pair (A, delta) that the bialgebra
-    checks and :func:`dual_algebra` take."""
+    its algebra A, so it stands for the pair (A, delta) that
+    :func:`dual_algebra` takes."""
 
     __slots__ = ("algebra",)
 
@@ -175,51 +185,6 @@ def cobracket_from_r(A: LieSuperAlgebra, r: Tensor) -> Cobracket:
     """The coboundary cobracket delta(x) = (ad_x(x)1 + 1(x)ad_x)(r)."""
     return Cobracket(A, {name: ad_action(A, A.gen(name), r)
                          for name in A.basis.names})
-
-
-def check_cocycle_compat(delta: Cobracket) -> tuple[bool, tuple[str, str] | None]:
-    """1-cocycle condition of the cobracket over the bracket.
-
-    delta([x,y]) = ad_x.delta(y) - (-1)^{|x||y|} ad_y.delta(x) for all basis
-    pairs, where ad acts as a derivation on tensor slots.  The defect is
-    graded-antisymmetric in (x, y), so the pairs of
-    ``canonical_tuples(basis, 2)`` suffice and the witness is the first
-    failing ordered pair.  Returns the status and a witness pair on failure.
-    """
-    A = delta.algebra
-    names = A.basis.names
-    for i, j in canonical_tuples(A.basis, 2):
-        a, b = names[i], names[j]
-        x, y = A.gen(a), A.gen(b)
-        sign = (-1) ** (A.basis.parities[i] * A.basis.parities[j])
-        lhs = delta(A.bracket(x, y))
-        rhs = ad_action(A, x, delta(y)) - ad_action(A, y, delta(x)).scaled(sign)
-        if lhs != rhs:
-            return False, (a, b)
-    return True, None
-
-
-def _cyclic3(t: Tensor) -> Tensor:
-    """Graded cyclic shift (a,b,c) -> (c,a,b) with sign (-1)^{|c|(|a|+|b|)}."""
-    parity = t.basis.parity
-    return Tensor(t.basis, 3,
-                  {(c, a, b): coeff * (-1) ** (parity(c) * (parity(a) + parity(b)))
-                   for (a, b, c), coeff in t.coeffs.items()})
-
-
-def check_cojacobi(delta: Cobracket) -> tuple[bool, str | None]:
-    """Co-Jacobi identity: (1 + cyclic + cyclic^2)(delta(x)1)delta = 0."""
-    A = delta.algebra
-    basis = A.basis
-    for name in basis.names:
-        terms: dict[tuple, Poly] = {}
-        for (a, b), coeff in delta(A.gen(name)).coeffs.items():
-            for (p, q), inner in delta(A.gen(a)).coeffs.items():
-                accumulate(terms, (p, q, b), coeff * inner)
-        dd = Tensor(basis, 3, terms)
-        if dd + _cyclic3(dd) + _cyclic3(_cyclic3(dd)):
-            return False, name
-    return True, None
 
 
 def dual_algebra(delta: Cobracket, suffix: str = "_hat") -> LieSuperAlgebra:

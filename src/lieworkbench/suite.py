@@ -22,12 +22,12 @@ from .bialgebra import (
     adjoint_twist_r,
     check_cybe,
     check_invariant,
-    check_mcybe,
     cobracket_from_r,
     decompose_check,
     dual_algebra,
     limit_r,
     proportionality_constant,
+    schouten,
     sym_part,
 )
 from .catalog import (
@@ -129,9 +129,10 @@ def criterion_standard_r() -> CriterionResult:
     for N in (2, 3):
         A = make_sl(N)
         r = make_rdj(N)
-        modified = check_mcybe(A, r)
-        unmodified = check_cybe(A, r)
+        bracket = schouten(A, r)
         sym_invariant = check_invariant(A, sym_part(r))
+        modified = sym_invariant and check_invariant(A, bracket)
+        unmodified = not bracket
         lines.append(f"sl({N}): modified equation {modified}, symmetric part "
                      f"invariant {sym_invariant}, unmodified equation "
                      f"{unmodified} (expected False)")

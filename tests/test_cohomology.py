@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieworkbench.bialgebra import check_invariant, cobracket_from_r, schouten
 from lieworkbench.catalog import (
     catalog_get,
     catalog_names,
@@ -36,8 +37,8 @@ from lieworkbench.cohomology import (
 )
 from lieworkbench.cohomology import _ce_matrix, _coords
 from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra,
-                                 accumulate, canonical_tuples, ce_terms,
-                                 orient, pencil)
+                                 Tensor, accumulate, canonical_tuples,
+                                 ce_terms, orient, pencil)
 from lieworkbench.scalars import Poly, RatFunc, as_poly, param
 
 
@@ -195,16 +196,27 @@ def test_pair_tables_read_reversed_pairs_through_graded_antisymmetry(pair):
 @given(_bracket_pairs(), st.integers(-2, 2))
 def test_the_index_table_is_the_basis_bracket_and_is_built_once(pair, s):
     # Each drawn table, with its spectator parameter and at a constant value
-    # of it.  Two rounds of scans and matrices read the table, which is
-    # built once, on the first read: one basis bracket per ordered pair.
+    # of it.  Two rounds of scans, matrices and bialgebra checks read the
+    # table, which is built once, on the first read: one basis bracket per
+    # ordered pair, and no bracket of elements.
     for A in (*pair, *(B.substitute({"s": s}) for B in pair)):
         basis = A.basis
+        tensor = Tensor(basis, 2, dict.fromkeys(product(basis.names,
+                                                        repeat=2), 1))
+        even = Tensor(basis, 2, {key: 1 for key in tensor.coeffs
+                                 if not tensor.key_parity(key)})
         with patch.object(LieSuperAlgebra, "bracket_basis", autospec=True,
-                          side_effect=LieSuperAlgebra.bracket_basis) as spy:
+                          side_effect=LieSuperAlgebra.bracket_basis) as spy, \
+                patch.object(LieSuperAlgebra, "bracket", autospec=True,
+                             side_effect=LieSuperAlgebra.bracket) as element:
             for parity in (0, 1):
                 A.verify_jacobi()
                 _ce_matrix(A, parity, _coords(basis, 2), _coords(basis, 1))
+                cobracket_from_r(A, tensor)
+                check_invariant(A, tensor)
+                schouten(A, even)
         assert spy.call_count == A.dim ** 2
+        assert element.call_count == 0
         # The table holds [x_a, x_b] at every ordered pair: an odd repeat
         # is read, an even one is empty.
         for a, b in product(range(A.dim), repeat=2):

@@ -7,6 +7,8 @@ operands, and the genericity check takes a matrix's cells as they are.  The gene
 references, and every result is compared with the reference's term by
 term, on zero, constant, unit, negative and multi-parameter operands.
 Every coefficient must stay a ``Fraction``, and no operand may change.
+The bialgebra's ``ad_action`` and ``schouten``, which read the index
+table, are compared the same way with their name-keyed loops.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from hypothesis import strategies as st
 
 from lieworkbench import cohomology, linsolve
 from lieworkbench.catalog import catalog_get
+from lieworkbench.bialgebra import ad_action, schouten
 from lieworkbench.cohomology import Cochain1, Cochain2, h2_dim
-from lieworkbench.liealg import (GradedBasis, LieSuperAlgebra,
-                                 canonical_tuples, ce_residual, ce_terms)
+from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra, Tensor,
+                                 accumulate, canonical_tuples, ce_residual,
+                                 ce_terms)
 from lieworkbench.linsolve import (GenericityError, as_ratfunc, rank_at_point,
                                    rref, verify_rank_generically)
-from lieworkbench.scalars import Poly, RatFunc, _mono_mul, param
+from lieworkbench.scalars import (Poly, RatFunc, UnsupportedInputError,
+                                  _mono_mul, param)
 
 # -- the general references -------------------------------------------------------------
 
@@ -449,3 +454,104 @@ def test_h2_dim_names_the_failing_jacobi_triple_before_any_elimination():
     with mock.patch.object(cohomology, "rref", refuse):
         with pytest.raises(ValueError, match=r"\(Y11, Y12, Y23\)"):
             h2_dim(mu_prime)
+
+
+# -- the bialgebra reads ----------------------------------------------------------------
+
+
+def _ref_ad_action(A, x, t):
+    """``ad_action`` as it read the bracket by name: one basis vector and
+    one element bracket per tensor slot."""
+    px = x.parity()
+    if px is None:
+        raise ValueError("ad_action requires a parity-homogeneous element")
+    basis = t.basis
+    out: dict = {}
+    for key, coeff in t.coeffs.items():
+        for slot in range(t.rank):
+            sign = (-1) ** (px * sum(basis.parity(n) for n in key[:slot]))
+            image = A.bracket(x, Element.basis_vector(basis, key[slot]))
+            for target, c in image.coeffs.items():
+                accumulate(out, key[:slot] + (target,) + key[slot + 1:],
+                           coeff * c * sign)
+    return Tensor(basis, t.rank, out)
+
+
+def _ref_schouten(A, r):
+    """``schouten`` as it read the bracket by name: three basis brackets
+    per pair of terms."""
+    if r.rank != 2:
+        raise ValueError("schouten expects a rank-2 tensor")
+    basis = r.basis
+    for key in r.coeffs:
+        if r.key_parity(key):
+            raise UnsupportedInputError(
+                f"schouten bracket requires parity-even terms; got {key}")
+    out: dict = {}
+    items = list(r.coeffs.items())
+    for (a, b), c1 in items:
+        for (c, d), c2 in items:
+            coeff = c1 * c2
+            sign_bc = (-1) ** (basis.parity(b) * basis.parity(c))
+            for target, k in A.bracket_basis(a, c).coeffs.items():
+                accumulate(out, (target, b, d), coeff * k * sign_bc)
+            for target, k in A.bracket_basis(b, c).coeffs.items():
+                accumulate(out, (a, target, d), coeff * k)
+            for target, k in A.bracket_basis(b, d).coeffs.items():
+                accumulate(out, (a, c, target), coeff * k * sign_bc)
+    return Tensor(basis, 3, out)
+
+
+def _tensor(draw, basis, rank, even=False):
+    """A random tensor of the given rank with coefficients a + b*s; with
+    ``even``, its parity-odd terms are dropped."""
+    s = param("s")
+    keys = st.tuples(*[st.sampled_from(basis.names)] * rank)
+    terms = draw(st.lists(st.tuples(keys, st.integers(-2, 2),
+                                    st.integers(-1, 1)), max_size=5))
+    return Tensor(basis, rank, {
+        key: a + b * s for key, a, b in terms
+        if not (even and sum(map(basis.parity, key)) % 2)})
+
+
+def _same_tensor(ours: Tensor, reference: Tensor) -> None:
+    assert (ours.basis, ours.rank) == (reference.basis, reference.rank)
+    assert ours.coeffs.keys() == reference.coeffs.keys()
+    for key, value in ours.coeffs.items():
+        assert _terms(value) == _terms(reference.coeffs[key])
+
+
+def _verdict(fn, *args):
+    """fn's value, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_algebras_and_cochains(), st.data())
+def test_the_index_reads_match_the_name_keyed_bialgebra_loops(drawn, data):
+    A = drawn[0]
+    basis, s = A.basis, param("s")
+    parity = data.draw(st.sampled_from(sorted(set(basis.parities))))
+    x = Element(basis, {name: data.draw(st.integers(-2, 2)) + s
+                        for name in basis.names if basis.parity(name) == parity
+                        and data.draw(st.booleans())})
+    for rank in (2, 3):
+        t = _tensor(data.draw, basis, rank)
+        _same_tensor(ad_action(A, x, t), _ref_ad_action(A, x, t))
+    r = _tensor(data.draw, basis, 2, even=True)
+    _same_tensor(schouten(A, r), _ref_schouten(A, r))
+    # The refusals read alike: a mixed-parity x, an odd term, a rank-3 r.
+    mixed = Element(basis, {name: 1 for name in basis.names})
+    odd_r = Tensor(basis, 2, {(basis.names[0], name): 1
+                              for name in basis.names})
+    for fn, ref, args in ((ad_action, _ref_ad_action, (A, mixed, t)),
+                          (schouten, _ref_schouten, (A, odd_r)),
+                          (schouten, _ref_schouten, (A, t))):
+        ours, theirs = _verdict(fn, *args), _verdict(ref, *args)
+        if isinstance(theirs, Tensor):
+            _same_tensor(ours, theirs)
+        else:
+            assert ours == theirs
