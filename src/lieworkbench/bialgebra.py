@@ -190,17 +190,20 @@ def cobracket_from_r(A: LieSuperAlgebra, r: Tensor) -> Cobracket:
 def dual_algebra(delta: Cobracket, suffix: str = "_hat") -> LieSuperAlgebra:
     """The Lie algebra on the dual basis defined by the cobracket.
 
-    Pairing convention: <e_i-hat, e_j> = delta_ij extended to tensors by the
-    product pairing, so <[e_i-hat, e_j-hat]*, e_k> is the coefficient of
-    (e_i, e_j) in delta(e_k).  Dual names carry the given suffix and inherit
-    parities.
+    Pairing rule: [e_i-hat, e_j-hat] has, at e_k-hat, the coefficient of
+    e_i^e_j in delta(e_k), read for each canonical pair i <= j.  For i < j
+    that is the coefficient of e_i(x)e_j; at an odd repeat, where
+    v^v = 2 v(x)v, it is half the coefficient of v(x)v.  Dual names carry
+    the given suffix and inherit parities.
     """
     basis = delta.algebra.basis
     dual_basis = basis.renamed(suffix)
     names, dual = basis.names, dual_basis.names
+    values = [(dual[k], delta.coeffs[name].coeffs)
+              for k, name in enumerate(names) if name in delta.coeffs]
     table = {(dual[i], dual[j]):
-             {dual[k]: delta.coeffs[name].coefficient((names[i], names[j]))
-              for k, name in enumerate(names) if name in delta.coeffs}
+             {target: c / 2 if i == j else c for target, value in values
+              if (c := value.get((names[i], names[j]))) is not None}
              for (i, j) in canonical_tuples(basis, 2)}
     return LieSuperAlgebra(f"dual({delta.algebra.name})", dual_basis, table)
 

@@ -15,6 +15,7 @@ definition-file format; ``catalog_get`` memoizes construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Callable
 
@@ -205,13 +206,24 @@ def make_rfull(N: int) -> Tensor:
     return make_rdj(N) + make_rjordan(N)
 
 
+def _coboundary_dual(A: LieSuperAlgebra, r: Tensor, name: str,
+                     suffix: str = "_hat") -> LieSuperAlgebra:
+    """The dual bracket of the coboundary bialgebra (A, delta_r), named."""
+    out = dual_algebra(cobracket_from_r(A, r), suffix)
+    out.name = name
+    return out
+
+
+@cache
 def make_double_pieces() -> tuple[LieSuperAlgebra, LieSuperAlgebra,
                                   LieSuperAlgebra, LieSuperAlgebra, Tensor]:
     """The quantum-double pieces on basis {H, Hp, Xp, Xm}.
 
-    Returns (g1, g2, g1dual, g2dual, r_double) where the duals live on the
-    hatted basis and r_double = theta*(Xp(x)Xm + H(x)Hp) is the constant
-    r-matrix of the double.
+    Returns (g1, g2, g1dual, g2dual, r_double), where r_double =
+    theta*(Xp(x)Xm + H(x)Hp) is the constant r-matrix of the double and
+    g1dual, g2dual are the coboundary duals of (g1, delta_r_double) and
+    (g2, delta_r_double) on the hatted basis (``dual_algebra``'s pairing).
+    Built once; the returned objects are shared and not to be modified.
     """
     theta = param("theta")
     basis = GradedBasis(("H", "Hp", "Xp", "Xm"))
@@ -225,19 +237,13 @@ def make_double_pieces() -> tuple[LieSuperAlgebra, LieSuperAlgebra,
         ("Hp", "Xm"): {"Xm": -1},
         ("Xp", "Xm"): {"H": 1},
     })
-    dual_basis = basis.renamed("_hat")
-    g1dual = LieSuperAlgebra("double.g1dual", dual_basis, {
-        ("Hp_hat", "Xm_hat"): {"Xm_hat": -theta},
-    })
-    g2dual = LieSuperAlgebra("double.g2dual", dual_basis, {
-        ("H_hat", "Xp_hat"): {"Xp_hat": -theta},
-    })
-    A = g1  # the tensor lives over the shared underlying basis
-    r_double = (otimes(A.gen("Xp"), A.gen("Xm"))
-                + otimes(A.gen("H"), A.gen("Hp"))).scaled(theta)
-    return g1, g2, g1dual, g2dual, r_double
+    H, Hp, Xp, Xm = g1.gens()  # the tensor lives over the shared basis
+    r_double = (otimes(Xp, Xm) + otimes(H, Hp)).scaled(theta)
+    return (g1, g2, _coboundary_dual(g1, r_double, "double.g1dual"),
+            _coboundary_dual(g2, r_double, "double.g2dual"), r_double)
 
 
+@cache
 def make_osp12() -> tuple[LieSuperAlgebra, LieSuperAlgebra,
                           LieSuperAlgebra, Cochain1]:
     """osp(1|2) and its two dual-space brackets, plus the connecting cochain.
@@ -245,9 +251,13 @@ def make_osp12() -> tuple[LieSuperAlgebra, LieSuperAlgebra,
     Primary relations: [h, v+-] = +-v+-, {v+, v-} = -h/4; the even root
     vectors are the derived squares X+- = +-4*v+-*v+- (so {v+-, v+-} =
     +-X+-/2), with the remaining brackets forced by the Jacobi identity.
-    Returns (algebra, mu1star, mu2star, psi) where mu1star/mu2star are the
-    two bracket tables on the hatted dual basis and psi is the degree-1
-    cochain whose coboundary over mu1star is compared against mu2star.
+    Returns (algebra, mu1star, mu2star, psi).  mu1star and mu2star are the
+    coboundary duals, on the hatted basis under ``dual_algebra``'s pairing,
+    of the super-standard r1 = h(x)h + 4 Xp(x)Xm + 8 vp(x)vm and the
+    super-jordanian r2 = Xp^h + 4 vp(x)vp (Kulish and Reshetikhin 1989;
+    Juszczak and Sobczyk 1998).  psi is the printed degree-1 cochain whose
+    coboundary over mu1star is compared against mu2star.  Built once; the
+    returned objects are shared and not to be modified.
     """
     basis = GradedBasis(("h", "Xp", "Xm", "vp", "vm"), (0, 0, 0, 1, 1))
     A = LieSuperAlgebra("osp12", basis, {
@@ -262,39 +272,18 @@ def make_osp12() -> tuple[LieSuperAlgebra, LieSuperAlgebra,
         ("vm", "vm"): {"Xm": Fraction(-1, 2)},
         ("vp", "vm"): {"h": Fraction(-1, 4)},
     })
-    dual = basis.renamed("_hat")
-    mu1star = LieSuperAlgebra("mu1star", dual, {
-        ("h_hat", "Xp_hat"): {"Xp_hat": -2},
-        ("h_hat", "Xm_hat"): {"Xm_hat": -2},
-        ("h_hat", "vp_hat"): {"vp_hat": -1},
-        ("h_hat", "vm_hat"): {"vm_hat": -1},
-        ("vp_hat", "vp_hat"): {"Xp_hat": 4},
-        ("vm_hat", "vm_hat"): {"Xm_hat": 4},
-    })
-    mu2star = LieSuperAlgebra("mu2star", dual, {
-        ("Xp_hat", "h_hat"): {"h_hat": 2},
-        ("Xp_hat", "Xm_hat"): {"Xm_hat": 2},
-        ("Xp_hat", "vp_hat"): {"vp_hat": 1},
-        ("Xp_hat", "vm_hat"): {"vm_hat": 1},
-        ("vp_hat", "vp_hat"): {"h_hat": 4},
-        ("vp_hat", "vm_hat"): {"Xm_hat": 4},
-    })
-    psi = Cochain1(dual, {
+    h, Xp, Xm, vp, vm = A.gens()
+    r1 = otimes(h, h) + otimes(Xp, Xm).scaled(4) + otimes(vp, vm).scaled(8)
+    r2 = wedge(Xp, h) + otimes(vp, vp).scaled(4)
+    mu1star = _coboundary_dual(A, r1, "mu1star")
+    psi = Cochain1(mu1star.basis, {
         "h_hat": {"Xp_hat": -1},
         "Xp_hat": {"h_hat": -1},
         "Xm_hat": {"Xm_hat": -1},
         "vp_hat": {"vm_hat": 1},
         "vm_hat": {"vm_hat": 1},
     }, parity=0)
-    return A, mu1star, mu2star, psi
-
-
-def _coboundary_dual(A: LieSuperAlgebra, r: Tensor, name: str,
-                     suffix: str = "_hat") -> LieSuperAlgebra:
-    """The dual bracket of the coboundary bialgebra (A, delta_r), named."""
-    out = dual_algebra(cobracket_from_r(A, r), suffix)
-    out.name = name
-    return out
+    return A, mu1star, _coboundary_dual(A, r2, "mu2star"), psi
 
 
 def make_dual_standard(N: int) -> LieSuperAlgebra:
@@ -562,9 +551,8 @@ _register("double.g2dual", "algebra",
           lambda: make_double_pieces()[3])
 _register("double.pencil", "algebra",
           "pencil alpha1*g1 + alpha2*g2 of the double brackets",
-          lambda: pencil(make_double_pieces()[0], make_double_pieces()[1],
-                         param("alpha1"), param("alpha2"),
-                         name="double.pencil"))
+          lambda: pencil(*make_double_pieces()[:2], param("alpha1"),
+                         param("alpha2"), name="double.pencil"))
 _register("r.dj", "tensor",
           "standard classical r-matrix on sl(3) (parameter h)",
           lambda: make_rdj(3), algebra="sl3")

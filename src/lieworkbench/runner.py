@@ -46,10 +46,8 @@ from .catalog import (
     catalog_entry,
     catalog_get,
     catalog_names,
-    make_borel,
     make_rborel,
     make_rjordan,
-    make_sl,
 )
 from .cohomology import (
     Cochain1,
@@ -555,12 +553,10 @@ def _run_decompose(equation: str, whole: Tensor, first: Tensor,
 def _run_twist(twist_kind: str, N: int | None, order: int):
     if twist_kind == "jordanian":
         F = build_jordanian_twist(order)
-        carrier = make_borel()
         reference = make_rborel()
         reference_name = "h^x"
     else:
         F = build_extended_twist(N, order)
-        carrier = make_sl(N)
         reference = make_rjordan(N)
         reference_name = f"the jordanian r-matrix on sl({N})"
     details = [f"truncation order {order}"]
@@ -582,7 +578,7 @@ def _run_twist(twist_kind: str, N: int | None, order: int):
     else:
         details.append(f"= ({scalar_str(constant)}) * ({reference_name})")
         details.append("classical Yang-Baxter for the limit: "
-                       f"{check_cybe(carrier, limit)}")
+                       f"{check_cybe(F.uea.algebra, limit)}")
     ok = (not residual) and counit_ok and (not qybe_residual)
     return ("pass" if ok else "fail"), details
 

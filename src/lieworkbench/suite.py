@@ -67,7 +67,7 @@ from .enveloping import (
     twist_counit_ok,
     universal_R,
 )
-from .liealg import Element, GradedBasis, LieSuperAlgebra, pencil
+from .liealg import Element, GradedBasis, LieSuperAlgebra, args_label, pencil
 from .record import Record
 from .scalars import TruncationOrder, param, scalar_str
 
@@ -106,7 +106,8 @@ def criterion_catalog_jacobi() -> CriterionResult:
             lines.append(f"{name}: ok ({report.triples_checked} triples)")
         else:
             ok = False
-            lines.append(f"{name}: FAILS at {report.witness}: {report.residual}")
+            lines.append(f"{name}: FAILS at {args_label(report.witness)}: "
+                         f"{report.residual}")
     return _result(1, "catalog bracket tables satisfy the graded Jacobi "
                    "identity", ok, lines)
 
@@ -317,7 +318,8 @@ def criterion_negative_controls() -> CriterionResult:
         ok = False
         lines.append("corrupted sl(2): Jacobi UNEXPECTEDLY passes")
     else:
-        lines.append(f"corrupted sl(2): Jacobi fails at {report.witness} "
+        lines.append("corrupted sl(2): Jacobi fails at "
+                     f"{args_label(report.witness)} "
                      f"with residual {report.residual}")
 
     uea = UEA(make_borel(), TruncationOrder(2, frozenset({"xi"})))

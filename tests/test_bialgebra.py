@@ -194,16 +194,27 @@ def test_dual_algebra_of_the_jordanian_sl2_bracket():
 
 
 def test_dual_pairing_convention():
-    # <[a*, b*], c> = coefficient of (a, b) in delta(c), checked directly.
-    A = make_sl(2)
-    delta = cobracket_from_r(A, make_rjordan(2))
-    dual = dual_algebra(delta)
-    for i, a in enumerate(A.basis.names):
-        for j, b in enumerate(A.basis.names):
-            value = dual.bracket_basis(dual.basis.names[i], dual.basis.names[j])
-            for k, c in enumerate(A.basis.names):
-                expected = delta(A.gen(c)).coefficient((a, b))
-                assert value.coeffs.get(dual.basis.names[k], Poly.zero()) == expected
+    # <[a*, b*], c> = coefficient of a^b in delta(c), checked directly: the
+    # (a, b) coefficient for distinct a, b, and half the (v, v) coefficient
+    # at an odd repeat, where v^v = 2 v(x)v.  The osp(1|2) cobracket of the
+    # super-jordanian r2 = Xp^h + 4 vp(x)vp has delta(h) = ... + 8 vp(x)vp.
+    B, _, _, _ = make_osp12()
+    h, Xp, _, vp, _ = B.gens()
+    r2 = wedge(Xp, h) + otimes(vp, vp).scaled(4)
+    for A, r in ((make_sl(2), make_rjordan(2)), (B, r2)):
+        delta = cobracket_from_r(A, r)
+        dual = dual_algebra(delta)
+        for i, a in enumerate(A.basis.names):
+            for j, b in enumerate(A.basis.names):
+                value = dual.bracket_basis(dual.basis.names[i],
+                                           dual.basis.names[j])
+                for k, c in enumerate(A.basis.names):
+                    expected = delta(A.gen(c)).coefficient((a, b))
+                    if i == j:
+                        expected = expected * Fraction(1, 2)
+                    assert value.coefficient(dual.basis.names[k]) == expected
+    assert delta(h).coefficient(("vp", "vp")) == 8
+    assert dual.bracket_basis("vp_hat", "vp_hat") == dual.gen("h_hat").scaled(4)
 
 
 # -- adjoint twisting ------------------------------------------------------------------
