@@ -78,7 +78,6 @@ from .enveloping import (
     coproduct,
     counit,
     exp_trunc,
-    factored_R_compare,
     factored_r_matrix,
     invert_trunc,
     log_trunc,
@@ -165,7 +164,6 @@ __all__ = [
     "coproduct",
     "counit",
     "exp_trunc",
-    "factored_R_compare",
     "factored_r_matrix",
     "invert_trunc",
     "log_trunc",

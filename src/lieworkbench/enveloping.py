@@ -68,7 +68,6 @@ __all__ = [
     "classical_limit",
     "qybe_check",
     "factored_r_matrix",
-    "factored_R_compare",
 ]
 
 Word = tuple[int, ...]
@@ -729,9 +728,3 @@ def qybe_check(R: TensorUEA) -> TensorUEA:
     r13 = R.embed(3, (0, 2))
     r23 = R.embed(3, (1, 2))
     return r12 * r13 * r23 - r23 * r13 * r12
-
-
-def factored_R_compare(N: int = 3, order: int = 2) -> bool:
-    """Structural equality of the slot-factored R-matrix product and
-    F_21 F^{-1} for the extended twist, at the given truncation order."""
-    return factored_r_matrix(N, order) == universal_R(build_extended_twist(N, order))

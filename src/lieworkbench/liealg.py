@@ -390,12 +390,14 @@ class JacobiReport(Record):
                 f"{self.residual} ({self.triples_checked} triples checked)")
 
 
+@cache
 def canonical_tuples(basis: GradedBasis, k: int) -> list[tuple[int, ...]]:
     """The index tuples a degree-k :class:`CochainTable` stores, in
     lexicographic order: nondecreasing, an index repeated only when its
     generator is odd.  A graded-alternating map is +- its value at the
     sorted tuple, which comes no later, and vanishes where an even index
-    repeats: so the first ordered tuple where it fails is in this list."""
+    repeats: so the first ordered tuple where it fails is in this list.
+    Memoized: the shared list is not to be modified."""
     odd, n = basis.parities, len(basis)
     tuples: list[tuple[int, ...]] = [()]
     for _ in range(k):
@@ -602,13 +604,11 @@ def d2_residual(A: LieSuperAlgebra, phi: CochainTable,
     return ce_residual(A, phi, (x, y, z))
 
 
-def cocycle2_witness(A: LieSuperAlgebra, phi: CochainTable,
-                     triples: Sequence[tuple[int, int, int]] = ()):
+def cocycle2_witness(A: LieSuperAlgebra, phi: CochainTable):
     """First canonical name triple where d2(phi) fails, with its residual;
-    or None.  ``triples`` is ``canonical_tuples(A.basis, 3)``, if the
-    caller holds it."""
+    or None."""
     names = A.basis.names
-    for i, j, k in triples or canonical_tuples(A.basis, 3):
+    for i, j, k in canonical_tuples(A.basis, 3):
         triple = names[i], names[j], names[k]
         residual = d2_residual(A, phi, *triple)
         if residual:
@@ -693,7 +693,7 @@ class LieSuperAlgebra(CochainTable):
         itself, which is twice the jacobiator: the witness is the first
         failing ordered triple, the residual half the d2 residual there."""
         triples = canonical_tuples(self.basis, 3)
-        found = cocycle2_witness(self, self, triples)
+        found = cocycle2_witness(self, self)
         if found is None:
             return JacobiReport(True, None, None, len(triples))
         half = Element(self.basis, found[1]).scaled(Fraction(1, 2))

@@ -46,7 +46,6 @@ from .catalog import (
     catalog_entry,
     catalog_get,
     catalog_names,
-    make_rborel,
     make_rjordan,
 )
 from .cohomology import (
@@ -553,7 +552,7 @@ def _run_decompose(equation: str, whole: Tensor, first: Tensor,
 def _run_twist(twist_kind: str, N: int | None, order: int):
     if twist_kind == "jordanian":
         F = build_jordanian_twist(order)
-        reference = make_rborel()
+        reference = catalog_get("r.borel")
         reference_name = "h^x"
     else:
         F = build_extended_twist(N, order)

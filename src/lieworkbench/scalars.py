@@ -409,17 +409,8 @@ _ONE = Poly.one()
 
 def _content(poly: Poly) -> Fraction:
     """Positive rational c such that poly/c has integer, coprime coefficients."""
-    nums = []
-    dens = []
-    for _, coeff in poly.items():
-        nums.append(abs(coeff.numerator))
-        dens.append(coeff.denominator)
-    g = 0
-    for n in nums:
-        g = math.gcd(g, n)
-    l = 1
-    for d in dens:
-        l = l * d // math.gcd(l, d)
+    g = math.gcd(*(c.numerator for _, c in poly.items()))
+    l = math.lcm(*(c.denominator for _, c in poly.items()))
     return Fraction(g, l) if g else Fraction(1)
 
 

@@ -32,16 +32,11 @@ from .bialgebra import (
 )
 from .catalog import (
     catalog_get,
-    make_borel,
     make_double_pieces,
-    make_dual_jordanian,
-    make_dual_standard,
     make_osp12,
-    make_rborel,
     make_rdj,
     make_rfull,
     make_rjordan,
-    make_sl,
     mu_prime_transcription,
     pair_name,
 )
@@ -60,7 +55,7 @@ from .enveloping import (
     build_extended_twist,
     build_jordanian_twist,
     classical_limit,
-    factored_R_compare,
+    factored_r_matrix,
     qybe_check,
     tensor_product,
     twist_cocycle_check,
@@ -116,7 +111,7 @@ def criterion_jordanian_cybe() -> CriterionResult:
     lines = []
     ok = True
     for N in (2, 3, 4):
-        holds = check_cybe(make_sl(N), make_rjordan(N))
+        holds = check_cybe(catalog_get(f"sl{N}"), make_rjordan(N))
         ok = ok and holds
         lines.append(f"sl({N}): classical Yang-Baxter for the jordanian "
                      f"r-matrix: {holds}")
@@ -128,7 +123,7 @@ def criterion_standard_r() -> CriterionResult:
     lines = []
     ok = True
     for N in (2, 3):
-        A = make_sl(N)
+        A = catalog_get(f"sl{N}")
         r = make_rdj(N)
         bracket = schouten(A, r)
         sym_invariant = check_invariant(A, sym_part(r))
@@ -150,9 +145,9 @@ def criterion_decompose_limit() -> CriterionResult:
     lines = []
     ok = True
     for N in (2, 3, 4):
-        full = make_rfull(N)
-        split = decompose_check(full, make_rdj(N), make_rjordan(N))
-        limit = limit_r(full, "h") == make_rjordan(N)
+        full, jordan = make_rfull(N), make_rjordan(N)
+        split = decompose_check(full, make_rdj(N), jordan)
+        limit = limit_r(full, "h") == jordan
         ok = ok and split and limit
         lines.append(f"sl({N}): standard + jordanian decomposition {split}, "
                      f"h -> 0 limit equals jordanian {limit}")
@@ -166,7 +161,7 @@ def criterion_adjoint_twist() -> CriterionResult:
     xi = param("xi")
     graded = frozenset({"xi"})
     for N in (2, 3):
-        A = make_sl(N)
+        A = catalog_get(f"sl{N}")
         r = make_rdj(N)
         z = A.gen(pair_name("E", 1, N, N))
         twisted = adjoint_twist_r(A, r, z, xi)
@@ -187,7 +182,7 @@ def criterion_adjoint_twist() -> CriterionResult:
 def criterion_double() -> CriterionResult:
     g1, g2, g1dual, g2dual, r_double = make_double_pieces()
     a1, a2 = param("alpha1"), param("alpha2")
-    combined = pencil(g1, g2, a1, a2, name="double.pencil")
+    combined = catalog_get("double.pencil")
     delta = cobracket_from_r(combined, r_double)
     split = (cobracket_from_r(g1, r_double).scaled(a1)
              + cobracket_from_r(g2, r_double).scaled(a2))
@@ -210,7 +205,7 @@ def criterion_mutual_cocycles() -> CriterionResult:
     _, mu1, mu2, _ = make_osp12()
     pairs = [
         ("sl(2) standard dual", "sl(2) jordanian dual",
-         make_dual_standard(2), make_dual_jordanian(2)),
+         catalog_get("dual.standard.sl2"), catalog_get("dual.jordan.sl2")),
         ("osp(1|2) first dual bracket", "osp(1|2) second dual bracket",
          mu1, mu2),
     ]
@@ -245,8 +240,8 @@ def criterion_coboundary() -> CriterionResult:
         lines.append("printed psi table: differential DIFFERS at "
                      f"{', '.join(comparison.mismatches)} (reported, "
                      "not patched)")
-    obstruction = solve_coboundary(make_dual_jordanian(2),
-                                   make_dual_standard(2))
+    obstruction = solve_coboundary(catalog_get("dual.jordan.sl2"),
+                                   catalog_get("dual.standard.sl2"))
     lines.append("sl(2) standard dual bracket over the jordanian dual: "
                  f"{obstruction.status} (rank {obstruction.rank} < "
                  f"augmented {obstruction.rank_augmented})")
@@ -271,7 +266,7 @@ def criterion_mu_prime() -> CriterionResult:
 def criterion_twists(order: int = 3) -> CriterionResult:
     lines = []
     ok = True
-    reference = make_rborel().scaled(param("xi"))
+    reference = catalog_get("r.borel").scaled(param("xi"))
     for degree in range(1, order + 1):
         F = build_jordanian_twist(degree)
         cocycle_ok = not twist_cocycle_check(F)
@@ -287,14 +282,15 @@ def criterion_twists(order: int = 3) -> CriterionResult:
     F3 = build_extended_twist(3, 2)
     ext_cocycle = not twist_cocycle_check(F3)
     ext_counit = twist_counit_ok(F3)
-    ext_limit = classical_limit(universal_R(F3))
-    ext_constant = proportionality_constant(ext_limit, make_rjordan(3))
+    R3 = universal_R(F3)
+    ext_limit = classical_limit(R3)
+    ext_constant = proportionality_constant(ext_limit, catalog_get("r.jordan"))
     ext_text = scalar_str(ext_constant) if ext_constant is not None else "none"
     ok = ok and ext_cocycle and ext_counit and ext_constant is not None
     lines.append(f"extended sl(3) twist, order 2: cocycle {ext_cocycle}, "
                  f"counit {ext_counit}, classical limit = ({ext_text}) * "
                  "jordanian r-matrix")
-    factored = factored_R_compare(3, 2)
+    factored = factored_r_matrix(3, 2) == R3
     ok = ok and factored
     lines.append(f"slot-factored R-matrix product equals the twisted "
                  f"universal R at order 2: {factored}")
@@ -322,7 +318,7 @@ def criterion_negative_controls() -> CriterionResult:
                      f"{args_label(report.witness)} "
                      f"with residual {report.residual}")
 
-    uea = UEA(make_borel(), TruncationOrder(2, frozenset({"xi"})))
+    uea = UEA(catalog_get("borel"), TruncationOrder(2, frozenset({"xi"})))
     x = uea.gen("x")
     non_twist = (TensorUEA.unit(uea, 2)
                  + tensor_product(x, x).scaled(param("xi")))
@@ -336,7 +332,7 @@ def criterion_negative_controls() -> CriterionResult:
         ok = False
         lines.append("non-twist: cocycle residual UNEXPECTEDLY vanishes")
 
-    sl2 = make_sl(2)
+    sl2 = catalog_get("sl2")
     bad_cochain = Cochain2(sl2.basis, {("E12", "E21"): {"E12": 1}})
     witness = cocycle2_witness(sl2, bad_cochain)
     if witness is None:

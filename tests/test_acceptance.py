@@ -13,7 +13,9 @@ the defect of r_a), so it cannot be the one that fails it.
 
 from __future__ import annotations
 
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from lieworkbench.bialgebra import (
@@ -26,9 +28,9 @@ from lieworkbench.bialgebra import (
     schouten,
     sym_part,
 )
+from lieworkbench import catalog, enveloping, suite
 from lieworkbench.catalog import make_rdj, make_rjordan, make_sl
 from lieworkbench.scalars import param
-from lieworkbench import suite
 
 H = param("h")
 XI = param("xi")
@@ -152,3 +154,29 @@ def test_criterion_11_negative_controls():
     result = suite.criterion_negative_controls()
     _verdict(11, "corrupted algebra, non-twist, and non-cocycle all fail "
              "with concrete witnesses", result.ok, 10.0, start)
+
+
+def test_the_suite_reads_catalog_objects_instead_of_rebuilding_them(
+        monkeypatch):
+    # Count calls through every name a lieworkbench module binds them by.
+    counts = Counter()
+    for module, name in ((catalog, "make_sl"), (catalog, "make_dual_standard"),
+                         (catalog, "make_dual_jordanian"),
+                         (enveloping, "build_extended_twist")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for loaded in list(sys.modules.values()):
+            if (getattr(loaded, "__name__", "").startswith("lieworkbench")
+                    and getattr(loaded, name, None) is original):
+                monkeypatch.setattr(loaded, name, counted)
+    for name in catalog.catalog_names():
+        catalog.catalog_get(name)
+    counts.clear()
+    suite.run_suite()
+    assert counts["make_dual_standard"] == counts["make_dual_jordanian"] == 0
+    assert counts["build_extended_twist"] == 1
+    assert counts["make_sl"] <= 23

@@ -27,7 +27,6 @@ from lieworkbench.enveloping import (
     coproduct,
     counit,
     exp_trunc,
-    factored_R_compare,
     factored_r_matrix,
     invert_trunc,
     log_trunc,
@@ -292,7 +291,6 @@ def test_non_solution_fails_qybe_with_a_leading_witness():
 
 
 def test_factored_r_matrix_matches_the_twist_route():
-    assert factored_R_compare(3, 2)
     R_direct = universal_R(build_extended_twist(3, 2))
     R_factored = factored_r_matrix(3, 2)
     assert R_direct == R_factored

@@ -162,6 +162,13 @@ def test_canonical_triples_repeat_only_odd_generators():
     assert canonical_tuples(basis, 3) == [(0, 1, 1), (1, 1, 1)]
 
 
+def test_canonical_tuples_are_built_once_per_basis_and_degree():
+    basis = make_sl(2).basis
+    assert canonical_tuples(basis, 3) == [(0, 1, 2)]
+    assert canonical_tuples(basis, 3) is canonical_tuples(basis, 3)
+    assert canonical_tuples(basis, 3) is canonical_tuples(make_sl(2).basis, 3)
+
+
 def test_jacobi_fails_with_witness_on_a_corrupted_table():
     basis = GradedBasis(("H1", "E12", "E21"))
     corrupted = LieSuperAlgebra("corrupted", basis, {

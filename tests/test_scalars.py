@@ -164,6 +164,14 @@ def test_ratfunc_arithmetic_and_equality():
     assert half.parameters() == frozenset({"h", "xi"})
 
 
+def test_a_denominator_is_normalised_to_coprime_integers_with_positive_lead():
+    # The denominator's content 2/9 is divided out and the numerator scaled
+    # to match; the sign goes with the positive leading coefficient.
+    ratio = RatFunc(XI, H * Fraction(-2, 3) + H * H * Fraction(4, 9))
+    assert str(ratio) == "9/2*xi/(-3*h + 2*h^2)"
+    assert ratio.den == H * -3 + H * H * 2
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.integers(0, 2**32), st.one_of(
     st.sampled_from((Fraction(1), Fraction(-1))),
