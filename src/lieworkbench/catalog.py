@@ -95,41 +95,49 @@ def _matrix_table(matrices: dict[str, dict[tuple[int, int], int]],
     return table
 
 
+def _sl_matrices(N: int) -> dict[str, dict[tuple[int, int], int]]:
+    """The basis of :func:`make_sl`, each element by its matrix-unit
+    coefficients."""
+    if N < 2:
+        raise ValueError("make_sl requires N >= 2")
+    matrices = {cartan_name(k): {(k, k): 1, (k + 1, k + 1): -1}
+                for k in range(1, N)}
+    matrices.update({pair_name("E", i, j, N): {(i, j): 1}
+                     for i in range(1, N + 1)
+                     for j in range(1, N + 1) if i != j})
+    return matrices
+
+
+def _gl_matrices(N: int) -> dict[str, dict[tuple[int, int], int]]:
+    """The basis of :func:`make_gl`, each element by its matrix-unit
+    coefficients."""
+    if N < 2:
+        raise ValueError("make_gl requires N >= 2")
+    return {pair_name("Y", i, j, N): {(i, j): 1} for i in range(1, N + 1)
+            for j in range(1, N + 1)}
+
+
 def make_sl(N: int) -> LieSuperAlgebra:
     """sl(N): traceless Cartan combinations H_k = Y_kk - Y_{k+1,k+1} first,
     then off-diagonal matrix units E_ij in lexicographic order."""
-    if N < 2:
-        raise ValueError("make_sl requires N >= 2")
-
-    def e(i: int, j: int) -> str:
-        return pair_name("E", i, j, N)
+    matrices = _sl_matrices(N)
 
     def unit(i: int, j: int) -> dict[str, int]:
         """E_ij, with E_ii taken as E_ii - E_NN = H_i + ... + H_{N-1}: the
         difference of two diagonal units, all sl(N) holds, is unchanged."""
-        return {e(i, j): 1} if i != j else {cartan_name(k): 1
-                                             for k in range(i, N)}
+        return ({pair_name("E", i, j, N): 1} if i != j
+                else {cartan_name(k): 1 for k in range(i, N)})
 
-    matrices = {cartan_name(k): {(k, k): 1, (k + 1, k + 1): -1}
-                for k in range(1, N)}
-    matrices.update({e(i, j): {(i, j): 1} for i in range(1, N + 1)
-                     for j in range(1, N + 1) if i != j})
     return LieSuperAlgebra(f"sl{N}", GradedBasis(tuple(matrices)),
                            _matrix_table(matrices, unit))
 
 
 def make_gl(N: int) -> LieSuperAlgebra:
     """gl(N) on the full matrix-unit basis Y_ij (lexicographic order)."""
-    if N < 2:
-        raise ValueError("make_gl requires N >= 2")
-
-    def y(i: int, j: int) -> str:
-        return pair_name("Y", i, j, N)
-
-    matrices = {y(i, j): {(i, j): 1} for i in range(1, N + 1)
-                for j in range(1, N + 1)}
-    return LieSuperAlgebra(f"gl{N}", GradedBasis(tuple(matrices)),
-                           _matrix_table(matrices, lambda i, j: {y(i, j): 1}))
+    matrices = _gl_matrices(N)
+    return LieSuperAlgebra(
+        f"gl{N}", GradedBasis(tuple(matrices)),
+        _matrix_table(matrices, lambda i, j: {pair_name("Y", i, j, N): 1}))
 
 
 def make_borel() -> LieSuperAlgebra:
@@ -172,13 +180,13 @@ def make_rdj(N: int) -> Tensor:
     """
     if N < 2:
         raise ValueError("make_rdj requires N >= 2")
-    A = make_sl(N)
-    hk = [A.gen(cartan_name(k)) for k in range(1, N)]
+    basis = GradedBasis(tuple(_sl_matrices(N)))
+    hk = [Element.basis_vector(basis, cartan_name(k)) for k in range(1, N)]
 
     def e(i: int, j: int) -> Element:
-        return A.gen(pair_name("E", i, j, N))
+        return Element.basis_vector(basis, pair_name("E", i, j, N))
 
-    return _standard_r(A.basis, hk, e, N, param("h"))
+    return _standard_r(basis, hk, e, N, param("h"))
 
 
 def make_rjordan(N: int) -> Tensor:
@@ -187,14 +195,14 @@ def make_rjordan(N: int) -> Tensor:
     if N < 2:
         raise ValueError("make_rjordan requires N >= 2")
     x = param("xi")
-    A = make_sl(N)
+    basis = GradedBasis(tuple(_sl_matrices(N)))
 
     def e(i: int, j: int) -> Element:
-        return A.gen(pair_name("E", i, j, N))
+        return Element.basis_vector(basis, pair_name("E", i, j, N))
 
-    h1n = Element(A.basis)
+    h1n = Element(basis)
     for k in range(1, N):
-        h1n = h1n + A.gen(cartan_name(k))
+        h1n = h1n + Element.basis_vector(basis, cartan_name(k))
     r = wedge(h1n, e(1, N)).scaled(-x)
     for k in range(2, N):
         r = r + wedge(e(1, k), e(k, N)).scaled(-2 * x)
@@ -348,13 +356,13 @@ class MuPrimeTranscription(Record):
 
 def _rdj_on_gl(N: int) -> Tensor:
     """The standard r-matrix written over the gl(N) matrix-unit basis."""
-    A = make_gl(N)
+    basis = GradedBasis(tuple(_gl_matrices(N)))
 
     def y(i: int, j: int) -> Element:
-        return A.gen(pair_name("Y", i, j, N))
+        return Element.basis_vector(basis, pair_name("Y", i, j, N))
 
     hk = [y(k, k) - y(k + 1, k + 1) for k in range(1, N)]
-    return _standard_r(A.basis, hk, y, N, param("h"))
+    return _standard_r(basis, hk, y, N, param("h"))
 
 
 def _mu_prime_lines(N: int):
@@ -432,7 +440,7 @@ def _merge_mu_prime_claims(N: int):
     processing lines in order)."""
     if N < 2:
         raise ValueError("mu_prime_transcription requires N >= 2")
-    basis = make_gl(N).basis
+    basis = GradedBasis(tuple(_gl_matrices(N)))
 
     claims: dict[tuple[int, int], tuple[dict[str, int], str, str]] = {}
     conflicts: list[str] = []

@@ -312,7 +312,6 @@ def _obstruction_point(matrix, rhs, dens, assumed):
     """
     scalars = [e for row in matrix for e in row if e] + list(rhs) + dens + assumed
     names = sorted(set().union(*(e.parameters() for e in scalars)))
-    aug = [row + [rhs[i]] for i, row in enumerate(matrix)]
     tried = set()
     for at_root in (False, True):
         for den in dens:
@@ -332,8 +331,7 @@ def _obstruction_point(matrix, rhs, dens, assumed):
                             continue  # the ranks depend on the point alone
                         tried.add(key)
                         try:
-                            rank = rank_at_point(matrix, point)
-                            rank_aug = rank_at_point(aug, point)
+                            rank, rank_aug = rank_at_point(matrix, point, rhs)
                         except (ValueError, ZeroDivisionError):
                             continue
                         if rank < rank_aug:

@@ -17,6 +17,17 @@ term, whose degrees add up past the order; truncating before multiplying
 is exactly truncating afterwards.  The public ``terms`` mapping
 ``{slot words: Poly}`` is assembled from the graded keys on first use.
 
+A product joins two normal words slot by slot.  When one side is empty,
+or the left word's last letter precedes the right word's first, or the
+two are the same even letter, the joined word is already normal: its
+rewrite is the word itself with coefficient 1, so it is appended as it
+is (one shared tuple per joined word) and never enters the rewriting
+memo.  Only a junction that is out of order, or an odd letter meeting
+itself (x x = [x, x] / 2), is rewritten.  A term whose coefficient is
+exactly 1 is not multiplied.  The memos keep bare terms, never an
+element that points back at its algebra, so an algebra and its memos
+are freed with their last user, without the cyclic garbage collector.
+
 On top of the arithmetic the module builds the jordanian twist
 F = exp(h (x) sigma) with sigma = (1/2)log(1 + 2 xi x) over the solvable
 pair {h, x | [h, x] = 2x}, its extension over sl(N), the twist 2-cocycle
@@ -98,7 +109,11 @@ class UEA:
         self._factored = graded[0] if len(graded) == 1 else None
         self._odd = any(algebra.basis.parities)
         self._normal: dict[Word, dict[tuple[Word, int], Coeff]] = {}
-        self._delta: dict[Word, "TensorUEA"] = {}
+        # One shared tuple per word that a product joins without rewriting.
+        self._joined: dict[Word, Word] = {}
+        # Coproducts of words as bare graded terms: a cached TensorUEA
+        # would point back here and keep this instance alive in a cycle.
+        self._delta: dict[Word, dict[Key, Coeff]] = {}
 
     def __repr__(self):
         return f"UEA({self.algebra.name}, order {self.order.degree})"
@@ -203,12 +218,12 @@ class UEA:
         """The coproduct of one PBW word as a rank-2 tensor."""
         cached = self._delta.get(word)
         if cached is None:
-            cached = TensorUEA.unit(self, 2)
+            delta = TensorUEA.unit(self, 2)
             for i in word:
                 primitive = TensorUEA(self, 2, {((i,), ()): 1, ((), (i,)): 1})
-                cached = cached * primitive
-            self._delta[word] = cached
-        return cached
+                delta = delta * primitive
+            cached = self._delta[word] = delta.coeffs
+        return TensorUEA._trusted(self, 2, cached)
 
 
 # -- the shared term kernel ------------------------------------------------------
@@ -255,29 +270,66 @@ def _koszul_odd(uea: UEA, key1: Key, key2: Key, rank: int) -> bool:
     return crossings % 2 == 1
 
 
+def _is_unit(c: Coeff) -> bool:
+    return type(c) is Fraction and c == 1
+
+
 def _product(left: "_GradedTerms", right: "_GradedTerms") -> dict[Key, Coeff]:
     """Slot-wise product of graded terms with Koszul signs.  The right
     factor's terms are visited by degree, so a pair whose degrees add up
-    past the order is never formed."""
+    past the order is never formed.
+
+    Both factors' words are normal, so a slot whose junction is already in
+    order (one side empty, a[-1] < b[0], or an equal even letter) joins
+    into a normal word with coefficient 1 and skips the rewriting; only
+    the other slots go through ``_extend``.  A unit coefficient is not
+    multiplied."""
     uea, rank = left.uea, left.rank
     top = uea.order.degree
+    parities = uea.algebra.basis.parities
+    joined = uea._joined
     by_degree: list[list] = [[] for _ in range(top + 1)]
     for key, c in right.coeffs.items():
-        by_degree[key[-1]].append((key, c))
+        by_degree[key[-1]].append((key, c, _is_unit(c)))
     signed = uea._odd and rank > 1
     out: dict[Key, Coeff] = {}
     for key1, c1 in left.coeffs.items():
         d1 = key1[-1]
+        unit1 = _is_unit(c1)
         for bucket in by_degree[:top - d1 + 1]:
-            for key2, c2 in bucket:
-                coeff = c1 * c2
+            for key2, c2, unit2 in bucket:
+                coeff = c2 if unit1 else c1 if unit2 else c1 * c2
                 if signed and _koszul_odd(uea, key1, key2, rank):
                     coeff = -coeff
-                partial = [((), d1 + key2[-1], coeff)]
+                d = d1 + key2[-1]
+                words: tuple = ()
+                partial = None
                 for i in range(rank):
-                    partial = _extend(uea, partial, key1[i] + key2[i])
-                for words, d, c in partial:
-                    accumulate(out, words + (d,), c)
+                    a, b = key1[i], key2[i]
+                    if not b:
+                        w = a
+                    elif not a:
+                        w = b
+                    else:
+                        w = a + b
+                        last, first = a[-1], b[0]
+                        if last < first or (last == first and not parities[last]):
+                            w = joined.setdefault(w, w)
+                        else:
+                            # x_a x_b with a > b, or an odd x x = [x, x] / 2
+                            if partial is None:
+                                partial = [(words, d, coeff)]
+                            partial = _extend(uea, partial, w)
+                            continue
+                    if partial is None:
+                        words += (w,)
+                    else:
+                        partial = [(ws + (w,), dw, c) for ws, dw, c in partial]
+                if partial is None:
+                    accumulate(out, words + (d,), coeff)
+                else:
+                    for ws, dw, c in partial:
+                        accumulate(out, ws + (dw,), c)
     return out
 
 

@@ -187,15 +187,25 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolveResult
                              result.assumptions)
 
 
-def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction]) -> int:
+def rank_at_point(matrix: Sequence[Sequence], point: dict[str, Fraction],
+                  rhs: Sequence | None = None) -> int | tuple[int, int]:
     """Rank after substituting exact rationals for every parameter.
+
+    Given a right-hand side b, the pair (rank of M, rank of M|b) from one
+    elimination of M|b: columns are reduced left to right, so M's pivots
+    are those of M|b left of its last column.
 
     The matrix comes in dense; elimination works on sparse rows of
     ``Fraction``, which keep no cell that vanishes at the point."""
     ncols = len(matrix[0]) if matrix else 0
+    if rhs is not None:
+        matrix = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     rows = _sparse_rows(matrix, lambda entry: _value_at(entry, point))
     # The first nonzero entry is the pivot: every one costs the same.
-    return len(_gauss_jordan(rows, ncols, lambda entry: 0))
+    pivots = _gauss_jordan(rows, ncols + (rhs is not None), lambda entry: 0)
+    if rhs is None:
+        return len(pivots)
+    return sum(1 for c, _ in pivots if c < ncols), len(pivots)
 
 
 def _value_at(entry, point: dict[str, Fraction]) -> Fraction:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieworkbench import cohomology, linsolve
 from lieworkbench.bialgebra import check_invariant, cobracket_from_r, schouten
 from lieworkbench.catalog import (
     catalog_get,
@@ -39,6 +40,7 @@ from lieworkbench.cohomology import _ce_matrix, _coords
 from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra,
                                  Tensor, accumulate, canonical_tuples,
                                  ce_terms, orient, pencil)
+from lieworkbench.linsolve import rank_at_point
 from lieworkbench.scalars import Poly, RatFunc, as_poly, param
 
 
@@ -656,6 +658,28 @@ def test_a_denominator_without_a_rational_root_leaves_the_solution():
     out = solve_coboundary(A, Cochain2(basis, {("x", "y"): {"y": 1}}))
     assert out.status == "solved"
     assert out.assumptions == ("-2 + h^2",)
+
+
+def test_the_obstruction_search_eliminates_once_per_point():
+    # rank(M) and rank(M|b) come from one elimination of M|b.  At h = 0
+    # and at the roots 0 and 1 of h(h - 1) the system stays consistent,
+    # so two points are tried and none certifies an obstruction.
+    h = param("h")
+    matrix = [[h, Poly.zero()], [Poly.zero(), h - 1]]
+    rhs = [h, h - 1]
+    tried = []
+
+    def spy(matrix, point, *rest):
+        tried.append(tuple(sorted(point.items())))
+        return rank_at_point(matrix, point, *rest)
+
+    with patch.object(cohomology, "rank_at_point", spy), \
+            patch.object(linsolve, "_gauss_jordan",
+                         wraps=linsolve._gauss_jordan) as eliminate:
+        found = cohomology._obstruction_point(matrix, rhs, [h * (h - 1)], [])
+    assert found is None
+    assert tried == [(("h", 0),), (("h", 1),)]
+    assert eliminate.call_count == len(tried)
 
 
 def test_assuming_the_pivot_nonzero_unlocks_the_rational_solution():

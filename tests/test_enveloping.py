@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lieworkbench import enveloping
 from lieworkbench.bialgebra import proportionality_constant
 from lieworkbench.catalog import (
+    catalog_get,
     make_borel,
     make_osp12,
     make_rborel,
@@ -37,7 +41,7 @@ from lieworkbench.enveloping import (
     twist_counit_ok,
     universal_R,
 )
-from lieworkbench.liealg import GradedBasis, LieSuperAlgebra
+from lieworkbench.liealg import GradedBasis, LieSuperAlgebra, accumulate
 from lieworkbench.scalars import (
     Poly,
     TruncationOrder,
@@ -46,7 +50,9 @@ from lieworkbench.scalars import (
 )
 
 XI = param("xi")
+ETA = param("eta")
 T = param("t")
+VP, VM = 3, 4  # the odd letters of osp12
 
 UNTRUNCATED = TruncationOrder(0, frozenset())
 
@@ -136,6 +142,107 @@ def test_truncated_products_match_products_cut_afterwards(case):
     expected = {key: c.truncate(cut.order)
                 for key, c in reference.terms.items()}
     assert product.terms == {key: c for key, c in expected.items() if c}
+
+
+def _ref_product(left, right):
+    """The product that sends every slot through ``_extend``: the general
+    code the in-order joins and the unit-coefficient skip short-cut."""
+    uea, rank = left.uea, left.rank
+    top = uea.order.degree
+    by_degree: list[list] = [[] for _ in range(top + 1)]
+    for key, c in right.coeffs.items():
+        by_degree[key[-1]].append((key, c))
+    signed = uea._odd and rank > 1
+    out: dict = {}
+    for key1, c1 in left.coeffs.items():
+        d1 = key1[-1]
+        for bucket in by_degree[:top - d1 + 1]:
+            for key2, c2 in bucket:
+                coeff = c1 * c2
+                if signed and enveloping._koszul_odd(uea, key1, key2, rank):
+                    coeff = -coeff
+                partial = [((), d1 + key2[-1], coeff)]
+                for i in range(rank):
+                    partial = enveloping._extend(uea, partial,
+                                                 key1[i] + key2[i])
+                for words, d, c in partial:
+                    accumulate(out, words + (d,), c)
+    return out
+
+
+def _normal_word(parities, letters) -> tuple[int, ...]:
+    """The letters weakly increasing, an odd letter kept once."""
+    word: list[int] = []
+    for i in sorted(letters):
+        if not (parities[i] and word and word[-1] == i):
+            word.append(i)
+    return tuple(word)
+
+
+def _normal_words(algebra, size):
+    parities = algebra.basis.parities
+    return st.lists(st.integers(0, len(parities) - 1), max_size=size).map(
+        lambda letters: _normal_word(parities, letters))
+
+
+@st.composite
+def _graded_products(draw):
+    """Two sets of graded terms of a common rank 1-3 over borel, sl3 or
+    osp12, with Fraction coefficients (one graded parameter, often 1) or
+    Poly coefficients (two graded parameters, homogeneous in them)."""
+    name = draw(st.sampled_from(("borel", "sl3", "osp12")))
+    algebra = catalog_get(name)
+    order = draw(st.integers(0, 3))
+    rank = draw(st.integers(1, 3))
+    two = draw(st.booleans())
+    words = st.tuples(*[_normal_words(algebra, 3)] * rank)
+    fractions = st.one_of(st.just(Fraction(1)),
+                          st.fractions(max_denominator=4).filter(bool))
+
+    def coeff(k):
+        if not two:
+            return draw(fractions)
+        parts = draw(st.lists(st.tuples(st.integers(0, k), fractions),
+                              min_size=1, max_size=2,
+                              unique_by=lambda part: part[0]))
+        return sum((XI ** i * ETA ** (k - i) * c for i, c in parts),
+                   Poly.zero())
+
+    def terms():
+        out = {}
+        for key in draw(st.lists(words, min_size=1, max_size=4)):
+            k = draw(st.integers(0, order))
+            out[key + (k,)] = coeff(k)
+        return out
+
+    return name, order, rank, two, terms(), terms()
+
+
+def _graded_operand(uea, rank, coeffs):
+    kind = UEAElement if rank == 1 else TensorUEA
+    return kind._trusted(uea, rank, coeffs)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_graded_products())
+# equal odd letters at a junction: vp vp, and vm vm beside an in-order slot
+@example(("osp12", 2, 2, False, {((VP,), (VM,), 0): Fraction(1)},
+          {((VP, VM), (), 1): Fraction(3, 2)}))
+@example(("osp12", 1, 3, True,
+          {((0, VM), (), (VP,), 0): Poly.one(),
+           ((VM,), (VP,), (), 1): XI * 2},
+          {((VM,), (1, VP), (VP,), 0): Poly.one() * 5,
+           ((), (VP,), (VP, VM), 1): ETA * -1}))
+def test_product_matches_the_rewrite_every_slot_product(case):
+    name, order, rank, two, left, right = case
+    graded = frozenset({"xi", "eta"} if two else {"xi"})
+    ours = UEA(catalog_get(name), TruncationOrder(order, graded))
+    ref = UEA(catalog_get(name), TruncationOrder(order, graded))
+    product = enveloping._product(_graded_operand(ours, rank, left),
+                                  _graded_operand(ours, rank, right))
+    expected = _ref_product(_graded_operand(ref, rank, left),
+                            _graded_operand(ref, rank, right))
+    assert list(product.items()) == list(expected.items())
 
 
 def test_lift_is_linear():
@@ -288,6 +395,27 @@ def test_non_solution_fails_qybe_with_a_leading_witness():
                                        XI * XI * Fraction(-1, 2))
     assert str(residual) == ("-1/2*xi^2*Xp(x)vm(x)vm - 1/4*xi^2*vp(x)h(x)vm"
                              " + 1/2*xi^2*vp(x)vp(x)Xm")
+
+
+@pytest.mark.parametrize("build", [lambda: build_jordanian_twist(3),
+                                   lambda: build_extended_twist(3, 2)],
+                         ids=["jordanian", "extended"])
+def test_a_finished_check_frees_its_enveloping_algebra_without_the_gc(build):
+    # The coproduct cache keeps bare terms, not tensors that point back at
+    # the UEA, so reference counting alone frees the UEA and its caches.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        F = build()
+        uea = weakref.ref(F.uea)
+        R = universal_R(F)
+        residuals = (qybe_check(R), twist_cocycle_check(F))
+        assert uea()._delta  # the cocycle check filled the coproduct cache
+        del F, R, residuals
+        assert uea() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_factored_r_matrix_matches_the_twist_route():
