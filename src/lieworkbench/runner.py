@@ -469,6 +469,12 @@ def _tensor_witness(t: Tensor, what: str) -> list[str]:
             f"first at {key}: {scalar_str(coeff)}"]
 
 
+def _leading_term(residual) -> str:
+    """A nonzero enveloping residual's least term, as report text."""
+    key, coeff = residual.leading_term()
+    return f"leading term {scalar_str(coeff)} at ({', '.join(key)})"
+
+
 def _run_jacobi(A: LieSuperAlgebra):
     report = A.verify_jacobi()
     if report.ok:
@@ -561,14 +567,13 @@ def _run_twist(twist_kind: str, N: int | None, order: int):
     details = [f"truncation order {order}"]
     residual = twist_cocycle_check(F)
     details.append("2-cocycle residual: "
-                   + ("0" if not residual else str(residual.leading_term())))
+                   + (_leading_term(residual) if residual else "0"))
     counit_ok = twist_counit_ok(F)
     details.append(f"counit normalisation: {counit_ok}")
     R = universal_R(F)
     qybe_residual = qybe_check(R)
     details.append("quantum Yang-Baxter residual: "
-                   + ("0" if not qybe_residual
-                      else str(qybe_residual.leading_term())))
+                   + (_leading_term(qybe_residual) if qybe_residual else "0"))
     limit = classical_limit(R)
     details.append(f"classical limit: {limit}")
     constant = proportionality_constant(limit, reference)
@@ -578,7 +583,8 @@ def _run_twist(twist_kind: str, N: int | None, order: int):
         details.append(f"= ({scalar_str(constant)}) * ({reference_name})")
         details.append("classical Yang-Baxter for the limit: "
                        f"{check_cybe(F.uea.algebra, limit)}")
-    ok = (not residual) and counit_ok and (not qybe_residual)
+    ok = (not residual and counit_ok and not qybe_residual
+          and constant is not None)
     return ("pass" if ok else "fail"), details
 
 

@@ -6,29 +6,36 @@ solver, the transcribed first-order dual bracket, the twist engine, and a
 set of negative controls.  Every computation is exact; a criterion either
 holds identically in all parameters or fails with a concrete witness.
 
+A criterion that restates a check kind of ``workbench run`` (Jacobi,
+CYBE, mCYBE, cocycle, compatibility, twist) does not call the library
+itself: it runs that kind's check from ``runner._RUNS`` on its values and
+prints the check's status and detail lines as ``workbench run`` does.  A
+criterion passes iff every such check gives its expected status; one that
+does not is marked with the status expected.  The rest (the
+decomposition and its limit, the adjoint twist, the double, the
+coboundary solver, the transcription, the extended twist and the
+non-twist control) have no check kind and compute their lines directly.
+
 Criterion 3 records the expectation that the standard r-matrices satisfy
 the modified classical Yang-Baxter equation while failing the unmodified
 one.  That expectation is true of the skew standard r-matrix r_a, but this
 criterion evaluates the full quasitriangular tensor ``make_rdj(N)`` =
 r_a + h*t, with t the Casimir.  Its Schouten bracket vanishes identically,
-so the unmodified equation holds and the criterion is reported red, exiting
-the battery with status 1.  The acceptance test of the same number checks
-the expectation on r_a instead, where it holds.
+so its ``cybe`` check prints ``pass (expected fail)``, the criterion is
+reported red, and the battery exits with status 1.  The acceptance test of
+the same number checks the expectation on r_a instead, where it holds.
 """
 
 from __future__ import annotations
 
+from . import runner
 from .bialgebra import (
     adjoint_twist_r,
-    check_cybe,
-    check_invariant,
     cobracket_from_r,
     decompose_check,
     dual_algebra,
     limit_r,
     proportionality_constant,
-    schouten,
-    sym_part,
 )
 from .catalog import (
     catalog_get,
@@ -40,29 +47,19 @@ from .catalog import (
     mu_prime_transcription,
     pair_name,
 )
-from .cohomology import (
-    Cochain2,
-    cocycle2_witness,
-    compare_cochain2,
-    compatible_pair,
-    d1,
-    is_cocycle2,
-    solve_coboundary,
-)
+from .cohomology import Cochain2, compare_cochain2, d1, solve_coboundary
 from .enveloping import (
     TensorUEA,
     UEA,
     build_extended_twist,
-    build_jordanian_twist,
     classical_limit,
     factored_r_matrix,
-    qybe_check,
     tensor_product,
     twist_cocycle_check,
     twist_counit_ok,
     universal_R,
 )
-from .liealg import Element, GradedBasis, LieSuperAlgebra, args_label, pencil
+from .liealg import GradedBasis, LieSuperAlgebra, pencil
 from .record import Record
 from .scalars import TruncationOrder, param, scalar_str
 
@@ -85,6 +82,21 @@ def _result(number: int, title: str, ok, lines) -> CriterionResult:
     return CriterionResult(number, title, bool(ok), tuple(str(l) for l in lines))
 
 
+def _checks(rows) -> tuple[bool, list[str]]:
+    """Run each (label, kind, values, expected status) row through the
+    runner's check of that kind.  Each prints as ``label: status``, marked
+    with the expected status when it differs, then the check's detail lines;
+    the rows hold iff every status is the expected one."""
+    ok, lines = True, []
+    for label, kind, values, expected in rows:
+        status, details = runner._RUNS[kind](*values)
+        ok = ok and status == expected
+        lines.append(f"{label}: {status}"
+                     + ("" if status == expected else f" (expected {expected})"))
+        lines.extend(f"  {detail}" for detail in details)
+    return ok, lines
+
+
 CATALOG_ALGEBRAS = (
     "sl2", "sl3", "sl4", "gl3", "borel", "osp12",
     "double.g1", "double.g2", "double.g1dual", "double.g2dual",
@@ -93,52 +105,28 @@ CATALOG_ALGEBRAS = (
 
 
 def criterion_catalog_jacobi() -> CriterionResult:
-    lines = []
-    ok = True
-    for name in CATALOG_ALGEBRAS:
-        report = catalog_get(name).verify_jacobi()
-        if report.ok:
-            lines.append(f"{name}: ok ({report.triples_checked} triples)")
-        else:
-            ok = False
-            lines.append(f"{name}: FAILS at {args_label(report.witness)}: "
-                         f"{report.residual}")
     return _result(1, "catalog bracket tables satisfy the graded Jacobi "
-                   "identity", ok, lines)
+                   "identity", *_checks(
+                       (f"jacobi {name}", "jacobi", [catalog_get(name)], "pass")
+                       for name in CATALOG_ALGEBRAS))
 
 
 def criterion_jordanian_cybe() -> CriterionResult:
-    lines = []
-    ok = True
-    for N in (2, 3, 4):
-        holds = check_cybe(catalog_get(f"sl{N}"), make_rjordan(N))
-        ok = ok and holds
-        lines.append(f"sl({N}): classical Yang-Baxter for the jordanian "
-                     f"r-matrix: {holds}")
     return _result(2, "jordanian r-matrices satisfy the classical "
-                   "Yang-Baxter equation", ok, lines)
+                   "Yang-Baxter equation", *_checks(
+                       (f"cybe jordanian r-matrix on sl{N}", "cybe",
+                        [make_rjordan(N), catalog_get(f"sl{N}")], "pass")
+                       for N in (2, 3, 4)))
 
 
 def criterion_standard_r() -> CriterionResult:
-    lines = []
-    ok = True
+    rows = []
     for N in (2, 3):
-        A = catalog_get(f"sl{N}")
-        r = make_rdj(N)
-        bracket = schouten(A, r)
-        sym_invariant = check_invariant(A, sym_part(r))
-        modified = sym_invariant and check_invariant(A, bracket)
-        unmodified = not bracket
-        lines.append(f"sl({N}): modified equation {modified}, symmetric part "
-                     f"invariant {sym_invariant}, unmodified equation "
-                     f"{unmodified} (expected False)")
-        if unmodified:
-            lines.append(f"sl({N}): the Schouten bracket vanishes "
-                         "identically, so the unmodified equation cannot "
-                         "fail for this tensor; reported, not patched")
-        ok = ok and modified and sym_invariant and not unmodified
+        values = [make_rdj(N), catalog_get(f"sl{N}")]
+        rows += [(f"mcybe standard r-matrix on sl{N}", "mcybe", values, "pass"),
+                 (f"cybe standard r-matrix on sl{N}", "cybe", values, "fail")]
     return _result(3, "standard r-matrices: modified equation holds and "
-                   "the unmodified one fails", ok, lines)
+                   "the unmodified one fails", *_checks(rows))
 
 
 def criterion_decompose_limit() -> CriterionResult:
@@ -202,25 +190,14 @@ def criterion_double() -> CriterionResult:
 
 
 def criterion_mutual_cocycles() -> CriterionResult:
-    _, mu1, mu2, _ = make_osp12()
-    pairs = [
-        ("sl(2) standard dual", "sl(2) jordanian dual",
-         catalog_get("dual.standard.sl2"), catalog_get("dual.jordan.sl2")),
-        ("osp(1|2) first dual bracket", "osp(1|2) second dual bracket",
-         mu1, mu2),
-    ]
-    lines = []
-    ok = True
-    for name_a, name_b, A, B in pairs:
-        # Compatibility of B with A is d2 of B over A: the same scan.
-        compat = compatible_pair(A, B)
-        a_over_b = is_cocycle2(B, A)
-        ok = ok and compat and a_over_b
-        lines.append(f"{name_a} / {name_b}: compatible {compat}, "
-                     f"second closed over first {compat}, "
-                     f"first closed over second {a_over_b}")
+    rows = []
+    for first, second in (("dual.standard.sl2", "dual.jordan.sl2"),
+                          ("mu1star", "mu2star")):
+        A, B = catalog_get(first), catalog_get(second)
+        rows += [(f"compatible {first} {second}", "compatible", [A, B], "pass"),
+                 (f"cocycle {first} over {second}", "cocycle", [A, B], "pass")]
     return _result(7, "dual bracket pairs are compatible and are "
-                   "2-cocycles of each other", ok, lines)
+                   "2-cocycles of each other", *_checks(rows))
 
 
 def criterion_coboundary() -> CriterionResult:
@@ -264,21 +241,9 @@ def criterion_mu_prime() -> CriterionResult:
 
 
 def criterion_twists(order: int = 3) -> CriterionResult:
-    lines = []
-    ok = True
-    reference = catalog_get("r.borel").scaled(param("xi"))
-    for degree in range(1, order + 1):
-        F = build_jordanian_twist(degree)
-        cocycle_ok = not twist_cocycle_check(F)
-        counit_ok = twist_counit_ok(F)
-        R = universal_R(F)
-        qybe_ok = not qybe_check(R)
-        sign = proportionality_constant(classical_limit(R), reference)
-        sign_text = scalar_str(sign) if sign is not None else "none"
-        ok = ok and cocycle_ok and counit_ok and qybe_ok and sign is not None
-        lines.append(f"jordanian twist, order {degree}: cocycle {cocycle_ok},"
-                     f" counit {counit_ok}, quantum Yang-Baxter {qybe_ok},"
-                     f" classical limit = ({sign_text}) * xi * h^x")
+    ok, lines = _checks((f"twist jordanian order {degree}", "twist",
+                         ["jordanian", None, degree], "pass")
+                        for degree in range(1, order + 1))
     F3 = build_extended_twist(3, 2)
     ext_cocycle = not twist_cocycle_check(F3)
     ext_counit = twist_counit_ok(F3)
@@ -300,23 +265,19 @@ def criterion_twists(order: int = 3) -> CriterionResult:
 
 
 def criterion_negative_controls() -> CriterionResult:
-    lines = []
-    ok = True
-
     basis = GradedBasis(("H1", "E12", "E21"))
     corrupted = LieSuperAlgebra("corrupted.sl2", basis, {
         ("H1", "E12"): {"E12": 2},
         ("H1", "E21"): {"E21": -2},
         ("E12", "E21"): {"E12": 1},  # deliberately wrong: should be H1
     })
-    report = corrupted.verify_jacobi()
-    if report.ok:
-        ok = False
-        lines.append("corrupted sl(2): Jacobi UNEXPECTEDLY passes")
-    else:
-        lines.append("corrupted sl(2): Jacobi fails at "
-                     f"{args_label(report.witness)} "
-                     f"with residual {report.residual}")
+    sl2 = catalog_get("sl2")
+    bad_cochain = Cochain2(sl2.basis, {("E12", "E21"): {"E12": 1}})
+    ok, lines = _checks([
+        ("jacobi corrupted.sl2", "jacobi", [corrupted], "fail"),
+        ("cocycle corrupted 2-cochain over sl2", "cocycle",
+         [bad_cochain, sl2], "fail"),
+    ])
 
     uea = UEA(catalog_get("borel"), TruncationOrder(2, frozenset({"xi"})))
     x = uea.gen("x")
@@ -324,25 +285,11 @@ def criterion_negative_controls() -> CriterionResult:
                  + tensor_product(x, x).scaled(param("xi")))
     residual = twist_cocycle_check(non_twist)
     if residual:
-        key, coeff = residual.leading_term()
         lines.append("non-twist 1(x)1 + xi*x(x)x: cocycle residual has "
-                     f"leading term {scalar_str(coeff)} at "
-                     f"({', '.join(key)})")
+                     + runner._leading_term(residual))
     else:
         ok = False
         lines.append("non-twist: cocycle residual UNEXPECTEDLY vanishes")
-
-    sl2 = catalog_get("sl2")
-    bad_cochain = Cochain2(sl2.basis, {("E12", "E21"): {"E12": 1}})
-    witness = cocycle2_witness(sl2, bad_cochain)
-    if witness is None:
-        ok = False
-        lines.append("non-cocycle 2-cochain: UNEXPECTEDLY closed")
-    else:
-        (a, b, c), vec = witness
-        lines.append(f"non-cocycle 2-cochain on sl(2): fails at "
-                     f"({a}, {b}, {c}) with residual {Element(sl2.basis, vec)}")
-
     return _result(11, "negative controls fail with concrete witnesses",
                    ok, lines)
 

@@ -28,7 +28,7 @@ from lieworkbench.bialgebra import (
     schouten,
     sym_part,
 )
-from lieworkbench import catalog, enveloping, suite
+from lieworkbench import catalog, enveloping, runner, suite
 from lieworkbench.catalog import make_rdj, make_rjordan, make_sl
 from lieworkbench.scalars import param
 
@@ -180,3 +180,21 @@ def test_the_suite_reads_catalog_objects_instead_of_rebuilding_them(
     assert counts["make_dual_standard"] == counts["make_dual_jordanian"] == 0
     assert counts["build_extended_twist"] == 1
     assert counts["make_sl"] <= 23
+
+
+def test_the_suite_runs_the_runners_checks(monkeypatch):
+    # Every criterion that restates a check kind of ``workbench run`` runs
+    # that kind's check, so the two commands share one verdict per kind.
+    counts = Counter()
+    for kind in ("jacobi", "cybe", "mcybe", "cocycle", "compatible", "twist"):
+        original = getattr(runner, f"_run_{kind}")
+
+        def counted(*args, _kind=kind, _original=original):
+            counts[_kind] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(runner, f"_run_{kind}", counted)
+    results = suite.run_suite(order=1)
+    assert counts == {"jacobi": 12, "cybe": 5, "mcybe": 2, "cocycle": 3,
+                      "compatible": 2, "twist": 1}
+    assert [r.number for r in results if not r.ok] == [3]

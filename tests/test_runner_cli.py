@@ -23,6 +23,10 @@ from lieworkbench.runner import (
     run_source,
 )
 from lieworkbench import dsl
+from lieworkbench.enveloping import (UEA, TensorUEA, tensor_product,
+                                     twist_cocycle_check)
+from lieworkbench.liealg import otimes
+from lieworkbench.scalars import TruncationOrder, param
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -127,6 +131,36 @@ def test_twist_checks_run_at_the_requested_order():
     results = run_source("check twist jordanian order 2;\n"
                          "check twist extended 3 order 2;")
     assert [r.status for r in results] == ["pass", "pass"]
+
+
+def test_a_twist_whose_limit_is_not_proportional_fails(monkeypatch):
+    # Cocycle, counit and quantum Yang-Baxter all hold; only the limit is off.
+    h = catalog_get("borel").gen("h")
+    monkeypatch.setattr(runner, "classical_limit", lambda R: otimes(h, h))
+    (result,) = run_source("check twist jordanian order 1;")
+    assert result.status == "fail"
+    assert result.details[-2:] == ("classical limit: h(x)h",
+                                   "not proportional to h^x")
+
+
+def test_a_twist_residual_prints_its_leading_term(monkeypatch):
+    uea = UEA(catalog_get("borel"), TruncationOrder(2, frozenset({"xi"})))
+    x = uea.gen("x")
+    residual = twist_cocycle_check(
+        TensorUEA.unit(uea, 2) + tensor_product(x, x).scaled(param("xi")))
+    monkeypatch.setattr(runner, "twist_cocycle_check", lambda F: residual)
+    monkeypatch.setattr(runner, "qybe_check", lambda R: residual)
+    (result,) = run_source("check twist jordanian order 1;")
+    assert result.status == "fail"
+    assert result.details == (
+        "truncation order 1",
+        "2-cocycle residual: leading term -xi^2 at (x, x, x^2)",
+        "counit normalisation: True",
+        "quantum Yang-Baxter residual: leading term -xi^2 at (x, x, x^2)",
+        "classical limit: -xi*h(x)x + xi*x(x)h",
+        "= (-xi) * (h^x)",
+        "classical Yang-Baxter for the limit: True",
+    )
 
 
 def test_twist_orders_outside_the_cap_are_load_errors():
