@@ -23,10 +23,22 @@ two are the same even letter, the joined word is already normal: its
 rewrite is the word itself with coefficient 1, so it is appended as it
 is (one shared tuple per joined word) and never enters the rewriting
 memo.  Only a junction that is out of order, or an odd letter meeting
-itself (x x = [x, x] / 2), is rewritten.  A term whose coefficient is
-exactly 1 is not multiplied.  The memos keep bare terms, never an
-element that points back at its algebra, so an algebra and its memos
-are freed with their last user, without the cyclic garbage collector.
+itself (x x = [x, x] / 2), is rewritten.
+
+The product runs on integers.  Each factor's coefficients are multiplied
+by their least common denominator D, which turns a ``Fraction`` into an
+``int`` and leaves a ``Poly`` a ``Poly`` with integral coefficients; the
+pair loop multiplies and sums these, and each output term is divided by
+D1*D2 once.  The rewriting and coproduct memos store integral
+coefficients as ``int`` too; the 1/2 of an odd square stays a
+``Fraction``, and sums mixing the two stay exact.  The twist cocycle and
+quantum Yang-Baxter residuals scale their input once, form both sides
+over one denominator, subtract in integers and divide back only the
+residual's terms.  Every element and tensor the module returns holds
+``Fraction`` or ``Poly`` coefficients only.  The memos keep bare terms,
+never an element that points back at its algebra, so an algebra and its
+memos are freed with their last user, without the cyclic garbage
+collector.
 
 On top of the arithmetic the module builds the jordanian twist
 F = exp(h (x) sigma) with sigma = (1/2)log(1 + 2 xi x) over the solvable
@@ -83,12 +95,11 @@ __all__ = [
 
 Word = tuple[int, ...]
 # A stored coefficient: the scalar at one graded degree (see the module
-# docstring).
+# docstring).  Inside the product kernel and the memos an integral one is
+# an int.
 Coeff = Union[Fraction, Poly]
 # A graded key: the slot words followed by the graded degree.
 Key = tuple
-
-_ONE = Fraction(1)
 
 
 class UEA:
@@ -108,6 +119,7 @@ class UEA:
         # so stored coefficients leave it out.
         self._factored = graded[0] if len(graded) == 1 else None
         self._odd = any(algebra.basis.parities)
+        # Rewrites and coproducts of words, integral coefficients as ints.
         self._normal: dict[Word, dict[tuple[Word, int], Coeff]] = {}
         # One shared tuple per word that a product joins without rewriting.
         self._joined: dict[Word, Word] = {}
@@ -182,7 +194,7 @@ class UEA:
 
     def normalize_word(self, word: Word) -> Mapping[tuple[Word, int], Coeff]:
         """Expand a raw word as {(normal word, graded degree): coefficient},
-        untruncated."""
+        untruncated; an integral coefficient is an int."""
         cached = self._normal.get(word)
         if cached is None:
             cached = self._rewrite(word)
@@ -211,22 +223,56 @@ class UEA:
                 for k, coeff in self._split(c * scale).items():
                     for (w, kw), c2 in self.normalize_word(shorter).items():
                         accumulate(out, (w, k + kw), c2 * coeff)
-            return out
-        return {(word, 0): _ONE}
+            return {key: _narrow(c) for key, c in out.items()}
+        return {(word, 0): 1}
+
+    def _word_coproduct(self, word: Word) -> dict[Key, Coeff]:
+        """The memoised coproduct of one PBW word as rank-2 graded terms.
+        Its slots join in order, so every coefficient is an int."""
+        cached = self._delta.get(word)
+        if cached is None:
+            cached = {((), (), 0): 1}
+            for i in word:
+                cached = _product_terms(self, 2, cached,
+                                        {((i,), (), 0): 1, ((), (i,), 0): 1})
+            self._delta[word] = cached
+        return cached
 
     def coproduct_of_word(self, word: Word) -> "TensorUEA":
         """The coproduct of one PBW word as a rank-2 tensor."""
-        cached = self._delta.get(word)
-        if cached is None:
-            delta = TensorUEA.unit(self, 2)
-            for i in word:
-                primitive = TensorUEA(self, 2, {((i,), ()): 1, ((), (i,)): 1})
-                delta = delta * primitive
-            cached = self._delta[word] = delta.coeffs
-        return TensorUEA._trusted(self, 2, cached)
+        return TensorUEA._trusted(self, 2,
+                                  _fractions(self._word_coproduct(word), 1))
 
 
 # -- the shared term kernel ------------------------------------------------------
+
+
+def _narrow(c: Coeff) -> Coeff:
+    """An integral Fraction as an int; anything else as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _integral(coeffs: Mapping[Key, Coeff]) -> tuple[dict[Key, Coeff], int]:
+    """(terms times D, D) for the least common denominator D of the
+    coefficients: a Fraction becomes an int, and a Poly stays a Poly with
+    integral coefficients."""
+    D = 1
+    for c in coeffs.values():
+        dens = ([v.denominator for _, v in c.items()] if isinstance(c, Poly)
+                else (c.denominator,))
+        for den in dens:
+            if D % den:
+                D = math.lcm(D, den)
+    return {key: c * D if isinstance(c, Poly) else c.numerator * (D // c.denominator)
+            for key, c in coeffs.items()}, D
+
+
+def _fractions(coeffs: Mapping[Key, Coeff], D: int) -> dict[Key, Coeff]:
+    """Terms over the common denominator D divided back, each coefficient
+    a Fraction or a Poly."""
+    scale = Fraction(1, D)
+    return {key: c * scale if isinstance(c, Poly) else Fraction(c, D)
+            for key, c in coeffs.items()}
 
 
 def _extend(uea: UEA, partial: list, word: Word) -> list:
@@ -238,10 +284,7 @@ def _extend(uea: UEA, partial: list, word: Word) -> list:
     for words, d, c in partial:
         for (w, dw), nc in normal:
             if d + dw <= top:
-                # Normal words map to themselves times the shared _ONE,
-                # so most steps skip a Fraction multiplication.
-                grown.append((words + (w,), d + dw,
-                              c if nc is _ONE else c * nc))
+                grown.append((words + (w,), d + dw, c * nc))
     return grown
 
 
@@ -270,35 +313,30 @@ def _koszul_odd(uea: UEA, key1: Key, key2: Key, rank: int) -> bool:
     return crossings % 2 == 1
 
 
-def _is_unit(c: Coeff) -> bool:
-    return type(c) is Fraction and c == 1
-
-
-def _product(left: "_GradedTerms", right: "_GradedTerms") -> dict[Key, Coeff]:
-    """Slot-wise product of graded terms with Koszul signs.  The right
-    factor's terms are visited by degree, so a pair whose degrees add up
-    past the order is never formed.
+def _product_terms(uea: UEA, rank: int, left: Mapping[Key, Coeff],
+                   right: Mapping[Key, Coeff]) -> dict[Key, Coeff]:
+    """Slot-wise product of graded terms with Koszul signs, on their
+    coefficients as given (ints over a common denominator, in practice).
+    The right factor's terms are visited by degree, so a pair whose
+    degrees add up past the order is never formed.
 
     Both factors' words are normal, so a slot whose junction is already in
     order (one side empty, a[-1] < b[0], or an equal even letter) joins
     into a normal word with coefficient 1 and skips the rewriting; only
-    the other slots go through ``_extend``.  A unit coefficient is not
-    multiplied."""
-    uea, rank = left.uea, left.rank
+    the other slots go through ``_extend``."""
     top = uea.order.degree
     parities = uea.algebra.basis.parities
     joined = uea._joined
     by_degree: list[list] = [[] for _ in range(top + 1)]
-    for key, c in right.coeffs.items():
-        by_degree[key[-1]].append((key, c, _is_unit(c)))
+    for item in right.items():
+        by_degree[item[0][-1]].append(item)
     signed = uea._odd and rank > 1
     out: dict[Key, Coeff] = {}
-    for key1, c1 in left.coeffs.items():
+    for key1, c1 in left.items():
         d1 = key1[-1]
-        unit1 = _is_unit(c1)
         for bucket in by_degree[:top - d1 + 1]:
-            for key2, c2, unit2 in bucket:
-                coeff = c2 if unit1 else c1 if unit2 else c1 * c2
+            for key2, c2 in bucket:
+                coeff = c1 * c2
                 if signed and _koszul_odd(uea, key1, key2, rank):
                     coeff = -coeff
                 d = d1 + key2[-1]
@@ -333,6 +371,15 @@ def _product(left: "_GradedTerms", right: "_GradedTerms") -> dict[Key, Coeff]:
     return out
 
 
+def _product(left: "_GradedTerms", right: "_GradedTerms") -> dict[Key, Coeff]:
+    """The product of two sums' terms: each factor is scaled to integers
+    by its common denominator, multiplied by the integer kernel, and every
+    output term is divided by both denominators once."""
+    ints1, D1 = _integral(left.coeffs)
+    ints2, D2 = _integral(right.coeffs)
+    return _fractions(_product_terms(left.uea, left.rank, ints1, ints2), D1 * D2)
+
+
 def _coproduct_terms(uea: UEA, data: Mapping[Key, Coeff], slot: int
                      ) -> dict[Key, Coeff]:
     """Apply the coproduct to one slot of graded terms."""
@@ -340,11 +387,24 @@ def _coproduct_terms(uea: UEA, data: Mapping[Key, Coeff], slot: int
     out: dict[Key, Coeff] = {}
     for key, c in data.items():
         k = key[-1]
-        for dkey, c2 in uea.coproduct_of_word(key[slot]).coeffs.items():
+        for dkey, c2 in uea._word_coproduct(key[slot]).items():
             d = k + dkey[-1]
             if d <= top:
                 accumulate(out, key[:slot] + dkey[:2] + key[slot + 1:-1] + (d,),
                            c * c2)
+    return out
+
+
+def _embedded(coeffs: Mapping[Key, Coeff], rank: int, slots: tuple[int, ...]
+              ) -> dict[Key, Coeff]:
+    """Graded terms with their slots placed at the given positions of a
+    larger rank, the rest filled with the empty word."""
+    out: dict[Key, Coeff] = {}
+    for key, c in coeffs.items():
+        new_key: list = [()] * rank + [key[-1]]
+        for pos, w in zip(slots, key):
+            new_key[pos] = w
+        out[tuple(new_key)] = c
     return out
 
 
@@ -504,13 +564,8 @@ class TensorUEA(_GradedTerms):
             raise ValueError("need one target position per slot")
         if list(slots) != sorted(set(slots)) or slots[-1] >= rank:
             raise ValueError("positions must be strictly increasing and fit")
-        out: dict[Key, Coeff] = {}
-        for key, c in self.coeffs.items():
-            new_key: list = [()] * rank + [key[-1]]
-            for pos, w in zip(slots, key):
-                new_key[pos] = w
-            out[tuple(new_key)] = c
-        return TensorUEA._trusted(self.uea, rank, out)
+        return TensorUEA._trusted(self.uea, rank,
+                                  _embedded(self.coeffs, rank, slots))
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.rank:
@@ -576,7 +631,7 @@ def tensor_product(*factors: UEAElement) -> TensorUEA:
         raise ValueError("tensor_product needs at least one factor")
     uea = factors[0].uea
     top = uea.order.degree
-    terms: dict[Key, Coeff] = {(0,): _ONE}
+    terms: dict[Key, Coeff] = {(0,): Fraction(1)}
     for factor in factors:
         factors[0]._require_same_space(factor)
         grown: dict[Key, Coeff] = {}
@@ -720,14 +775,26 @@ def factored_r_matrix(N: int, order: int) -> TensorUEA:
 # -- checks ----------------------------------------------------------------------
 
 
+def _residual(uea: UEA, lhs: dict[Key, Coeff], rhs: Mapping[Key, Coeff],
+              D: int) -> TensorUEA:
+    """lhs - rhs, both over the common denominator D, divided back."""
+    for key, c in rhs.items():
+        accumulate(lhs, key, c, -1)
+    return TensorUEA._trusted(uea, 3, _fractions(lhs, D))
+
+
 def twist_cocycle_check(F: TensorUEA) -> TensorUEA:
     """Residual F_12 (Delta (x) id)F - F_23 (id (x) Delta)F; zero iff F
     satisfies the twist 2-cocycle identity at the working order."""
     if F.rank != 2:
         raise ValueError("a twist must be a rank-2 tensor")
-    lhs = F.embed(3, (0, 1)) * F.coproduct_slot(0)
-    rhs = F.embed(3, (1, 2)) * F.coproduct_slot(1)
-    return lhs - rhs
+    uea = F.uea
+    ints, D = _integral(F.coeffs)
+    lhs = _product_terms(uea, 3, _embedded(ints, 3, (0, 1)),
+                         _coproduct_terms(uea, ints, 0))
+    rhs = _product_terms(uea, 3, _embedded(ints, 3, (1, 2)),
+                         _coproduct_terms(uea, ints, 1))
+    return _residual(uea, lhs, rhs, D * D)
 
 
 def twist_counit_ok(F: TensorUEA) -> bool:
@@ -776,7 +843,10 @@ def qybe_check(R: TensorUEA) -> TensorUEA:
     """Residual R_12 R_13 R_23 - R_23 R_13 R_12 at the working order."""
     if R.rank != 2:
         raise ValueError("the quantum Yang-Baxter check needs a rank-2 tensor")
-    r12 = R.embed(3, (0, 1))
-    r13 = R.embed(3, (0, 2))
-    r23 = R.embed(3, (1, 2))
-    return r12 * r13 * r23 - r23 * r13 * r12
+    uea = R.uea
+    ints, D = _integral(R.coeffs)
+    r12, r13, r23 = (_embedded(ints, 3, slots)
+                     for slots in ((0, 1), (0, 2), (1, 2)))
+    lhs = _product_terms(uea, 3, _product_terms(uea, 3, r12, r13), r23)
+    rhs = _product_terms(uea, 3, _product_terms(uea, 3, r23, r13), r12)
+    return _residual(uea, lhs, rhs, D ** 3)

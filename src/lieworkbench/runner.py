@@ -83,18 +83,20 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 3
-# The jordanian twist check costs about 5x more per two orders: 7 s at
-# order 10, 30 s at order 12 (one core of a shared 2-CPU box, Python 3.11).
+# The jordanian twist check costs about 5x more per two orders: 1.2 s at
+# order 10, 6 s at order 12 (one core of a shared 2-CPU box, Python 3.11).
 MAX_ORDER = 12
 # The largest N of an extended sl(N) twist check at truncation order 1, 2,
-# ...; no later order is supported.  Each entry is the largest N whose full
-# check stays under about 20 s and 140 MB peak RSS (one core of a shared
-# 2-CPU box, Python 3.11): at the bound 3.4 s / 131 MB (sl(34), order 1),
-# 8 s / 133 MB (sl(34), order 2), 8-10 s / 137 MB (sl(10), order 3),
-# 7-11 s / 132 MB (sl(5), order 4) and 16-20 s / 136 MB (sl(3), order 6);
-# one step past it, 149 MB (sl(35), order 1), 151 MB (sl(35), order 2),
-# 164 MB (sl(11), order 3), 22 s / 277 MB (sl(6), order 4), 26 s / 255 MB
-# (sl(4), order 5) and over 60 s (sl(3), order 7).
+# ...; no later order is supported.  Each entry was set as the largest N
+# whose full check stayed under about 20 s and 140 MB peak RSS.  A full
+# check now takes (one core of a shared 2-CPU box, Python 3.11): at the
+# bound 7.1 s / 292 MB (sl(34), order 1), 8.4 s / 329 MB (sl(34), order 2),
+# 1.6 s / 109 MB (sl(10), order 3), 2.0 s / 100 MB (sl(5), order 4) and
+# 3.2 s / 104 MB (sl(3), order 6); one step past it, 7.7 s / 383 MB
+# (sl(35), order 1), 9.2 s / 398 MB (sl(35), order 2), 2.2 s / 134 MB
+# (sl(11), order 3), 4.0 s / 208 MB (sl(6), order 4), 4.6 s / 187 MB
+# (sl(4), order 5) and 16 s / 340 MB (sl(3), order 7).  At orders 1 and 2
+# most of both costs is building the bracket table of sl(34) or sl(35).
 EXTENDED_MAX_N = (34, 34, 10, 5, 3, 3)
 
 

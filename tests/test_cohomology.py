@@ -751,10 +751,14 @@ def _coboundary_problems(draw):
         return A, phi
     table = {tuple(names[i] for i in key): dict(vec)
              for key, vec in phi.table.items()}
-    i, j = draw(st.sampled_from(list(canonical_tuples(basis, 2))))
-    want = (basis.parities[i] + basis.parities[j] + parity) % 2
-    target = draw(st.sampled_from([t for t in names
-                                   if basis.parity(t) == want]))
+    targets = [[t for t in names if basis.parity(t) == p] for p in (0, 1)]
+    pairs = [(i, j) for i, j in canonical_tuples(basis, 2)
+             if targets[(basis.parities[i] + basis.parities[j] + parity) % 2]]
+    if not pairs:  # an all-odd basis has no even-cochain coordinate to perturb
+        return A, phi
+    i, j = draw(st.sampled_from(pairs))
+    target = draw(st.sampled_from(
+        targets[(basis.parities[i] + basis.parities[j] + parity) % 2]))
     vec = table.setdefault((names[i], names[j]), {})
     vec[target] = vec.get(target, Poly.zero()) + draw(st.sampled_from((-1, 1)))
     if not vec[target]:

@@ -144,9 +144,62 @@ def test_truncated_products_match_products_cut_afterwards(case):
     assert product.terms == {key: c for key, c in expected.items() if c}
 
 
+# -- the Fraction references of the integer kernel ---------------------------------------
+#
+# The kernel multiplies integers over a common denominator and its memos
+# hold ints.  The references below are the Fraction loops it replaced:
+# their own PBW rewrite memo with Fraction coefficients, a product that
+# rewrites every slot, and the two residuals formed from Fraction products
+# and subtracted as sums.
+
+_REF_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _ref_normalize(uea, word):
+    memo = _REF_MEMOS.setdefault(uea, {})
+    cached = memo.get(word)
+    if cached is None:
+        cached = memo[word] = _ref_rewrite(uea, word)
+    return cached
+
+
+def _ref_rewrite(uea, word):
+    parities = uea.algebra.basis.parities
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if a < b or (a == b and parities[a] == 0):
+            continue
+        head, tail = word[:i], word[i + 2:]
+        out: dict = {}
+        if a > b:
+            odd_swap = parities[a] and parities[b]
+            for key, c in _ref_normalize(uea, head + (b, a) + tail).items():
+                accumulate(out, key, -c if odd_swap else c)
+            scale = Fraction(1)
+        else:
+            scale = Fraction(1, 2)
+        for target, c in uea.algebra.structure[a][b]:
+            shorter = head + (target,) + tail
+            for k, coeff in uea._split(c * scale).items():
+                for (w, kw), c2 in _ref_normalize(uea, shorter).items():
+                    accumulate(out, (w, k + kw), c2 * coeff)
+        return out
+    return {(word, 0): Fraction(1)}
+
+
+def _ref_extend(uea, partial, word):
+    top = uea.order.degree
+    grown = []
+    for words, d, c in partial:
+        for (w, dw), nc in _ref_normalize(uea, word).items():
+            if d + dw <= top:
+                grown.append((words + (w,), d + dw, c * nc))
+    return grown
+
+
 def _ref_product(left, right):
-    """The product that sends every slot through ``_extend``: the general
-    code the in-order joins and the unit-coefficient skip short-cut."""
+    """The Fraction product that sends every slot through the rewrite:
+    the general code the in-order joins and the integer kernel short-cut."""
     uea, rank = left.uea, left.rank
     top = uea.order.degree
     by_degree: list[list] = [[] for _ in range(top + 1)]
@@ -163,11 +216,45 @@ def _ref_product(left, right):
                     coeff = -coeff
                 partial = [((), d1 + key2[-1], coeff)]
                 for i in range(rank):
-                    partial = enveloping._extend(uea, partial,
-                                                 key1[i] + key2[i])
+                    partial = _ref_extend(uea, partial, key1[i] + key2[i])
                 for words, d, c in partial:
                     accumulate(out, words + (d,), c)
     return out
+
+
+def _ref_mul(left, right):
+    return type(left)._trusted(left.uea, left.rank, _ref_product(left, right))
+
+
+def _ref_coproduct_slot(F, slot):
+    uea = F.uea
+    top = uea.order.degree
+    out: dict = {}
+    for key, c in F.coeffs.items():
+        delta = TensorUEA._trusted(uea, 2, {((), (), 0): Fraction(1)})
+        for i in key[slot]:
+            delta = _ref_mul(delta, TensorUEA._trusted(
+                uea, 2, {((i,), (), 0): Fraction(1), ((), (i,), 0): Fraction(1)}))
+        for dkey, c2 in delta.coeffs.items():
+            d = key[-1] + dkey[-1]
+            if d <= top:
+                accumulate(out, key[:slot] + dkey[:2] + key[slot + 1:-1] + (d,),
+                           c * c2)
+    return TensorUEA._trusted(uea, F.rank + 1, out)
+
+
+def _ref_twist_cocycle_check(F):
+    lhs = _ref_mul(F.embed(3, (0, 1)), _ref_coproduct_slot(F, 0))
+    rhs = _ref_mul(F.embed(3, (1, 2)), _ref_coproduct_slot(F, 1))
+    return lhs - rhs
+
+
+def _ref_qybe_check(R):
+    r12 = R.embed(3, (0, 1))
+    r13 = R.embed(3, (0, 2))
+    r23 = R.embed(3, (1, 2))
+    return (_ref_mul(_ref_mul(r12, r13), r23)
+            - _ref_mul(_ref_mul(r23, r13), r12))
 
 
 def _normal_word(parities, letters) -> tuple[int, ...]:
@@ -185,22 +272,27 @@ def _normal_words(algebra, size):
         lambda letters: _normal_word(parities, letters))
 
 
+# The parameters of a drawn operand: the graded ones, and whether the
+# coefficients also carry the spectator t.
+MODES = {"xi": ({"xi"}, False), "xi t": ({"xi"}, True),
+         "xi eta": ({"xi", "eta"}, False)}
+
+
 @st.composite
-def _graded_products(draw):
-    """Two sets of graded terms of a common rank 1-3 over borel, sl3 or
-    osp12, with Fraction coefficients (one graded parameter, often 1) or
-    Poly coefficients (two graded parameters, homogeneous in them)."""
-    name = draw(st.sampled_from(("borel", "sl3", "osp12")))
-    algebra = catalog_get(name)
-    order = draw(st.integers(0, 3))
-    rank = draw(st.integers(1, 3))
-    two = draw(st.booleans())
+def _graded_terms(draw, algebra, order, rank, mode, size=4):
+    """Graded terms of the given rank over the algebra.  With xi alone a
+    coefficient is a Fraction (often 1, denominators up to 5!); with the
+    spectator t it is a Poly in t; with xi and eta it is a Poly homogeneous
+    in them at the term's degree."""
+    graded, spectator = MODES[mode]
     words = st.tuples(*[_normal_words(algebra, 3)] * rank)
     fractions = st.one_of(st.just(Fraction(1)),
-                          st.fractions(max_denominator=4).filter(bool))
+                          st.fractions(max_denominator=120).filter(bool))
 
     def coeff(k):
-        if not two:
+        if spectator:
+            return draw(fractions) + T * draw(fractions)
+        if len(graded) == 1:
             return draw(fractions)
         parts = draw(st.lists(st.tuples(st.integers(0, k), fractions),
                               min_size=1, max_size=2,
@@ -208,14 +300,28 @@ def _graded_products(draw):
         return sum((XI ** i * ETA ** (k - i) * c for i, c in parts),
                    Poly.zero())
 
-    def terms():
-        out = {}
-        for key in draw(st.lists(words, min_size=1, max_size=4)):
-            k = draw(st.integers(0, order))
-            out[key + (k,)] = coeff(k)
-        return out
+    out = {}
+    for key in draw(st.lists(words, min_size=1, max_size=size)):
+        k = draw(st.integers(0, order))
+        out[key + (k,)] = coeff(k)
+    return out
 
-    return name, order, rank, two, terms(), terms()
+
+@st.composite
+def _graded_products(draw):
+    """Two sets of graded terms of a common rank 1-3 over borel, sl3 or
+    osp12."""
+    name = draw(st.sampled_from(("borel", "sl3", "osp12")))
+    algebra = catalog_get(name)
+    order = draw(st.integers(0, 3))
+    rank = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(sorted(MODES)))
+    terms = _graded_terms(algebra, order, rank, mode)
+    return name, order, rank, mode, draw(terms), draw(terms)
+
+
+def _uea(name, order, mode):
+    return UEA(catalog_get(name), TruncationOrder(order, frozenset(MODES[mode][0])))
 
 
 def _graded_operand(uea, rank, coeffs):
@@ -226,23 +332,108 @@ def _graded_operand(uea, rank, coeffs):
 @settings(max_examples=150, deadline=None, database=None)
 @given(_graded_products())
 # equal odd letters at a junction: vp vp, and vm vm beside an in-order slot
-@example(("osp12", 2, 2, False, {((VP,), (VM,), 0): Fraction(1)},
+@example(("osp12", 2, 2, "xi", {((VP,), (VM,), 0): Fraction(1)},
           {((VP, VM), (), 1): Fraction(3, 2)}))
-@example(("osp12", 1, 3, True,
+@example(("osp12", 1, 3, "xi eta",
           {((0, VM), (), (VP,), 0): Poly.one(),
            ((VM,), (VP,), (), 1): XI * 2},
           {((VM,), (1, VP), (VP,), 0): Poly.one() * 5,
            ((), (VP,), (VP, VM), 1): ETA * -1}))
 def test_product_matches_the_rewrite_every_slot_product(case):
-    name, order, rank, two, left, right = case
-    graded = frozenset({"xi", "eta"} if two else {"xi"})
-    ours = UEA(catalog_get(name), TruncationOrder(order, graded))
-    ref = UEA(catalog_get(name), TruncationOrder(order, graded))
+    name, order, rank, mode, left, right = case
+    ours = _uea(name, order, mode)
+    ref = _uea(name, order, mode)
     product = enveloping._product(_graded_operand(ours, rank, left),
                                   _graded_operand(ours, rank, right))
     expected = _ref_product(_graded_operand(ref, rank, left),
                             _graded_operand(ref, rank, right))
     assert list(product.items()) == list(expected.items())
+    assert all(type(c) is type(expected[key]) for key, c in product.items())
+
+
+@st.composite
+def _twist_candidates(draw):
+    """A rank-2 tensor over borel, sl3 or osp12: the unit plus drawn terms
+    of positive degree (a non-twist, in general), or the drawn terms alone."""
+    name = draw(st.sampled_from(("borel", "sl3", "osp12")))
+    order = draw(st.integers(1, 2))
+    mode = draw(st.sampled_from(sorted(MODES)))
+    terms = draw(_graded_terms(catalog_get(name), order, 2, mode, size=3))
+    if draw(st.booleans()):
+        terms = {key: c for key, c in terms.items() if key[-1]}
+        terms[((), (), 0)] = Fraction(1)
+    return name, order, mode, terms
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_twist_candidates())
+@example(("osp12", 2, "xi", {((), (), 0): Fraction(1),
+                             ((VP,), (VM,), 1): Fraction(1)}))
+def test_residuals_match_the_fraction_loops(case):
+    name, order, mode, terms = case
+    ours = _graded_operand(_uea(name, order, mode), 2, terms)
+    ref = _graded_operand(_uea(name, order, mode), 2, terms)
+    for check, reference in ((twist_cocycle_check, _ref_twist_cocycle_check),
+                             (qybe_check, _ref_qybe_check)):
+        residual, expected = check(ours), reference(ref)
+        assert list(residual.coeffs.items()) == list(expected.coeffs.items())
+
+
+def _osp12_non_twist():
+    """1 (x) 1 + xi/6 vp (x) vm: its residuals hold odd squares."""
+    U = UEA(make_osp12()[0], TruncationOrder(2, frozenset({"xi"})))
+    return TensorUEA.unit(U, 2) + tensor_product(U.gen("vp"), U.gen("vm")).scaled(XI / 6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_jordanian_twist(3), lambda: build_extended_twist(3, 2),
+    _osp12_non_twist], ids=["jordanian", "extended", "osp12"])
+def test_twist_residuals_match_the_fraction_loops(build):
+    F = build()
+    R = universal_R(F)
+    for residual, expected in ((twist_cocycle_check(F), _ref_twist_cocycle_check(F)),
+                               (qybe_check(R), _ref_qybe_check(R))):
+        assert list(residual.coeffs.items()) == list(expected.coeffs.items())
+
+
+def _fractions_only(x) -> None:
+    """Every coefficient of an enveloping result is a Fraction or a Poly of
+    Fractions, never an int."""
+    for c in x.coeffs.values():
+        assert type(c) is Fraction or (
+            type(c) is Poly and all(type(v) is Fraction for _, v in c.items())), c
+    for c in x.terms.values():
+        assert all(type(v) is Fraction for _, v in c.items()), c
+
+
+@pytest.mark.parametrize("name", ["borel", "sl3", "osp12"])
+def test_public_results_hold_no_int_coefficient(name):
+    U = UEA(catalog_get(name), TruncationOrder(2, frozenset({"xi"})))
+    names = U.algebra.basis.names
+    a, b = U.gen(names[-1]), U.gen(names[0])
+    u = a * b + (b * a).scaled(XI)
+    results = [a * b, b * a, u * u, pbw_normalize(U, names[::-1]),
+               coproduct(u), coproduct(u) * coproduct(u),
+               tensor_product(a, b) * tensor_product(b, a),
+               U.coproduct_of_word((0, 0, len(names) - 1)),
+               U.coproduct_of_word((0, 0, len(names) - 1))]  # from the memo
+    F = TensorUEA.unit(U, 2) + tensor_product(a, a * b).scaled(XI * Fraction(1, 3))
+    R = universal_R(F)
+    results += [R, twist_cocycle_check(F), qybe_check(R), F.coproduct_slot(1),
+                exp_trunc(u.scaled(XI)), invert_trunc(U.one() + u.scaled(XI))]
+    assert results[-4] and results[-3]  # the residuals of a non-twist
+    for result in results:
+        _fractions_only(result)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_jordanian_twist(4), lambda: build_extended_twist(3, 2),
+    lambda: factored_r_matrix(3, 2)], ids=["jordanian", "extended", "factored"])
+def test_built_twists_and_their_checks_hold_no_int_coefficient(build):
+    F = build()
+    R = universal_R(F)
+    for result in (F, R, twist_cocycle_check(F), qybe_check(R)):
+        _fractions_only(result)
 
 
 def test_lift_is_linear():
@@ -348,6 +539,16 @@ def test_jordanian_R_matrix_and_its_classical_limit():
         assert not qybe_check(R)
         limit = classical_limit(R)
         assert proportionality_constant(limit, make_rborel()) == XI * -1
+
+
+# Orders and sizes past the checks above: the jordanian twist at orders 4
+# to 6, and the extended one over sl(3) and sl(4) at orders 1 to 3.
+@pytest.mark.parametrize("N, order", [
+    (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)])
+def test_deeper_twists_satisfy_the_cocycle_law_and_qybe(N, order):
+    F = build_jordanian_twist(order) if N == 2 else build_extended_twist(N, order)
+    assert not twist_cocycle_check(F)
+    assert not qybe_check(universal_R(F))
 
 
 # -- the extended twist ----------------------------------------------------------------------
