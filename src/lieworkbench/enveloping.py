@@ -316,7 +316,8 @@ def _koszul_odd(uea: UEA, key1: Key, key2: Key, rank: int) -> bool:
 def _product_terms(uea: UEA, rank: int, left: Mapping[Key, Coeff],
                    right: Mapping[Key, Coeff]) -> dict[Key, Coeff]:
     """Slot-wise product of graded terms with Koszul signs, on their
-    coefficients as given (ints over a common denominator, in practice).
+    coefficients as given (ints over a common denominator, except in a
+    tensor product, whose factors fill disjoint slots).
     The right factor's terms are visited by degree, so a pair whose
     degrees add up past the order is never formed.
 
@@ -467,9 +468,6 @@ class _GradedTerms(SparseSum):
             self._require_same_space(other)
             return self._like(_product(self, other))
         return self.scaled(other)
-
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
 
 
 class UEAElement(_GradedTerms):
@@ -629,19 +627,13 @@ def tensor_product(*factors: UEAElement) -> TensorUEA:
     """u1 (x) u2 (x) ... over the common enveloping algebra."""
     if not factors:
         raise ValueError("tensor_product needs at least one factor")
-    uea = factors[0].uea
-    top = uea.order.degree
-    terms: dict[Key, Coeff] = {(0,): Fraction(1)}
-    for factor in factors:
+    uea, rank = factors[0].uea, len(factors)
+    terms: dict[Key, Coeff] = {((),) * rank + (0,): Fraction(1)}
+    for slot, factor in enumerate(factors):
         factors[0]._require_same_space(factor)
-        grown: dict[Key, Coeff] = {}
-        for key, c in terms.items():
-            for (w, k), c2 in factor.coeffs.items():
-                d = key[-1] + k
-                if d <= top:
-                    accumulate(grown, key[:-1] + (w, d), c * c2)
-        terms = grown
-    return TensorUEA._trusted(uea, len(factors), terms)
+        terms = _product_terms(uea, rank, terms,
+                               _embedded(factor.coeffs, rank, (slot,)))
+    return TensorUEA._trusted(uea, rank, terms)
 
 
 def coproduct(u: UEAElement) -> TensorUEA:

@@ -56,6 +56,7 @@ from .cohomology import (
     solve_coboundary,
 )
 from .enveloping import (
+    TensorUEA,
     build_extended_twist,
     build_jordanian_twist,
     classical_limit,
@@ -471,8 +472,10 @@ def _tensor_witness(t: Tensor, what: str) -> list[str]:
             f"first at {key}: {scalar_str(coeff)}"]
 
 
-def _leading_term(residual) -> str:
-    """A nonzero enveloping residual's least term, as report text."""
+def _residual_text(residual) -> str:
+    """An enveloping residual as report text: 0, or its least term."""
+    if not residual:
+        return "0"
     key, coeff = residual.leading_term()
     return f"leading term {scalar_str(coeff)} at ({', '.join(key)})"
 
@@ -559,23 +562,25 @@ def _run_decompose(equation: str, whole: Tensor, first: Tensor,
 
 def _run_twist(twist_kind: str, N: int | None, order: int):
     if twist_kind == "jordanian":
-        F = build_jordanian_twist(order)
-        reference = catalog_get("r.borel")
-        reference_name = "h^x"
-    else:
-        F = build_extended_twist(N, order)
-        reference = make_rjordan(N)
-        reference_name = f"the jordanian r-matrix on sl({N})"
-    details = [f"truncation order {order}"]
+        return _twist_verdict(build_jordanian_twist(order),
+                              catalog_get("r.borel"), "h^x")[:2]
+    return _twist_verdict(build_extended_twist(N, order), make_rjordan(N),
+                          f"the jordanian r-matrix on sl({N})")[:2]
+
+
+def _twist_verdict(F: TensorUEA, reference: Tensor, reference_name: str):
+    """(status, detail lines, R) of the twist check on a built twist F: its
+    cocycle residual, counit, R = F_21 F^{-1} with its quantum Yang-Baxter
+    residual, and the classical limit of R against ``reference``."""
+    details = [f"truncation order {F.uea.order.degree}"]
     residual = twist_cocycle_check(F)
-    details.append("2-cocycle residual: "
-                   + (_leading_term(residual) if residual else "0"))
+    details.append(f"2-cocycle residual: {_residual_text(residual)}")
     counit_ok = twist_counit_ok(F)
     details.append(f"counit normalisation: {counit_ok}")
     R = universal_R(F)
     qybe_residual = qybe_check(R)
     details.append("quantum Yang-Baxter residual: "
-                   + (_leading_term(qybe_residual) if qybe_residual else "0"))
+                   + _residual_text(qybe_residual))
     limit = classical_limit(R)
     details.append(f"classical limit: {limit}")
     constant = proportionality_constant(limit, reference)
@@ -587,7 +592,7 @@ def _run_twist(twist_kind: str, N: int | None, order: int):
                        f"{check_cybe(F.uea.algebra, limit)}")
     ok = (not residual and counit_ok and not qybe_residual
           and constant is not None)
-    return ("pass" if ok else "fail"), details
+    return ("pass" if ok else "fail"), details, R
 
 
 # The run of each check kind, given the values ``_bind`` binds.  Each calls

@@ -11,10 +11,12 @@ CYBE, mCYBE, cocycle, compatibility, twist) does not call the library
 itself: it runs that kind's check from ``runner._RUNS`` on its values and
 prints the check's status and detail lines as ``workbench run`` does.  A
 criterion passes iff every such check gives its expected status; one that
-does not is marked with the status expected.  The rest (the
-decomposition and its limit, the adjoint twist, the double, the
-coboundary solver, the transcription, the extended twist and the
-non-twist control) have no check kind and compute their lines directly.
+does not is marked with the status expected.  The extended sl(3) twist
+and the non-twist control 1(x)1 + xi*x(x)x are built here and judged by
+the runner's twist verdict, ``runner._twist_verdict``, printed the same
+way.  The rest (the decomposition and its limit, the adjoint twist, the
+double, the coboundary solver, the transcription) have no check kind and
+compute their lines directly.
 
 Criterion 3 records the expectation that the standard r-matrices satisfy
 the modified classical Yang-Baxter equation while failing the unmodified
@@ -51,17 +53,14 @@ from .cohomology import Cochain2, compare_cochain2, d1, solve_coboundary
 from .enveloping import (
     TensorUEA,
     UEA,
+    _deformation_order,
     build_extended_twist,
-    classical_limit,
     factored_r_matrix,
     tensor_product,
-    twist_cocycle_check,
-    twist_counit_ok,
-    universal_R,
 )
 from .liealg import GradedBasis, LieSuperAlgebra, pencil
 from .record import Record
-from .scalars import TruncationOrder, param, scalar_str
+from .scalars import param, scalar_str
 
 __all__ = [
     "CriterionResult",
@@ -82,18 +81,25 @@ def _result(number: int, title: str, ok, lines) -> CriterionResult:
     return CriterionResult(number, title, bool(ok), tuple(str(l) for l in lines))
 
 
+def _row(label: str, status: str, details, expected: str):
+    """Whether a check gave the expected status, and its lines: ``label:
+    status``, marked with the expected status when it differs, then the
+    check's detail lines."""
+    held = status == expected
+    return held, [f"{label}: {status}"
+                  + ("" if held else f" (expected {expected})"),
+                  *(f"  {detail}" for detail in details)]
+
+
 def _checks(rows) -> tuple[bool, list[str]]:
     """Run each (label, kind, values, expected status) row through the
-    runner's check of that kind.  Each prints as ``label: status``, marked
-    with the expected status when it differs, then the check's detail lines;
-    the rows hold iff every status is the expected one."""
+    runner's check of that kind and print it by ``_row``; the rows hold iff
+    every status is the expected one."""
     ok, lines = True, []
     for label, kind, values, expected in rows:
-        status, details = runner._RUNS[kind](*values)
-        ok = ok and status == expected
-        lines.append(f"{label}: {status}"
-                     + ("" if status == expected else f" (expected {expected})"))
-        lines.extend(f"  {detail}" for detail in details)
+        held, row = _row(label, *runner._RUNS[kind](*values), expected)
+        ok = ok and held
+        lines += row
     return ok, lines
 
 
@@ -240,28 +246,20 @@ def criterion_mu_prime() -> CriterionResult:
                    "complete and deterministic", deterministic, lines)
 
 
-def criterion_twists(order: int = 3) -> CriterionResult:
+def criterion_twists(order: int = runner.DEFAULT_ORDER) -> CriterionResult:
     ok, lines = _checks((f"twist jordanian order {degree}", "twist",
                          ["jordanian", None, degree], "pass")
                         for degree in range(1, order + 1))
-    F3 = build_extended_twist(3, 2)
-    ext_cocycle = not twist_cocycle_check(F3)
-    ext_counit = twist_counit_ok(F3)
-    R3 = universal_R(F3)
-    ext_limit = classical_limit(R3)
-    ext_constant = proportionality_constant(ext_limit, catalog_get("r.jordan"))
-    ext_text = scalar_str(ext_constant) if ext_constant is not None else "none"
-    ok = ok and ext_cocycle and ext_counit and ext_constant is not None
-    lines.append(f"extended sl(3) twist, order 2: cocycle {ext_cocycle}, "
-                 f"counit {ext_counit}, classical limit = ({ext_text}) * "
-                 "jordanian r-matrix")
-    factored = factored_r_matrix(3, 2) == R3
-    ok = ok and factored
-    lines.append(f"slot-factored R-matrix product equals the twisted "
-                 f"universal R at order 2: {factored}")
+    status, details, R = runner._twist_verdict(
+        build_extended_twist(3, 2), catalog_get("r.jordan"),
+        "the jordanian r-matrix on sl(3)")
+    held, row = _row("twist extended 3 order 2", status, details, "pass")
+    factored = factored_r_matrix(3, 2) == R
+    lines += row + [f"slot-factored R-matrix product equals the twisted "
+                    f"universal R at order 2: {factored}"]
     return _result(10, "twists pass cocycle, counit, and quantum "
                    "Yang-Baxter checks with the expected classical limits",
-                   ok, lines)
+                   ok and held and factored, lines)
 
 
 def criterion_negative_controls() -> CriterionResult:
@@ -279,22 +277,17 @@ def criterion_negative_controls() -> CriterionResult:
          [bad_cochain, sl2], "fail"),
     ])
 
-    uea = UEA(catalog_get("borel"), TruncationOrder(2, frozenset({"xi"})))
+    uea = UEA(catalog_get("borel"), _deformation_order(2))
     x = uea.gen("x")
     non_twist = (TensorUEA.unit(uea, 2)
                  + tensor_product(x, x).scaled(param("xi")))
-    residual = twist_cocycle_check(non_twist)
-    if residual:
-        lines.append("non-twist 1(x)1 + xi*x(x)x: cocycle residual has "
-                     + runner._leading_term(residual))
-    else:
-        ok = False
-        lines.append("non-twist: cocycle residual UNEXPECTEDLY vanishes")
+    held, row = _row("twist non-twist 1(x)1 + xi*x(x)x", *runner._twist_verdict(
+        non_twist, catalog_get("r.borel"), "h^x")[:2], "fail")
     return _result(11, "negative controls fail with concrete witnesses",
-                   ok, lines)
+                   ok and held, lines + row)
 
 
-def run_suite(order: int = 3) -> list[CriterionResult]:
+def run_suite(order: int = runner.DEFAULT_ORDER) -> list[CriterionResult]:
     """All eleven criteria; ``order`` bounds the jordanian twist degree."""
     return [
         criterion_catalog_jacobi(),

@@ -194,7 +194,41 @@ def test_the_suite_runs_the_runners_checks(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(runner, f"_run_{kind}", counted)
+    verdict = runner._twist_verdict
+
+    def counted_verdict(*args):
+        counts["twist verdict"] += 1
+        return verdict(*args)
+
+    monkeypatch.setattr(runner, "_twist_verdict", counted_verdict)
     results = suite.run_suite(order=1)
+    # The twist verdict runs on the jordanian row, through _run_twist, and
+    # on the extended twist and the non-twist that the suite builds.
     assert counts == {"jacobi": 12, "cybe": 5, "mcybe": 2, "cocycle": 3,
-                      "compatible": 2, "twist": 1}
+                      "compatible": 2, "twist": 1, "twist verdict": 3}
     assert [r.number for r in results if not r.ok] == [3]
+
+
+def test_the_extended_twist_row_fails_on_a_quantum_yang_baxter_residual(
+        monkeypatch):
+    qybe_check = runner.qybe_check
+
+    def broken_on_sl3(R):
+        if R.uea.algebra.name != "sl3":
+            return qybe_check(R)
+        return enveloping.TensorUEA(R.uea, 3, {((0,), (), ()): 1})
+
+    monkeypatch.setattr(runner, "qybe_check", broken_on_sl3)
+    result = suite.criterion_twists(order=1)
+    assert not result.ok
+    assert "twist extended 3 order 2: fail (expected pass)" in result.lines
+    assert "  quantum Yang-Baxter residual: leading term 1 at (H1, 1, 1)" \
+        in result.lines
+
+
+def test_the_extended_twist_row_is_the_runners_twist_check():
+    result = suite.criterion_twists(order=1)
+    row = result.lines.index("twist extended 3 order 2: pass")
+    status, details = runner._run_twist("extended", 3, 2)
+    assert result.lines[row + 1:row + 1 + len(details)] == tuple(
+        f"  {detail}" for detail in details)

@@ -351,6 +351,44 @@ def test_product_matches_the_rewrite_every_slot_product(case):
     assert all(type(c) is type(expected[key]) for key, c in product.items())
 
 
+def _ref_tensor_product(*factors):
+    """The truncated pair loop that tensor_product ran before it folded its
+    factors through the product kernel."""
+    top = factors[0].uea.order.degree
+    terms = {(0,): Fraction(1)}
+    for factor in factors:
+        grown: dict = {}
+        for key, c in terms.items():
+            for (w, k), c2 in factor.coeffs.items():
+                d = key[-1] + k
+                if d <= top:
+                    accumulate(grown, key[:-1] + (w, d), c * c2)
+        terms = grown
+    return terms
+
+
+@st.composite
+def _tensor_factors(draw):
+    """One to three rank-1 operands over borel, sl3 or osp12."""
+    name = draw(st.sampled_from(("borel", "sl3", "osp12")))
+    order = draw(st.integers(0, 3))
+    mode = draw(st.sampled_from(sorted(MODES)))
+    terms = _graded_terms(catalog_get(name), order, 1, mode)
+    return name, order, mode, draw(st.lists(terms, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_tensor_factors())
+def test_tensor_product_matches_the_pair_loop(case):
+    name, order, mode, factors = case
+    uea = _uea(name, order, mode)
+    operands = [_graded_operand(uea, 1, coeffs) for coeffs in factors]
+    product = tensor_product(*operands).coeffs
+    expected = _ref_tensor_product(*operands)
+    assert product == expected
+    assert all(type(c) is type(expected[key]) for key, c in product.items())
+
+
 @st.composite
 def _twist_candidates(draw):
     """A rank-2 tensor over borel, sl3 or osp12: the unit plus drawn terms

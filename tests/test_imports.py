@@ -5,9 +5,11 @@ by an import statement must be read somewhere in that module or be listed
 in its ``__all__``.  A private definition must be read somewhere in the
 package, and a public function, class or method somewhere in ``src``,
 ``tests`` or ``bench``: an import or an ``__all__`` entry is not a use.
-No module imports ``dataclasses``: the package's value types derive from
-``record.Record``, and a fresh ``import lieworkbench, lieworkbench.cli``
-loads neither ``dataclasses`` nor the ``inspect`` it would pull in.
+Every absolute import names a standard-library module: the package
+depends on nothing else.  No module imports ``dataclasses``: the
+package's value types derive from ``record.Record``, and a fresh
+``import lieworkbench, lieworkbench.cli`` loads neither ``dataclasses``
+nor the ``inspect`` it would pull in.
 """
 
 from __future__ import annotations
@@ -65,6 +67,16 @@ def test_no_module_imports_dataclasses():
                  if "dataclasses" in _imported_modules(
                      ast.parse(path.read_text(), filename=path.name))]
     assert importers == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # The tests install sympy and hypothesis, so importing one of them from
+    # the package would not fail here; read the import statements instead.
+    outside = {path.name: sorted(_imported_modules(
+        ast.parse(path.read_text(), filename=path.name))
+        - sys.stdlib_module_names)
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in outside.items() if found} == {}
 
 
 def test_importing_the_package_and_cli_loads_no_code_generators():
