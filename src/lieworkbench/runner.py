@@ -571,7 +571,7 @@ def _run_twist(twist_kind: str, N: int | None, order: int):
 def _twist_verdict(F: TensorUEA, reference: Tensor, reference_name: str):
     """(status, detail lines, R) of the twist check on a built twist F: its
     cocycle residual, counit, R = F_21 F^{-1} with its quantum Yang-Baxter
-    residual, and the classical limit of R against ``reference``."""
+    residual, and its classical limit: a nonzero multiple of ``reference``."""
     details = [f"truncation order {F.uea.order.degree}"]
     residual = twist_cocycle_check(F)
     details.append(f"2-cocycle residual: {_residual_text(residual)}")
@@ -586,12 +586,13 @@ def _twist_verdict(F: TensorUEA, reference: Tensor, reference_name: str):
     constant = proportionality_constant(limit, reference)
     if constant is None:
         details.append(f"not proportional to {reference_name}")
+    elif not constant:
+        details.append(f"not a nonzero multiple of {reference_name}")
     else:
         details.append(f"= ({scalar_str(constant)}) * ({reference_name})")
         details.append("classical Yang-Baxter for the limit: "
                        f"{check_cybe(F.uea.algebra, limit)}")
-    ok = (not residual and counit_ok and not qybe_residual
-          and constant is not None)
+    ok = not residual and counit_ok and not qybe_residual and bool(constant)
     return ("pass" if ok else "fail"), details, R
 
 

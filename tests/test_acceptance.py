@@ -28,7 +28,7 @@ from lieworkbench.bialgebra import (
     schouten,
     sym_part,
 )
-from lieworkbench import catalog, enveloping, runner, suite
+from lieworkbench import catalog, cohomology, enveloping, runner, suite
 from lieworkbench.catalog import make_rdj, make_rjordan, make_sl
 from lieworkbench.scalars import param
 
@@ -186,7 +186,8 @@ def test_the_suite_runs_the_runners_checks(monkeypatch):
     # Every criterion that restates a check kind of ``workbench run`` runs
     # that kind's check, so the two commands share one verdict per kind.
     counts = Counter()
-    for kind in ("jacobi", "cybe", "mcybe", "cocycle", "compatible", "twist"):
+    for kind in ("jacobi", "cybe", "mcybe", "cocycle", "compatible",
+                 "decompose", "twist"):
         original = getattr(runner, f"_run_{kind}")
 
         def counted(*args, _kind=kind, _original=original):
@@ -205,7 +206,8 @@ def test_the_suite_runs_the_runners_checks(monkeypatch):
     # The twist verdict runs on the jordanian row, through _run_twist, and
     # on the extended twist and the non-twist that the suite builds.
     assert counts == {"jacobi": 12, "cybe": 5, "mcybe": 2, "cocycle": 3,
-                      "compatible": 2, "twist": 1, "twist verdict": 3}
+                      "compatible": 2, "decompose": 3, "twist": 1,
+                      "twist verdict": 3}
     assert [r.number for r in results if not r.ok] == [3]
 
 
@@ -232,3 +234,48 @@ def test_the_extended_twist_row_is_the_runners_twist_check():
     status, details = runner._run_twist("extended", 3, 2)
     assert result.lines[row + 1:row + 1 + len(details)] == tuple(
         f"  {detail}" for detail in details)
+
+
+def test_an_inconsistent_sl2_pair_is_no_certified_obstruction(monkeypatch):
+    # Only an obstruction certifies the pair; no solution at all does not.
+    solve = suite.solve_coboundary
+
+    def inconsistent_on_sl2(A, phi, **options):
+        outcome = solve(A, phi, **options)
+        if A.name != "dual.jordan.sl2":
+            return outcome
+        return cohomology.CoboundaryOutcome(
+            "inconsistent", None, outcome.rank, outcome.rank_augmented, ())
+
+    monkeypatch.setattr(suite, "solve_coboundary", inconsistent_on_sl2)
+    result = suite.criterion_coboundary()
+    assert not result.ok
+    assert result.lines[-1].startswith(
+        "sl(2) standard dual bracket over the jordanian dual: inconsistent")
+
+
+def test_a_wrong_summand_prints_a_difference_witness(monkeypatch):
+    monkeypatch.setattr(suite, "make_rdj", lambda N: make_rdj(N).scaled(2))
+    result = suite.criterion_decompose_limit()
+    assert not result.ok
+    row = result.lines.index(
+        "decompose combined r-matrix on sl2: fail (expected pass)")
+    assert result.lines[row + 1].startswith("  difference has ")
+    assert result.lines[row + 2].startswith("  first at ")
+
+
+def test_a_wrong_limit_turns_criterion_4_red(monkeypatch):
+    monkeypatch.setattr(suite, "limit_r", lambda r, name: r)
+    result = suite.criterion_decompose_limit()
+    assert not result.ok
+    assert ("h -> 0 limit of the combined r-matrix on sl2 equals jordanian: "
+            "False") in result.lines
+
+
+def test_a_vanishing_first_order_term_turns_criterion_5_red(monkeypatch):
+    # A zero difference is 0 times the jordanian r-matrix; that is no twist.
+    monkeypatch.setattr(suite, "adjoint_twist_r", lambda A, r, z, xi: r)
+    result = suite.criterion_adjoint_twist()
+    assert not result.ok
+    assert result.lines[0] == ("sl(2): first-order difference is NOT a "
+                               "nonzero multiple of the jordanian r-matrix")

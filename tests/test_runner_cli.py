@@ -143,6 +143,16 @@ def test_a_twist_whose_limit_is_not_proportional_fails(monkeypatch):
                                    "not proportional to h^x")
 
 
+def test_a_twist_whose_limit_is_zero_fails():
+    # The unit twist meets every identity, and its limit 0 is 0 * (h^x).
+    uea = UEA(catalog_get("borel"), TruncationOrder(2, frozenset({"xi"})))
+    status, details, _ = runner._twist_verdict(
+        TensorUEA.unit(uea, 2), catalog_get("r.borel"), "h^x")
+    assert status == "fail"
+    assert details[-2:] == ["classical limit: 0",
+                            "not a nonzero multiple of h^x"]
+
+
 def test_a_twist_residual_prints_its_leading_term(monkeypatch):
     uea = UEA(catalog_get("borel"), TruncationOrder(2, frozenset({"xi"})))
     x = uea.gen("x")
