@@ -110,17 +110,20 @@ def schouten(A: LieSuperAlgebra, r: Tensor) -> Tensor:
     out: dict[tuple, Poly] = {}
     for a, b, c1 in items:
         for c, d, c2 in items:
+            ac, bc, bd = rows[a][c], rows[b][c], rows[b][d]
+            if not (ac or bc or bd):
+                continue
             coeff = c1 * c2
             sign_bc = -1 if odd[b] and odd[c] else 1
             # [r12, r13]: bracket on slot 1, spectators b, d.
-            for t, k in rows[a][c]:
+            for t, k in ac:
                 accumulate(out, (names[t], names[b], names[d]), coeff * k,
                            sign_bc)
             # [r12, r23]: bracket on slot 2, spectators a, d.
-            for t, k in rows[b][c]:
+            for t, k in bc:
                 accumulate(out, (names[a], names[t], names[d]), coeff * k)
             # [r13, r23]: bracket on slot 3, spectators a, c.
-            for t, k in rows[b][d]:
+            for t, k in bd:
                 accumulate(out, (names[a], names[c], names[t]), coeff * k,
                            sign_bc)
     return Tensor(basis, 3, out)

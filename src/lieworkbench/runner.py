@@ -19,11 +19,11 @@ algebras declared in the file (requiring the names to be unambiguous among
 them); with the clause, the named algebra — catalog algebras included —
 provides the generators.
 
-A ``cybe``, ``mcybe`` or ``decompose`` check runs over the tensor's
-carrier: the check's ``on`` clause, else the carrier the tensor was
-declared on, else the one algebra whose basis is the tensor's, searched
-among the file's algebras and then, if none carries it, the catalog's.  If
-that search finds several, or none, the check is a load error.
+A check binds its operands by one rule.  An absent ``on`` clause takes the
+carrier of the first tensor: the algebra it was declared on, else the one
+algebra (of the file, then of the catalog) whose basis is the tensor's;
+several or none is a load error.  Every operand with a basis must lie over
+the basis of the check's last algebra operand.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .catalog import (
 )
 from .cohomology import (
     Cochain1,
+    CoboundaryOutcome,
     cocycle2_witness,
     compare_cochain2,
     d1,
@@ -206,8 +207,6 @@ def _eval_add(left, right, op: str, line: int):
         return right if op == "+" else -right
     if _is_zero_scalar(right):
         return left
-    if isinstance(left, Poly) and isinstance(right, Poly):
-        return left + right if op == "+" else left - right
     if type(left) is type(right):
         try:
             return left + right if op == "+" else left - right
@@ -222,9 +221,7 @@ def _kind_name(value) -> str:
         return "a scalar"
     if isinstance(value, Element):
         return "an algebra element"
-    if isinstance(value, Tensor):
-        return "a tensor"
-    return type(value).__name__
+    return "a tensor"
 
 
 def _eval_mul(left, right, line: int):
@@ -310,6 +307,26 @@ def _declare_param(env: Environment, stmt: dsl.ParamDecl):
         env.params[name] = param(name)
 
 
+def _declare_entries(env: Environment, generators: dict[str, Element],
+                     entries, what: str) -> dict:
+    """The coefficients of (key, label, expression, line) ``entries``: a
+    key (a tuple of generator names) is declared once even when its value
+    is 0, each value is an element or 0, and zero values are left out."""
+    values = {}
+    for key, label, expr, line in entries:
+        for name in key:
+            if name not in generators:
+                raise LoadError(f"unknown identifier {name!r}", line)
+        if key in values:
+            raise LoadError(f"{label} re-declared", line)
+        lookup = _scope_lookup(env, generators, line, allow_tensors=False)
+        values[key] = value = eval_expr(expr, lookup, line)
+        if not isinstance(value, Element) and not _is_zero_scalar(value):
+            raise LoadError(f"a {what} value must be an algebra element", line)
+    return {key: value.coeffs for key, value in values.items()
+            if isinstance(value, Element)}
+
+
 def _declare_algebra(env: Environment, stmt: dsl.AlgebraDecl):
     if stmt.name in env.algebras:
         raise LoadError(f"algebra {stmt.name!r} re-declared", stmt.line)
@@ -318,22 +335,9 @@ def _declare_algebra(env: Environment, stmt: dsl.AlgebraDecl):
         raise LoadError("duplicate generator in basis", stmt.line)
     basis = GradedBasis(names, [1 if p == "odd" else 0 for _, p in stmt.basis])
     generators = {name: Element.basis_vector(basis, name) for name in names}
-    table: dict[tuple[str, str], dict[str, Poly]] = {}
-    for br in stmt.brackets:
-        for side in (br.left, br.right):
-            if side not in generators:
-                raise LoadError(f"unknown identifier {side!r}", br.line)
-        if (br.left, br.right) in table:
-            raise LoadError(
-                f"bracket [{br.left},{br.right}] re-declared", br.line)
-        lookup = _scope_lookup(env, generators, br.line, allow_tensors=False)
-        value = eval_expr(br.rhs, lookup, br.line)
-        if _is_zero_scalar(value):
-            continue
-        if not isinstance(value, Element):
-            raise LoadError("a bracket value must be an algebra element",
-                            br.line)
-        table[(br.left, br.right)] = dict(value.coeffs)
+    table = _declare_entries(env, generators, (
+        ((br.left, br.right), f"bracket [{br.left},{br.right}]", br.rhs,
+         br.line) for br in stmt.brackets), "bracket")
     try:
         env.algebras[stmt.name] = LieSuperAlgebra(stmt.name, basis, table)
     except ValueError as exc:
@@ -362,60 +366,43 @@ def _declare_cochain(env: Environment, stmt: dsl.CochainDecl):
         raise LoadError(f"cochain {stmt.name!r} re-declared", stmt.line)
     A = env.resolve("algebra", stmt.algebra, stmt.line)
     generators = {name: A.gen(name) for name in A.basis.names}
-    lookup = _scope_lookup(env, generators, stmt.line, allow_tensors=False)
-    values: dict[str, Element] = {}
-    for source, expr in stmt.entries:
-        if source not in generators:
-            raise LoadError(f"unknown identifier {source!r}", stmt.line)
-        if source in values:
-            raise LoadError(f"cochain entry {source!r} re-declared", stmt.line)
-        value = eval_expr(expr, lookup, stmt.line)
-        if _is_zero_scalar(value):
-            continue
-        if not isinstance(value, Element):
-            raise LoadError("a cochain value must be an algebra element",
-                            stmt.line)
-        values[source] = value
+    values = _declare_entries(env, generators, (
+        ((source,), f"cochain entry {source!r}", expr, stmt.line)
+        for source, expr in stmt.entries), "cochain")
     try:
         env.cochains[stmt.name] = Cochain1(
-            A.basis, values, parity=1 if stmt.parity == "odd" else 0)
+            A.basis, {source: value for (source,), value in values.items()},
+            parity=1 if stmt.parity == "odd" else 0)
     except ValueError as exc:
         raise LoadError(str(exc), stmt.line) from None
 
 
 def _bind(env: Environment, stmt: dsl.CheckDecl, options: RunOptions):
     """Resolve each name a check uses through ``Environment.resolve``, as the
-    kind of its slot in ``dsl.CHECK_FORMS``, then do the load-time work of
-    the check's kind: the carrier search, the basis agreement, the twist
-    bounds.  Return the call that runs the check on the values so bound."""
-    kind, names, line = stmt.kind, stmt.args, stmt.line
-    kinds = [item.kind for item in dsl.CHECK_FORMS[kind]
-             if not isinstance(item, str)]
-    values = [name if name is None or slot in ("int", "word")
-              else env.resolve(slot, name, line)
-              for slot, name in zip(kinds, names)]
-    if kind in ("cybe", "mcybe", "decompose"):
-        # The tensor runs over its carrier: the ``on`` algebra, else found.
-        if values[-1] is None:
-            values[-1] = env.carrier_for(names[0], values[0], line)
-        elif values[-1].basis != values[0].basis:
-            raise LoadError(
-                f"algebra {names[-1]!r} does not carry this tensor", line)
-    if kind in ("cocycle", "coboundary"):
-        for slot, name, value in zip(kinds, names, values):
-            if slot.endswith("cochain") and value is not None \
-                    and value.basis != values[1].basis:
-                raise LoadError(f"{slot} {name!r} is not over the basis of "
-                                f"{names[1]!r}", line)
+    kind of its slot in ``dsl.CHECK_FORMS``, bind the operands by the rule
+    the module describes, then do the load-time work of the check's kind:
+    its options, its equation, the twist bounds.  Return the call that runs
+    the check on the values so bound."""
+    kind, line = stmt.kind, stmt.line
+    slots = [s for s in dsl.CHECK_FORMS[kind] if not isinstance(s, str)]
+    named = [i for i, s in enumerate(slots) if s.kind not in ("int", "word")]
+    names, values = list(stmt.args), list(stmt.args)
+    for i in named:
+        if names[i] is not None:
+            values[i] = env.resolve(slots[i].kind, names[i], line)
+        elif slots[i].clause == "on":
+            t = next(j for j in named if slots[j].kind == "tensor")
+            values[i] = env.carrier_for(names[t], values[t], line)
+            names[i] = values[i].name
+    base = max((i for i in named if slots[i].kind == "algebra"), default=None)
+    for i in named:
+        if base is not None and values[i] is not None \
+                and values[i].basis != values[base].basis:
+            raise LoadError(f"{slots[i].kind} {names[i]!r} is not over the "
+                            f"basis of {names[base]!r}", line)
     if kind == "coboundary":
         values += [names[2], options.assume_nonzero]
-    if kind == "compatible" and values[0].basis != values[1].basis:
-        raise LoadError("compatibility needs a shared basis", line)
     if kind == "decompose":
-        for name, part in zip(names[1:3], values[1:3]):
-            if part.basis != values[0].basis:
-                raise LoadError(
-                    f"summand {name!r} lives over a different basis", line)
         values = [f"{names[0]} = {names[1]} + {names[2]}", *values[:3]]
     if kind == "twist":
         (twist_kind, N), order = values
@@ -528,6 +515,14 @@ def _run_coboundary(phi: LieSuperAlgebra, A: LieSuperAlgebra,
                     psi: Cochain1 | None, compare: str | None,
                     assume_nonzero: tuple[str, ...]):
     outcome = solve_coboundary(A, phi, assume_nonzero=assume_nonzero)
+    return _coboundary_verdict(outcome, phi, A, psi, compare)
+
+
+def _coboundary_verdict(outcome: CoboundaryOutcome, phi: LieSuperAlgebra,
+                        A: LieSuperAlgebra, psi: Cochain1 | None,
+                        compare: str | None):
+    """(status, detail lines) of the coboundary check of phi over A on the
+    solver's ``outcome``, with the d1 image of a ``compare`` table psi."""
     details = [f"solver status: {outcome.status}",
                f"rank {outcome.rank}, augmented rank {outcome.rank_augmented}"]
     if outcome.assumptions:

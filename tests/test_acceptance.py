@@ -186,28 +186,31 @@ def test_the_suite_runs_the_runners_checks(monkeypatch):
     # Every criterion that restates a check kind of ``workbench run`` runs
     # that kind's check, so the two commands share one verdict per kind.
     counts = Counter()
+
+    def count(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **options):
+            counts[key] += 1
+            return original(*args, **options)
+
+        monkeypatch.setattr(module, name, counted)
+
     for kind in ("jacobi", "cybe", "mcybe", "cocycle", "compatible",
-                 "decompose", "twist"):
-        original = getattr(runner, f"_run_{kind}")
-
-        def counted(*args, _kind=kind, _original=original):
-            counts[_kind] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(runner, f"_run_{kind}", counted)
-    verdict = runner._twist_verdict
-
-    def counted_verdict(*args):
-        counts["twist verdict"] += 1
-        return verdict(*args)
-
-    monkeypatch.setattr(runner, "_twist_verdict", counted_verdict)
+                 "coboundary", "decompose", "twist"):
+        count(runner, f"_run_{kind}", kind)
+    count(runner, "_twist_verdict", "twist verdict")
+    count(runner, "_coboundary_verdict", "coboundary verdict")
+    count(runner, "solve_coboundary", "coboundary solve")
+    count(suite, "solve_coboundary", "coboundary solve")
     results = suite.run_suite(order=1)
     # The twist verdict runs on the jordanian row, through _run_twist, and
-    # on the extended twist and the non-twist that the suite builds.
+    # on the extended twist and the non-twist that the suite builds.  The
+    # coboundary verdict runs once on each pair criterion 8 solves once.
     assert counts == {"jacobi": 12, "cybe": 5, "mcybe": 2, "cocycle": 3,
                       "compatible": 2, "decompose": 3, "twist": 1,
-                      "twist verdict": 3}
+                      "twist verdict": 3, "coboundary verdict": 2,
+                      "coboundary solve": 2}
     assert [r.number for r in results if not r.ok] == [3]
 
 
@@ -250,8 +253,20 @@ def test_an_inconsistent_sl2_pair_is_no_certified_obstruction(monkeypatch):
     monkeypatch.setattr(suite, "solve_coboundary", inconsistent_on_sl2)
     result = suite.criterion_coboundary()
     assert not result.ok
-    assert result.lines[-1].startswith(
-        "sl(2) standard dual bracket over the jordanian dual: inconsistent")
+    row = result.lines.index(
+        "coboundary dual.standard.sl2 over dual.jordan.sl2: fail")
+    assert result.lines[row + 1] == "  solver status: inconsistent"
+
+
+def test_criterion_8_prints_the_runners_coboundary_rows():
+    result = suite.criterion_coboundary()
+    lines = []
+    for check in runner.run_source(
+            "check coboundary mu2star over mu1star compare psi;\n"
+            "check coboundary dual.standard.sl2 over dual.jordan.sl2;\n"):
+        lines += [f"{check.label}: {check.status}",
+                  *(f"  {detail}" for detail in check.details)]
+    assert result.lines == tuple(lines)
 
 
 def test_a_wrong_summand_prints_a_difference_witness(monkeypatch):

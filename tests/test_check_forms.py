@@ -3,14 +3,15 @@
 Each case is one source text and what loading it gives: the ParseError or
 LoadError it raises, or the label of the one check it declares.  The cases
 cover each check form with its clauses present and absent, each syntax
-error a form can raise and each name, basis, carrier and bound error met
-while binding it.
+error a form can raise, each name, basis, carrier and bound error met
+while binding it, and each error a declaration or its expressions raise.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from lieworkbench import dsl, runner
 from lieworkbench.dsl import ParseError, parse
 from lieworkbench.runner import LoadError, load
 
@@ -86,7 +87,7 @@ CASES = [
     ("check cybe r.dj on nowhere;",
      "LoadError: line 1: unknown algebra 'nowhere'"),
     ("check cybe r.dj on sl2;",
-     "LoadError: line 1: algebra 'sl2' does not carry this tensor"),
+     "LoadError: line 1: tensor 'r.dj' is not over the basis of 'sl2'"),
     ("algebra sl3 { basis a:even; }\ncheck cybe r.jordan;",
      "LoadError: line 2: no known algebra carries this tensor (add an 'on "
      "ALGEBRA' clause)"),
@@ -110,15 +111,15 @@ CASES = [
     ("check compatible sl2 nowhere;",
      "LoadError: line 1: unknown algebra 'nowhere'"),
     ("check compatible sl2 sl3;",
-     "LoadError: line 1: compatibility needs a shared basis"),
+     "LoadError: line 1: algebra 'sl2' is not over the basis of 'sl3'"),
     ("check decompose nowhere = r.dj + r.jordan;",
      "LoadError: line 1: unknown tensor 'nowhere'"),
     ("check decompose r.full = r.dj + nowhere;",
      "LoadError: line 1: unknown tensor 'nowhere'"),
     ("tensor t = H1 (x) H1 on sl2;\ncheck decompose r.full = r.dj + t;",
-     "LoadError: line 2: summand 't' lives over a different basis"),
+     "LoadError: line 2: tensor 't' is not over the basis of 'sl3'"),
     ("check decompose r.full = r.dj + r.jordan on sl2;",
-     "LoadError: line 1: algebra 'sl2' does not carry this tensor"),
+     "LoadError: line 1: tensor 'r.full' is not over the basis of 'sl2'"),
     ("check twist extended 2;",
      "LoadError: line 1: the extended twist needs N >= 3"),
     ("check twist jordanian order 0;",
@@ -135,6 +136,61 @@ CASES = [
      "LoadError: line 1: the extended twist over sl(3) at truncation order "
      "7 is out of range: N may be at most 34, 34, 10, 5, 3, 3 at orders 1 "
      "to 6"),
+    # declaration and expression errors
+    ("param h;\nparam h;", "LoadError: line 2: parameter 'h' re-declared"),
+    ("algebra A { basis x:even; }\nalgebra A { basis y:even; }",
+     "LoadError: line 2: algebra 'A' re-declared"),
+    ("algebra A { basis x:even x:odd; }",
+     "LoadError: line 1: duplicate generator in basis"),
+    ("algebra A { basis x:even; bracket [x,y] = x; }",
+     "LoadError: line 1: unknown identifier 'y'"),
+    ("param h;\nalgebra A { basis x:even y:even; bracket [x,y] = h; }",
+     "LoadError: line 2: a bracket value must be an algebra element"),
+    ("algebra B { basis h:even x:even; bracket [h,x] = 0; "
+     "bracket [h,x] = 2*x; }",
+     "LoadError: line 1: bracket [h,x] re-declared"),
+    ("algebra B { basis h:even x:even; bracket [h,x] = 0; }\ncheck jacobi B;",
+     "label: jacobi B"),
+    ("tensor t = H1 (x) E12 on sl2;\ntensor t = H1 (x) E12 on sl2;",
+     "LoadError: line 2: tensor 't' re-declared"),
+    ("tensor t = H1 on sl2;",
+     "LoadError: line 1: a tensor definition must produce a rank-2 tensor"),
+    ("algebra A { basis x:even; }\nalgebra B { basis x:even; }\n"
+     "tensor t = x (x) x;",
+     "LoadError: line 3: generator 'x' is declared by both 'A' and 'B'; add "
+     "an 'on ALGEBRA' clause"),
+    ("tensor t = H1 (x) nowhere on sl2;",
+     "LoadError: line 1: unknown identifier 'nowhere'"),
+    ("algebra A { basis x:even; }\nalgebra B { basis y:even; }\n"
+     "tensor t = x (x) y;",
+     "LoadError: line 3: tensor factors live over different bases"),
+    ("tensor t = H1 (x) E12 on sl2;\n"
+     "tensor u = t + h_hat (x) h_hat on mu1star;",
+     "LoadError: line 2: operands live over different spaces"),
+    ("tensor t = H1 (x) E12 * 2 on sl2;\ncheck cybe t;", "label: cybe t"),
+    ("tensor t = H1 * E12 on sl2;",
+     "LoadError: line 1: cannot multiply two algebra values; use ^ or (x)"),
+    ("param h;\ntensor t = h ^ H1 on sl2;",
+     "LoadError: line 2: both sides of ^ must be algebra elements"),
+    ("tensor t = H1 + H1 (x) E12 on sl2;",
+     "LoadError: line 1: cannot add an algebra element and a tensor"),
+    ("param h;\ntensor t = h - H1 (x) E12 on sl2;",
+     "LoadError: line 2: cannot subtract a scalar and a tensor"),
+    ("param h;\ntensor t = (h + 1) * H1 (x) E12 on sl2;\ncheck cybe t;",
+     "label: cybe t"),
+    ("tensor t = 0 - H1 (x) E12 + 0 on sl2;\ncheck cybe t;", "label: cybe t"),
+    ("cochain p:even over sl2 { H1 -> E12; }\n"
+     "cochain p:even over sl2 { H1 -> E21; }",
+     "LoadError: line 2: cochain 'p' re-declared"),
+    ("cochain p:even over sl2 { X -> E12; }",
+     "LoadError: line 1: unknown identifier 'X'"),
+    ("cochain p:even over sl2 { H1 -> 2; }",
+     "LoadError: line 1: a cochain value must be an algebra element"),
+    ("cochain p:even over sl2 { H1 -> 0; H1 -> E12; }",
+     "LoadError: line 1: cochain entry 'H1' re-declared"),
+    ("cochain p:even over sl2 { H1 -> 0; }\n"
+     "check coboundary sl2 over sl2 compare p;",
+     "label: coboundary sl2 over sl2 compare p"),
     # accepted forms
     ("check jacobi sl2;", "label: jacobi sl2"),
     ("check cybe r.jordan;", "label: cybe r.jordan"),
@@ -172,3 +228,8 @@ def test_check_form_texts(source, text):
         (label,) = [label for label, _ in checks]
         outcome = f"label: {label}"
     assert outcome == text
+
+
+def test_every_check_form_has_a_run():
+    # A form row without a run would parse and then fail to bind.
+    assert set(runner._RUNS) == set(dsl.CHECK_FORMS)

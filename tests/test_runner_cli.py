@@ -236,7 +236,7 @@ def test_load_errors_carry_line_numbers():
         assert str(err.value) == f"line {last_line}: {message}"
     with pytest.raises(LoadError) as err:
         run_source("check cybe r.dj on sl2;")
-    assert "does not carry this tensor" in str(err.value)
+    assert "tensor 'r.dj' is not over the basis of 'sl2'" in str(err.value)
 
 
 def test_wrong_parity_values_are_load_errors_at_every_degree():
@@ -467,7 +467,10 @@ def test_a_new_check_kind_needs_one_row_and_one_run_function(
             ("check dimension sl2 = x;", "ParseError: line 1, col 23: "
              "expected a dimension, found 'x'"),
             ("check dimension sl2 = 3 with nowhere;",
-             "LoadError: line 1: unknown tensor 'nowhere'")):
+             "LoadError: line 1: unknown tensor 'nowhere'"),
+            ("check dimension sl2 = 3 with r.dj;",
+             "LoadError: line 1: tensor 'r.dj' is not over the basis of "
+             "'sl2'")):
         with pytest.raises((dsl.ParseError, LoadError)) as err:
             run_source(text)
         assert f"{err.type.__name__}: {err.value}" == message
