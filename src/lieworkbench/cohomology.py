@@ -157,7 +157,8 @@ class CoboundaryOutcome(Record):
     assumed nonzero, and a parameter point witnesses the rank gap), and
     "not-cocycle" (phi fails d2; witness holds the failing triple, found
     as :func:`solve_coboundary` describes).  For "obstructed" the rank pair
-    is the specialized one at the witness point.
+    is the specialized one at the witness point, exact there, so it
+    records no assumptions.
     """
 
     status: str  # "solved" | "inconsistent" | "obstructed" | "not-cocycle"
@@ -396,7 +397,6 @@ def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
     rhs = [phi.table.get((i, j), {}).get(basis.names[t], Poly.zero())
            for (i, j, t) in coords]
     outcome = solve_linear(matrix, rhs)
-    assumptions = tuple(str(p) for p in outcome.assumptions)
     if outcome.status == "inconsistent":
         not_closed = _not_cocycle(A, phi) if lie else None
         if not_closed is not None:
@@ -406,7 +406,8 @@ def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
         verify_rank_generically(aug, outcome.rank_augmented,
                                 outcome.assumptions)
         return CoboundaryOutcome("inconsistent", None, outcome.rank,
-                                 outcome.rank_augmented, assumptions)
+                                 outcome.rank_augmented,
+                                 tuple(str(p) for p in outcome.assumptions))
     assumed = _as_assumed_polys(assume_nonzero)
     dens = _solution_denominators(outcome.solution)
     unsanctioned = [d for d in dens if not _divides_out(d, assumed)]
@@ -421,7 +422,7 @@ def solve_coboundary(A: LieSuperAlgebra, phi: CochainTable,
                 + f"; at {where} the system has rank {rank} but augmented "
                   f"rank {rank_aug}, so no solution regular there exists")
             return CoboundaryOutcome("obstructed", None, rank, rank_aug,
-                                     assumptions, obstruction=description)
+                                     (), obstruction=description)
     values: dict[str, Vector] = {}
     for column, coeff in outcome.solution.items():
         j, k = slots[column]

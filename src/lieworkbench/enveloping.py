@@ -7,15 +7,18 @@ is rewritten to the Poincare-Birkhoff-Witt normal form ordered by basis
 declaration order; an odd generator squares to half its self-bracket, so
 odd letters never repeat in a normal word.
 
-Terms are stored on graded keys ``{(slot words..., k): coeff}``, where
-``k`` is the degree in the graded parameters of the truncation order.
-With a single graded parameter its power is implied by ``k`` and
-factored out, so ``coeff`` is a ``Fraction``, or a ``Poly`` in the
-spectator (non-graded) parameters only.  Products and PBW rewriting read
-the degrees off the keys and never multiply a pair, or keep a rewrite
-term, whose degrees add up past the order; truncating before multiplying
-is exactly truncating afterwards.  The public ``terms`` mapping
-``{slot words: Poly}`` is assembled from the graded keys on first use.
+One class, ``TensorUEA``, holds a sum in any tensor power; an enveloping
+element is the rank-1 tensor, ``UEAElement``, whose ``terms`` are keyed
+by the word alone.  Terms are stored on graded keys ``{(slot words...,
+k): coeff}``, where ``k`` is the degree in the graded parameters of the
+truncation order.  With a single graded parameter its power is implied
+by ``k`` and factored out, so ``coeff`` is a ``Fraction``, or a ``Poly``
+in the spectator (non-graded) parameters only.  Products and PBW
+rewriting read the degrees off the keys and never multiply a pair, or
+keep a rewrite term, whose degrees add up past the order; truncating
+before multiplying is exactly truncating afterwards.  The public
+``terms`` mapping ``{slot words: Poly}`` is assembled from the graded
+keys on first use.
 
 A product joins two normal words slot by slot.  When one side is empty,
 or the left word's last letter precedes the right word's first, or the
@@ -372,7 +375,7 @@ def _product_terms(uea: UEA, rank: int, left: Mapping[Key, Coeff],
     return out
 
 
-def _product(left: "_GradedTerms", right: "_GradedTerms") -> dict[Key, Coeff]:
+def _product(left: "TensorUEA", right: "TensorUEA") -> dict[Key, Coeff]:
     """The product of two sums' terms: each factor is scaled to integers
     by its common denominator, multiplied by the integer kernel, and every
     output term is divided by both denominators once."""
@@ -409,118 +412,27 @@ def _embedded(coeffs: Mapping[Key, Coeff], rank: int, slots: tuple[int, ...]
     return out
 
 
-class _GradedTerms(SparseSum):
-    """Storage and arithmetic shared by UEAElement and TensorUEA: nonzero
-    ``coeffs`` on graded keys (slot words..., degree), every word in
-    normal form and every degree within the order.  Scaling is graded and
-    ``*`` also multiplies two sums; the rest is :class:`SparseSum`."""
-
-    __slots__ = ("uea", "rank", "_view")
-
-    @classmethod
-    def _trusted(cls, uea: UEA, rank: int, coeffs: dict[Key, Coeff]):
-        """Wrap terms that are already normal and truncated."""
-        out = object.__new__(cls)
-        out.uea = uea
-        out.rank = rank
-        out.coeffs = coeffs
-        out._view = None
-        return out
-
-    def _like(self, coeffs: dict[Key, Coeff]):
-        return self._trusted(self.uea, self.rank, coeffs)
-
-    def _same_space(self, other: "_GradedTerms") -> bool:
-        return self.rank == other.rank and (
-            self.uea is other.uea
-            or (self.uea.algebra == other.uea.algebra
-                and self.uea.order == other.uea.order))
-
-    @staticmethod
-    def _slot_key(key: Key):
-        return key[:-1]
-
-    @property
-    def terms(self) -> Mapping:
-        """{slot words: Poly}, assembled from the graded keys."""
-        if self._view is None:
-            groups: dict = {}
-            for key, c in self.coeffs.items():
-                groups.setdefault(self._slot_key(key), {}).update(
-                    self.uea._monomials(key[-1], c))
-            self._view = {key: Poly(monos) for key, monos in groups.items()}
-        return self._view
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def scaled(self, scalar):
-        top = self.uea.order.degree
-        out: dict[Key, Coeff] = {}
-        for ks, s in self.uea._split(scalar).items():
-            for key, c in self.coeffs.items():
-                d = key[-1] + ks
-                if d <= top:
-                    accumulate(out, key[:-1] + (d,), c * s)
-        return self._like(out)
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            self._require_same_space(other)
-            return self._like(_product(self, other))
-        return self.scaled(other)
+def _by_size(words: tuple[Word, ...]):
+    """Order slot words by their total number of letters, then by the
+    words themselves."""
+    return sum(map(len, words)), words
 
 
-class UEAElement(_GradedTerms):
-    """Truncated enveloping-algebra element in PBW normal form.
-
-    The constructor accepts arbitrary words and normalises them, so any
-    {word: scalar} mapping is a valid input.  ``terms`` maps each normal
-    word to its coefficient.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, uea: UEA, terms: Mapping[Word, object]):
-        self.uea = uea
-        self.rank = 1
-        self.coeffs = _normal_terms(
-            uea, (((tuple(word),), c) for word, c in terms.items()))
-        self._view = None
-
-    @staticmethod
-    def _slot_key(key: Key):
-        return key[0]
-
-    # Each class owns its product entry point, so the two can be timed
-    # apart.
-    __mul__ = _GradedTerms.__mul__
-
-    def unit_coefficient(self) -> Poly:
-        return self.terms.get((), Poly.zero())
-
-    # -- rendering ------------------------------------------------------------------
-
-    def __str__(self):
-        return render_sum(
-            (scalar_str(coeff), self.uea.render_word(word))
-            for word, coeff in sorted(self.terms.items(),
-                                      key=lambda kv: (len(kv[0]), kv[0])))
-
-    def __repr__(self):
-        return f"UEAElement({self})"
-
-
-class TensorUEA(_GradedTerms):
+class TensorUEA(SparseSum):
     """A rank-n tensor power of the enveloping algebra (slot-wise PBW).
 
+    Its terms are nonzero ``coeffs`` on graded keys (slot words...,
+    degree), every word in normal form and every degree within the order.
     Multiplication is slot-wise with Koszul signs: moving the right
     factor's slot i past the left factor's slots j > i contributes
     (-1)^{|w_i||u_j|}.  For purely even algebras this is plain slot-wise
     multiplication.  ``terms`` maps each tuple of normal slot words to its
-    coefficient.
+    coefficient.  Scaling is graded and ``*`` also multiplies two sums;
+    the rest is :class:`SparseSum`.  An enveloping element is the rank-1
+    case, :class:`UEAElement`.
     """
 
-    __slots__ = ()
+    __slots__ = ("uea", "rank", "_view")
 
     def __init__(self, uea: UEA, rank: int,
                  terms: Mapping[tuple[Word, ...], object]):
@@ -538,10 +450,65 @@ class TensorUEA(_GradedTerms):
         self._view = None
 
     @classmethod
-    def unit(cls, uea: UEA, rank: int = 2) -> "TensorUEA":
-        return cls(uea, rank, {((),) * rank: Poly.one()})
+    def _trusted(cls, uea: UEA, rank: int, coeffs: dict[Key, Coeff]):
+        """Wrap terms that are already normal and truncated."""
+        out = object.__new__(cls)
+        out.uea = uea
+        out.rank = rank
+        out.coeffs = coeffs
+        out._view = None
+        return out
 
-    __mul__ = _GradedTerms.__mul__
+    @staticmethod
+    def unit(uea: UEA, rank: int = 2) -> "TensorUEA":
+        return TensorUEA(uea, rank, {((),) * rank: Poly.one()})
+
+    def _one(self):
+        """The unit of this sum's rank and class."""
+        return self._like({((),) * self.rank + (0,): Fraction(1)})
+
+    def _like(self, coeffs: dict[Key, Coeff]):
+        return self._trusted(self.uea, self.rank, coeffs)
+
+    def _same_space(self, other: "TensorUEA") -> bool:
+        return self.rank == other.rank and (
+            self.uea is other.uea
+            or (self.uea.algebra == other.uea.algebra
+                and self.uea.order == other.uea.order))
+
+    @staticmethod
+    def _slot_key(words: tuple[Word, ...]):
+        """The ``terms`` key of a term's slot words."""
+        return words
+
+    @property
+    def terms(self) -> Mapping:
+        """{slot words: Poly}, assembled from the graded keys."""
+        if self._view is None:
+            groups: dict = {}
+            for key, c in self.coeffs.items():
+                groups.setdefault(self._slot_key(key[:-1]), {}).update(
+                    self.uea._monomials(key[-1], c))
+            self._view = {key: Poly(monos) for key, monos in groups.items()}
+        return self._view
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def scaled(self, scalar):
+        top = self.uea.order.degree
+        out: dict[Key, Coeff] = {}
+        for ks, s in self.uea._split(scalar).items():
+            for key, c in self.coeffs.items():
+                d = key[-1] + ks
+                if d <= top:
+                    accumulate(out, key[:-1] + (d,), c * s)
+        return self._like(out)
+
+    def __mul__(self, other):
+        if isinstance(other, TensorUEA):
+            self._require_same_space(other)
+            return self._like(_product(self, other))
+        return self.scaled(other)
 
     # -- slot operations --------------------------------------------------------
 
@@ -591,21 +558,50 @@ class TensorUEA(_GradedTerms):
 
     def leading_term(self) -> tuple[tuple[str, ...], Poly] | None:
         """(rendered slot words, coefficient) of the least term, or None."""
-        if not self.terms:
+        words = min((key[:-1] for key in self.coeffs), key=_by_size,
+                    default=None)
+        if words is None:
             return None
-        key = min(self.terms, key=lambda k: (sum(map(len, k)), k))
-        return (tuple(self.uea.render_word(w) for w in key), self.terms[key])
+        return (tuple(map(self.uea.render_word, words)),
+                self.terms[self._slot_key(words)])
 
     # -- rendering ------------------------------------------------------------------
 
     def __str__(self):
+        terms, render = self.terms, self.uea.render_word
         return render_sum(
-            (scalar_str(coeff), "(x)".join(self.uea.render_word(w) for w in key))
-            for key, coeff in sorted(self.terms.items(),
-                                     key=lambda kv: (sum(map(len, kv[0])), kv[0])))
+            (scalar_str(terms[self._slot_key(words)]),
+             "(x)".join(map(render, words)))
+            for words in sorted({key[:-1] for key in self.coeffs},
+                                key=_by_size))
 
     def __repr__(self):
-        return f"TensorUEA({self})"
+        return f"{type(self).__name__}({self})"
+
+
+class UEAElement(TensorUEA):
+    """A truncated enveloping-algebra element: the rank-1 tensor.
+
+    The constructor accepts arbitrary words and normalises them, so any
+    {word: scalar} mapping is a valid input.  ``terms`` maps each normal
+    word to its coefficient.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, uea: UEA, terms: Mapping[Word, object]):
+        super().__init__(uea, 1, {(word,): c for word, c in terms.items()})
+
+    @staticmethod
+    def _slot_key(words: tuple[Word, ...]):
+        return words[0]
+
+    # Each class owns its product entry point, so the two can be timed
+    # apart.
+    __mul__ = TensorUEA.__mul__
+
+    def unit_coefficient(self) -> Poly:
+        return self.terms.get((), Poly.zero())
 
 
 # -- constructors -------------------------------------------------------------
@@ -638,7 +634,7 @@ def tensor_product(*factors: UEAElement) -> TensorUEA:
 
 def coproduct(u: UEAElement) -> TensorUEA:
     """The coproduct: an algebra map with every generator primitive."""
-    return TensorUEA._trusted(u.uea, 2, _coproduct_terms(u.uea, u.coeffs, 0))
+    return u.coproduct_slot(0)
 
 
 def counit(u: UEAElement) -> Poly:
@@ -649,12 +645,6 @@ def counit(u: UEAElement) -> Poly:
 # -- truncated series ----------------------------------------------------------
 
 
-def _one_like(u):
-    if isinstance(u, UEAElement):
-        return u.uea.one()
-    return TensorUEA.unit(u.uea, u.rank)
-
-
 def _power_series(what: str, start, v, coefficient):
     """start + sum over k >= 1 of coefficient(k) * v^k, truncated at the
     order; v must vanish at deformation degree 0, so the sum is finite."""
@@ -662,7 +652,7 @@ def _power_series(what: str, start, v, coefficient):
         raise UnsupportedInputError(
             f"{what} needs every term to carry positive deformation degree")
     result = start
-    power = _one_like(v)
+    power = v._one()
     for k in range(1, v.uea.order.degree + 1):
         power = power * v
         if not power:
@@ -673,13 +663,13 @@ def _power_series(what: str, start, v, coefficient):
 
 def exp_trunc(u):
     """Truncated exponential; u must vanish at deformation degree 0."""
-    return _power_series("exp_trunc", _one_like(u), u,
+    return _power_series("exp_trunc", u._one(), u,
                          lambda k: Fraction(1, math.factorial(k)))
 
 
 def log_trunc(u):
     """Truncated logarithm; u - 1 must vanish at deformation degree 0."""
-    v = u - _one_like(u)
+    v = u - u._one()
     return _power_series("log_trunc", v.scaled(0), v,
                          lambda k: Fraction((-1) ** (k + 1), k))
 
@@ -687,7 +677,7 @@ def log_trunc(u):
 def invert_trunc(u):
     """Inverse of u = 1 + v by the geometric series; v must vanish at
     deformation degree 0."""
-    one = _one_like(u)
+    one = u._one()
     return _power_series("invert_trunc", one, u - one, lambda k: (-1) ** k)
 
 

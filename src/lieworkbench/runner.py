@@ -207,13 +207,15 @@ def _eval_add(left, right, op: str, line: int):
         return right if op == "+" else -right
     if _is_zero_scalar(right):
         return left
+    sides = (_kind_name(left), _kind_name(right))
     if type(left) is type(right):
         try:
             return left + right if op == "+" else left - right
-        except ValueError as exc:
-            raise LoadError(str(exc), line) from None
+        except ValueError:  # two sums over different bases
+            sides = tuple(f"{kind} over basis ({', '.join(value.basis.names)})"
+                          for kind, value in zip(sides, (left, right)))
     raise LoadError(f"cannot {'add' if op == '+' else 'subtract'} "
-                    f"{_kind_name(left)} and {_kind_name(right)}", line)
+                    f"{sides[0]} and {sides[1]}", line)
 
 
 def _kind_name(value) -> str:

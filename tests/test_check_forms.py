@@ -166,7 +166,12 @@ CASES = [
      "LoadError: line 3: tensor factors live over different bases"),
     ("tensor t = H1 (x) E12 on sl2;\n"
      "tensor u = t + h_hat (x) h_hat on mu1star;",
-     "LoadError: line 2: operands live over different spaces"),
+     "LoadError: line 2: cannot add a tensor over basis (H1, E12, E21) and "
+     "a tensor over basis (h_hat, Xp_hat, Xm_hat, vp_hat, vm_hat)"),
+    ("algebra A { basis x:even; }\nalgebra B { basis y:even; }\n"
+     "tensor t = (x - y) (x) x;",
+     "LoadError: line 3: cannot subtract an algebra element over basis (x) "
+     "and an algebra element over basis (y)"),
     ("tensor t = H1 (x) E12 * 2 on sl2;\ncheck cybe t;", "label: cybe t"),
     ("tensor t = H1 * E12 on sl2;",
      "LoadError: line 1: cannot multiply two algebra values; use ^ or (x)"),

@@ -626,11 +626,29 @@ def test_obstructed_case_reports_a_specialization_certificate():
     assert not out.found
     assert out.psi is None
     assert (out.rank, out.rank_augmented) == (0, 1)
-    assert out.assumptions == ("h",)
+    assert out.assumptions == ()
     assert out.obstruction == (
         "every solution inverts h; at h = 0, xi = 1 the system has rank 0 "
         "but augmented rank 1, so no solution regular there exists"
     )
+
+
+@pytest.mark.parametrize("name, entry, ranks, assumptions", [
+    # closed but not exact, with a constant rank gap
+    ("mu2star", (("vm_hat", "vm_hat"), "h_hat"), (8, 9), ()),
+    # a rank gap away from h = 0, re-verified at sampled points
+    ("dual.standard.sl2", (("H1_hat", "E12_hat"), "E12_hat"), (3, 4),
+     ("h",)),
+])
+def test_a_closed_cochain_that_is_no_coboundary_is_inconsistent(
+        name, entry, ranks, assumptions):
+    A = catalog_get(name)
+    args, target = entry
+    out = solve_coboundary(A, Cochain2(A.basis, {args: {target: 1}}))
+    assert out.status == "inconsistent" and not out.found
+    assert out.psi is None and out.witness is None
+    assert (out.rank, out.rank_augmented) == ranks
+    assert out.assumptions == assumptions
 
 
 def test_obstruction_search_tries_the_root_of_a_linear_denominator():

@@ -519,6 +519,23 @@ def test_the_counit_of_a_rank_one_tensor_is_refused():
         unit.counit_slot(0)
 
 
+def test_an_enveloping_element_is_the_rank_one_tensor():
+    U = UEA(make_borel(), TruncationOrder(2, frozenset({"xi"})))
+    F = build_jordanian_twist(2)
+    for u in (U.one(), U.gen("x"), F.counit_slot(0), F.counit_slot(1)):
+        assert type(u) is UEAElement and isinstance(u, TensorUEA)
+        assert u.rank == 1
+    # x h is rewritten to h x - 2 x, and xi^3 lies past the order
+    terms = {(): 3, (1, 0): XI, (0, 0, 1): Fraction(1, 2), (1,): XI ** 3}
+    element = UEAElement(U, terms)
+    tensor = TensorUEA(U, 1, {(word,): c for word, c in terms.items()})
+    assert element == tensor and tensor == element
+    assert str(element) == str(tensor) == "3 - 2*xi*x + xi*h*x + 1/2*h^2*x"
+    assert repr(element) == f"UEAElement({element})"
+    assert repr(tensor) == f"TensorUEA({tensor})"
+    assert {(word,): c for word, c in element.terms.items()} == tensor.terms
+
+
 def test_coproduct_of_a_generator_is_primitive():
     U = UEA(make_borel(), UNTRUNCATED)
     x = U.gen("x")

@@ -2,9 +2,10 @@
 
 Each module of ``src/lieworkbench`` is parsed, not imported.  A name bound
 by an import statement must be read somewhere in that module or be listed
-in its ``__all__``.  A private definition must be read somewhere in the
-package, and a public function, class or method somewhere in ``src``,
-``tests`` or ``bench``: an import or an ``__all__`` entry is not a use.
+in its ``__all__``, and no import binds a name that another already
+binds.  A private definition must be read somewhere in the package, and a
+public function, class or method somewhere in ``src``, ``tests`` or
+``bench``: an import or an ``__all__`` entry is not a use.
 Every absolute import names a standard-library module: the package
 depends on nothing else.  No module imports ``dataclasses``: the
 package's value types derive from ``record.Record``, and a fresh
@@ -26,29 +27,42 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lieworkbench"
 
 
+def _import_bindings(tree: ast.Module) -> list[str]:
+    """The names bound by import statements, once per binding."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+    return bound
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
-    imported = set()
     loaded = set()
     exported = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update((alias.asname or alias.name).split(".")[0]
-                            for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             loaded.add(node.id)
         elif (isinstance(node, ast.Assign)
               and any(isinstance(t, ast.Name) and t.id == "__all__"
                       for t in node.targets)):
             exported.update(ast.literal_eval(node.value))
-    return sorted(imported - loaded - exported)
+    return sorted(set(_import_bindings(tree)) - loaded - exported)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_imported_name_is_used_or_exported(module):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_name_is_imported_twice(module):
+    bound = _import_bindings(
+        ast.parse((PACKAGE / module).read_text(), filename=module))
+    assert sorted({name for name in bound if bound.count(name) > 1}) == []
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

@@ -289,13 +289,16 @@ def _sums_of(kind: str):
     u, v = uea.gen("h"), uea.gen("x").scaled(xi)
     if kind == "UEAElement":
         return u + v, v * u, UEA(sl2, TruncationOrder(3, graded)).gen("H1")
+    x, y = tensor_product(u, v), tensor_product(v, u + v)
+    if kind == "mixed ranks":
+        return x, y, u + v
     lower = UEA(borel, TruncationOrder(2, graded))
-    return (tensor_product(u, v), tensor_product(v, u + v),
-            tensor_product(lower.gen("h"), lower.gen("x")))
+    return x, y, tensor_product(lower.gen("h"), lower.gen("x"))
 
 
 @pytest.mark.parametrize(
-    "kind", ["Element", "Tensor", "Cobracket", "UEAElement", "TensorUEA"])
+    "kind", ["Element", "Tensor", "Cobracket", "UEAElement", "TensorUEA",
+             "mixed ranks"])
 def test_sparse_sums_over_different_spaces_do_not_mix(kind):
     x, y, other = _sums_of(kind)
     assert x and y and other
@@ -306,3 +309,16 @@ def test_sparse_sums_over_different_spaces_do_not_mix(kind):
     assert x != other
     with pytest.raises(ValueError):
         x + other
+    if kind == "mixed ranks":
+        # UEAElement is the rank-1 TensorUEA: both products and the rank-2
+        # side's sum find the ranks differ, while the element's own sum
+        # takes only elements and Python finds no reflected sum.
+        assert other != x
+        different = "operands live over different spaces"
+        for product in (lambda: x * other, lambda: other * x):
+            with pytest.raises(ValueError, match=different):
+                product()
+        with pytest.raises(ValueError, match=different):
+            x - other
+        with pytest.raises(TypeError, match="unsupported operand"):
+            other + x

@@ -381,6 +381,20 @@ def test_cli_assume_flag(tmp_path):
     assert main(["run", path, "--assume", "h"]) == 0
 
 
+def test_cli_reports_a_cochain_that_is_no_coboundary(tmp_path, capsys):
+    path = _write(tmp_path,
+                  "algebra phi {\n"
+                  "  basis H1_hat:even E12_hat:even E21_hat:even;\n"
+                  "  bracket [H1_hat,E12_hat] = E12_hat;\n"
+                  "}\n"
+                  "check coboundary phi over dual.standard.sl2;\n")
+    assert main(["run", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:4] == ["    solver status: inconsistent",
+                          "    rank 3, augmented rank 4",
+                          "    nonzero assumptions: h"]
+
+
 def test_cli_out_option(tmp_path, capsys):
     path = _write(tmp_path, "check jacobi sl2;\n")
     target = tmp_path / "report.json"
