@@ -167,8 +167,9 @@ class Cobracket(SparseSum):
         out.coeffs = coeffs
         return out
 
-    def _same_space(self, other: "Cobracket") -> bool:
-        return self.algebra.basis == other.algebra.basis
+    def _same_space(self, other: SparseSum) -> bool:
+        return (isinstance(other, Cobracket)
+                and self.algebra.basis == other.algebra.basis)
 
     def __call__(self, x: Element) -> Tensor:
         out: dict[tuple, Poly] = {}

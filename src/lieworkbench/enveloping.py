@@ -12,13 +12,13 @@ element is the rank-1 tensor, ``UEAElement``, whose ``terms`` are keyed
 by the word alone.  Terms are stored on graded keys ``{(slot words...,
 k): coeff}``, where ``k`` is the degree in the graded parameters of the
 truncation order.  With a single graded parameter its power is implied
-by ``k`` and factored out, so ``coeff`` is a ``Fraction``, or a ``Poly``
-in the spectator (non-graded) parameters only.  Products and PBW
-rewriting read the degrees off the keys and never multiply a pair, or
-keep a rewrite term, whose degrees add up past the order; truncating
-before multiplying is exactly truncating afterwards.  The public
-``terms`` mapping ``{slot words: Poly}`` is assembled from the graded
-keys on first use.
+by ``k`` and factored out, so ``coeff`` is an ``int`` or a ``Fraction``
+as ``scalars`` stores one, or a ``Poly`` in the spectator (non-graded)
+parameters only.  Products and PBW rewriting read the degrees off the
+keys and never multiply a pair, or keep a rewrite term, whose degrees
+add up past the order; truncating before multiplying is exactly
+truncating afterwards.  The public ``terms`` mapping ``{slot words:
+Poly}`` is assembled from the graded keys on first use.
 
 A product joins two normal words slot by slot.  When one side is empty,
 or the left word's last letter precedes the right word's first, or the
@@ -29,16 +29,14 @@ memo.  Only a junction that is out of order, or an odd letter meeting
 itself (x x = [x, x] / 2), is rewritten.
 
 The product runs on integers.  Each factor's coefficients are multiplied
-by their least common denominator D, which turns a ``Fraction`` into an
+by their least common denominator D, which turns every rational into an
 ``int`` and leaves a ``Poly`` a ``Poly`` with integral coefficients; the
 pair loop multiplies and sums these, and each output term is divided by
-D1*D2 once.  The rewriting and coproduct memos store integral
-coefficients as ``int`` too; the 1/2 of an odd square stays a
-``Fraction``, and sums mixing the two stay exact.  The twist cocycle and
-quantum Yang-Baxter residuals scale their input once, form both sides
-over one denominator, subtract in integers and divide back only the
-residual's terms.  Every element and tensor the module returns holds
-``Fraction`` or ``Poly`` coefficients only.  The memos keep bare terms,
+D1*D2 once.  The rewriting and coproduct memos hold the same stored
+form; the 1/2 of an odd square stays a ``Fraction``.  The twist cocycle
+and quantum Yang-Baxter residuals scale their input once, form both
+sides over one denominator, subtract in integers and divide back only
+the residual's terms.  The memos keep bare terms,
 never an element that points back at its algebra, so an algebra and its
 memos are freed with their last user, without the cyclic garbage
 collector.
@@ -70,6 +68,7 @@ from .scalars import (
     Poly,
     TruncationOrder,
     UnsupportedInputError,
+    _rational,
     as_poly,
     param,
     scalar_str,
@@ -98,9 +97,8 @@ __all__ = [
 
 Word = tuple[int, ...]
 # A stored coefficient: the scalar at one graded degree (see the module
-# docstring).  Inside the product kernel and the memos an integral one is
-# an int.
-Coeff = Union[Fraction, Poly]
+# docstring).
+Coeff = Union[int, Fraction, Poly]
 # A graded key: the slot words followed by the graded degree.
 Key = tuple
 
@@ -122,7 +120,7 @@ class UEA:
         # so stored coefficients leave it out.
         self._factored = graded[0] if len(graded) == 1 else None
         self._odd = any(algebra.basis.parities)
-        # Rewrites and coproducts of words, integral coefficients as ints.
+        # Rewrites and coproducts of words.
         self._normal: dict[Word, dict[tuple[Word, int], Coeff]] = {}
         # One shared tuple per word that a product joins without rewriting.
         self._joined: dict[Word, Word] = {}
@@ -197,7 +195,7 @@ class UEA:
 
     def normalize_word(self, word: Word) -> Mapping[tuple[Word, int], Coeff]:
         """Expand a raw word as {(normal word, graded degree): coefficient},
-        untruncated; an integral coefficient is an int."""
+        untruncated."""
         cached = self._normal.get(word)
         if cached is None:
             cached = self._rewrite(word)
@@ -217,7 +215,7 @@ class UEA:
                 odd_swap = parities[a] and parities[b]
                 for key, c in self.normalize_word(head + (b, a) + tail).items():
                     accumulate(out, key, -c if odd_swap else c)
-                scale = Fraction(1)
+                scale = 1
             else:
                 # adjacent equal odd letters: x x = [x, x] / 2
                 scale = Fraction(1, 2)
@@ -226,7 +224,7 @@ class UEA:
                 for k, coeff in self._split(c * scale).items():
                     for (w, kw), c2 in self.normalize_word(shorter).items():
                         accumulate(out, (w, k + kw), c2 * coeff)
-            return {key: _narrow(c) for key, c in out.items()}
+            return out
         return {(word, 0): 1}
 
     def _word_coproduct(self, word: Word) -> dict[Key, Coeff]:
@@ -243,21 +241,15 @@ class UEA:
 
     def coproduct_of_word(self, word: Word) -> "TensorUEA":
         """The coproduct of one PBW word as a rank-2 tensor."""
-        return TensorUEA._trusted(self, 2,
-                                  _fractions(self._word_coproduct(word), 1))
+        return TensorUEA._trusted(self, 2, dict(self._word_coproduct(word)))
 
 
 # -- the shared term kernel ------------------------------------------------------
 
 
-def _narrow(c: Coeff) -> Coeff:
-    """An integral Fraction as an int; anything else as it is."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
 def _integral(coeffs: Mapping[Key, Coeff]) -> tuple[dict[Key, Coeff], int]:
     """(terms times D, D) for the least common denominator D of the
-    coefficients: a Fraction becomes an int, and a Poly stays a Poly with
+    coefficients: a rational becomes an int, and a Poly stays a Poly with
     integral coefficients."""
     D = 1
     for c in coeffs.values():
@@ -270,11 +262,11 @@ def _integral(coeffs: Mapping[Key, Coeff]) -> tuple[dict[Key, Coeff], int]:
             for key, c in coeffs.items()}, D
 
 
-def _fractions(coeffs: Mapping[Key, Coeff], D: int) -> dict[Key, Coeff]:
+def _divided(coeffs: Mapping[Key, Coeff], D: int) -> dict[Key, Coeff]:
     """Terms over the common denominator D divided back, each coefficient
-    a Fraction or a Poly."""
+    in its stored form."""
     scale = Fraction(1, D)
-    return {key: c * scale if isinstance(c, Poly) else Fraction(c, D)
+    return {key: c * scale if isinstance(c, Poly) else _rational(Fraction(c, D))
             for key, c in coeffs.items()}
 
 
@@ -381,7 +373,7 @@ def _product(left: "TensorUEA", right: "TensorUEA") -> dict[Key, Coeff]:
     output term is divided by both denominators once."""
     ints1, D1 = _integral(left.coeffs)
     ints2, D2 = _integral(right.coeffs)
-    return _fractions(_product_terms(left.uea, left.rank, ints1, ints2), D1 * D2)
+    return _divided(_product_terms(left.uea, left.rank, ints1, ints2), D1 * D2)
 
 
 def _coproduct_terms(uea: UEA, data: Mapping[Key, Coeff], slot: int
@@ -418,6 +410,11 @@ def _by_size(words: tuple[Word, ...]):
     return sum(map(len, words)), words
 
 
+def _rank_class(rank: int) -> type:
+    """The class of a sum of the given rank: rank 1 is the element."""
+    return UEAElement if rank == 1 else TensorUEA
+
+
 class TensorUEA(SparseSum):
     """A rank-n tensor power of the enveloping algebra (slot-wise PBW).
 
@@ -428,8 +425,8 @@ class TensorUEA(SparseSum):
     (-1)^{|w_i||u_j|}.  For purely even algebras this is plain slot-wise
     multiplication.  ``terms`` maps each tuple of normal slot words to its
     coefficient.  Scaling is graded and ``*`` also multiplies two sums;
-    the rest is :class:`SparseSum`.  An enveloping element is the rank-1
-    case, :class:`UEAElement`.
+    the rest is :class:`SparseSum`.  Every rank-1 sum, however it was
+    built, is an enveloping element, :class:`UEAElement`.
     """
 
     __slots__ = ("uea", "rank", "_view")
@@ -444,15 +441,16 @@ class TensorUEA(SparseSum):
             if len(key) != rank:
                 raise ValueError(f"key {key!r} does not have rank {rank}")
             keyed.append((key, coeff))
+        self.__class__ = _rank_class(rank)
         self.uea = uea
         self.rank = rank
         self.coeffs = _normal_terms(uea, keyed)
         self._view = None
 
-    @classmethod
-    def _trusted(cls, uea: UEA, rank: int, coeffs: dict[Key, Coeff]):
+    @staticmethod
+    def _trusted(uea: UEA, rank: int, coeffs: dict[Key, Coeff]):
         """Wrap terms that are already normal and truncated."""
-        out = object.__new__(cls)
+        out = object.__new__(_rank_class(rank))
         out.uea = uea
         out.rank = rank
         out.coeffs = coeffs
@@ -465,13 +463,13 @@ class TensorUEA(SparseSum):
 
     def _one(self):
         """The unit of this sum's rank and class."""
-        return self._like({((),) * self.rank + (0,): Fraction(1)})
+        return self._like({((),) * self.rank + (0,): 1})
 
     def _like(self, coeffs: dict[Key, Coeff]):
         return self._trusted(self.uea, self.rank, coeffs)
 
-    def _same_space(self, other: "TensorUEA") -> bool:
-        return self.rank == other.rank and (
+    def _same_space(self, other: SparseSum) -> bool:
+        return isinstance(other, TensorUEA) and self.rank == other.rank and (
             self.uea is other.uea
             or (self.uea.algebra == other.uea.algebra
                 and self.uea.order == other.uea.order))
@@ -553,8 +551,7 @@ class TensorUEA(SparseSum):
                              "counit_slot needs rank at least 2")
         out = {key[:slot] + key[slot + 1:]: c
                for key, c in self.coeffs.items() if not key[slot]}
-        kind = UEAElement if self.rank == 2 else TensorUEA
-        return kind._trusted(self.uea, self.rank - 1, out)
+        return TensorUEA._trusted(self.uea, self.rank - 1, out)
 
     def leading_term(self) -> tuple[tuple[str, ...], Poly] | None:
         """(rendered slot words, coefficient) of the least term, or None."""
@@ -624,7 +621,7 @@ def tensor_product(*factors: UEAElement) -> TensorUEA:
     if not factors:
         raise ValueError("tensor_product needs at least one factor")
     uea, rank = factors[0].uea, len(factors)
-    terms: dict[Key, Coeff] = {((),) * rank + (0,): Fraction(1)}
+    terms: dict[Key, Coeff] = {((),) * rank + (0,): 1}
     for slot, factor in enumerate(factors):
         factors[0]._require_same_space(factor)
         terms = _product_terms(uea, rank, terms,
@@ -702,9 +699,12 @@ def build_jordanian_twist(order: int) -> TensorUEA:
     return exp_trunc(tensor_product(uea.gen("h"), sigma))
 
 
-def _sl_twist_parts(N: int, order: int):
-    """Shared ingredients of the extended twist over sl(N)."""
-    uea = UEA(make_sl(N), _deformation_order(order))
+def _sl_twist_parts(N: int, order: int, uea: UEA | None = None):
+    """Shared ingredients of the extended twist over sl(N), in the given
+    enveloping algebra of sl(N) at that order or a fresh one."""
+    uea = uea or UEA(make_sl(N), _deformation_order(order))
+    if (uea.algebra.name, uea.order) != (f"sl{N}", _deformation_order(order)):
+        raise ValueError(f"{uea!r} is not U(sl({N})) at order {order}")
     xi = param("xi")
     x = uea.gen(pair_name("E", 1, N, N))
     cartan = uea.zero()
@@ -730,17 +730,18 @@ def build_extended_twist(N: int, order: int) -> TensorUEA:
     return exp_trunc(carrier) * exp_trunc(tensor_product(cartan, sigma))
 
 
-def factored_r_matrix(N: int, order: int) -> TensorUEA:
+def factored_r_matrix(N: int, order: int, uea: UEA | None = None) -> TensorUEA:
     """The slot-factored R-matrix of the extended twist:
 
     prod_j exp(2 xi E_jN e^{-sigma} (x) E_1j) * exp(sigma (x) H)
     * exp(-H (x) sigma) * prod_j exp(-2 xi E_1j (x) E_jN e^{-sigma}),
 
-    with j ascending over 2..N-1 in both products.
+    with j ascending over 2..N-1 in both products.  A given ``uea``, such
+    as the extended twist's own ``F.uea``, lends it its warm memos.
     """
     if N < 3:
         raise ValueError("the factored R-matrix needs N >= 3")
-    uea, xi, cartan, sigma = _sl_twist_parts(N, order)
+    uea, xi, cartan, sigma = _sl_twist_parts(N, order, uea)
     damp = exp_trunc(-sigma)
     pairs = [(uea.gen(pair_name("E", j, N, N)) * damp,
               uea.gen(pair_name("E", 1, j, N))) for j in range(2, N)]
@@ -762,7 +763,7 @@ def _residual(uea: UEA, lhs: dict[Key, Coeff], rhs: Mapping[Key, Coeff],
     """lhs - rhs, both over the common denominator D, divided back."""
     for key, c in rhs.items():
         accumulate(lhs, key, c, -1)
-    return TensorUEA._trusted(uea, 3, _fractions(lhs, D))
+    return TensorUEA._trusted(uea, 3, _divided(lhs, D))
 
 
 def twist_cocycle_check(F: TensorUEA) -> TensorUEA:

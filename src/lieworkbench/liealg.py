@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .record import Record
-from .scalars import Poly, RatFunc, as_poly, scalar_str
+from .scalars import Poly, RatFunc, _rational, as_poly, scalar_str
 
 __all__ = [
     "GradedBasis",
@@ -68,7 +68,8 @@ __all__ = [
 def accumulate(store: dict, key, value, sign: int = 1) -> None:
     """Add sign * value to store[key] in place, for a sign of +1 or -1,
     dropping the key if it cancels.  With a sign of -1 the value is
-    subtracted from the total; it is negated only to start a new key."""
+    subtracted from the total; it is negated only to start a new key.  A
+    Fraction total is stored as ``scalars._rational`` stores it."""
     if not value:
         return
     total = store.get(key)
@@ -77,7 +78,7 @@ def accumulate(store: dict, key, value, sign: int = 1) -> None:
     else:
         total = -value if total is None else total - value
     if total:
-        store[key] = total
+        store[key] = total if type(total) is not Fraction else _rational(total)
     else:
         del store[key]
 
@@ -180,8 +181,8 @@ class SparseSum:
     ``coeffs`` maps keys to nonzero coefficients.  A subclass supplies
     :meth:`_like`, which wraps coefficients that are already trusted in a
     sum over the same space, and :meth:`_same_space`, which says whether
-    two sums may be combined.  Sums over different spaces raise
-    ``ValueError`` when added and compare unequal.
+    a sum of any kind may be combined with it.  Sums over different spaces
+    raise ``ValueError`` when added, in either order, and compare unequal.
     """
 
     __slots__ = ("coeffs",)
@@ -200,7 +201,7 @@ class SparseSum:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, SparseSum):
             return NotImplemented
         self._require_same_space(other)
         out = dict(self.coeffs)
@@ -209,7 +210,7 @@ class SparseSum:
         return self._like(out)
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, SparseSum):
             return NotImplemented
         return self + (-other)
 
@@ -231,7 +232,7 @@ class SparseSum:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, SparseSum):
             return NotImplemented
         return self._same_space(other) and self.coeffs == other.coeffs
 
@@ -258,8 +259,8 @@ class Element(SparseSum):
         out.coeffs = coeffs
         return out
 
-    def _same_space(self, other: "Element") -> bool:
-        return self.basis == other.basis
+    def _same_space(self, other: SparseSum) -> bool:
+        return isinstance(other, Element) and self.basis == other.basis
 
     def coefficient(self, name: str) -> Poly:
         return self.coeffs.get(name, Poly.zero())
@@ -313,8 +314,9 @@ class Tensor(SparseSum):
         out.coeffs = coeffs
         return out
 
-    def _same_space(self, other: "Tensor") -> bool:
-        return self.basis == other.basis and self.rank == other.rank
+    def _same_space(self, other: SparseSum) -> bool:
+        return (isinstance(other, Tensor) and self.basis == other.basis
+                and self.rank == other.rank)
 
     def coefficient(self, key: tuple) -> Poly:
         return self.coeffs.get(tuple(key), Poly.zero())

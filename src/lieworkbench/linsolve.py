@@ -58,7 +58,7 @@ def distinct_up_to_scale(polys: Iterable[Poly]) -> list[Poly]:
     constant factor, in order: p and -2*p assume the same thing nonzero."""
     kept: dict[Poly, Poly] = {}
     for poly in polys:
-        kept.setdefault(poly * (1 / poly.leading_coefficient()), poly)
+        kept.setdefault(poly * (Fraction(1) / poly.leading_coefficient()), poly)
     return list(kept.values())
 
 

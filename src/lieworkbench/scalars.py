@@ -2,10 +2,10 @@
 
 Scalars are sparse multivariate polynomials over the rationals in declared
 formal parameters (deformation parameters such as ``h``, ``xi``, ``theta``).
-Coefficients are always :class:`fractions.Fraction`, whatever path computed
-them; nothing in this package ever touches floating point.  A
-:class:`RatFunc` quotient type backs exact linear solving over the field of
-rational functions in the parameters.
+A coefficient is an ``int`` when it is integral and a ``Fraction`` only when
+it is not, whatever path computed it (``_rational`` keeps the rule); nothing
+in this package ever touches floating point.  A :class:`RatFunc` quotient
+type backs exact linear solving over the field of rational functions.
 
 Most operands the workbench meets are constants, zeros or quotients over a
 unit denominator, so each operator takes a short branch for them inside
@@ -48,21 +48,25 @@ def param(name: str) -> "Poly":
     """The formal parameter of the given name, as a polynomial."""
     if not name.isidentifier():
         raise ValueError(f"parameter name {name!r} is not an identifier")
-    return Poly({((name, 1),): Fraction(1)})
+    return Poly({((name, 1),): 1})
 
 
-def _coerce_fraction(value) -> Fraction | None:
-    if isinstance(value, Fraction):
+def _rational(value) -> int | Fraction | None:
+    """An exact rational in its stored form, an int when it is integral and
+    a Fraction when it is not; None for anything that is not exact."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     return None
 
 
 def as_poly(value: ScalarLike) -> "Poly":
     if isinstance(value, Poly):
         return value
-    frac = _coerce_fraction(value)
+    frac = _rational(value)
     if frac is None:
         raise TypeError(f"cannot interpret {value!r} as an exact scalar")
     return Poly.const(frac)
@@ -135,7 +139,7 @@ def _mono_str(mono: Monomial) -> str:
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with nonzero int or Fraction terms.
 
     Instances are immutable by convention: no method mutates ``_terms`` after
     construction, and zero coefficients are never stored.  Terms render in a
@@ -149,7 +153,7 @@ class Poly:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                frac = _coerce_fraction(coeff)
+                frac = _rational(coeff)
                 if frac is None:
                     raise TypeError(f"coefficient {coeff!r} is not exact")
                 if frac:
@@ -160,7 +164,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: int | Fraction) -> "Poly":
-        frac = _coerce_fraction(value)
+        frac = _rational(value)
         if frac is None:
             raise TypeError(f"constant {value!r} is not exact")
         return cls({(): frac} if frac else {})
@@ -178,15 +182,15 @@ class Poly:
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(sorted(self._terms.items()))
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(sorted(mono)), Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self._terms.get(tuple(sorted(mono)), 0)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self._terms.get((), 0)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         """The coefficient of the largest monomial in the canonical order."""
-        return max(self._terms.items())[1] if self._terms else Fraction(0)
+        return max(self._terms.items())[1] if self._terms else 0
 
     def parameters(self) -> frozenset[str]:
         return frozenset(name for mono in self._terms for name, _ in mono)
@@ -201,7 +205,7 @@ class Poly:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return self.constant_term()
+        return Fraction(self.constant_term())
 
     def graded_degrees(self, graded: frozenset[str]) -> tuple[int, int]:
         """(min, max) degree over the graded parameters; (0, 0) for zero."""
@@ -240,7 +244,7 @@ class Poly:
             acc = out.get(mono)
             acc = coeff if acc is None else acc + coeff
             if acc:
-                out[mono] = acc
+                out[mono] = _rational(acc)
             else:
                 del out[mono]
         return _trusted(out)
@@ -256,7 +260,7 @@ class Poly:
             acc = out.get(mono)
             acc = -coeff if acc is None else acc - coeff
             if acc:
-                out[mono] = acc
+                out[mono] = _rational(acc)
             else:
                 del out[mono]
         return _trusted(out)
@@ -273,16 +277,16 @@ class Poly:
             mine, theirs = theirs, mine
         if len(mine) == 1 and () in mine:
             # A constant factor scales the other operand's terms: a product
-            # of nonzero Fractions is nonzero, so nothing cancels.
+            # of nonzero rationals is nonzero, so nothing cancels.
             scale = mine[()]
-            return _trusted({m: scale * c for m, c in theirs.items()})
-        out: dict[Monomial, Fraction] = {}
+            return _trusted({m: _rational(scale * c) for m, c in theirs.items()})
+        out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in mine.items():
             for m2, c2 in theirs.items():
                 mono = _mono_mul(m1, m2)
-                acc = out.get(mono, Fraction(0)) + c1 * c2
+                acc = out.get(mono, 0) + c1 * c2
                 if acc:
-                    out[mono] = acc
+                    out[mono] = _rational(acc)
                 else:
                     out.pop(mono, None)
         return _trusted(out)
@@ -301,18 +305,18 @@ class Poly:
         if isinstance(other, RatFunc):
             return NotImplemented
         if not isinstance(other, Poly):
-            frac = _coerce_fraction(other)
+            frac = _rational(other)
             if frac is None:
                 return NotImplemented
             if not frac:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * (1 / frac)
+            return self * (Fraction(1) / frac)
         return RatFunc(self, other)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self._terms == other._terms
-        frac = _coerce_fraction(other)
+        frac = _rational(other)
         if frac is not None:
             return self._terms == ({(): frac} if frac else {})
         return NotImplemented
@@ -330,13 +334,13 @@ class Poly:
         Values must be exact rationals.  Parameters not mentioned survive
         symbolically; a name the polynomial lacks changes nothing.
         """
-        clean: dict[str, Fraction] = {}
+        clean: dict[str, int | Fraction] = {}
         for name, value in assignment.items():
-            frac = _coerce_fraction(value)
+            frac = _rational(value)
             if frac is None:
                 raise TypeError(f"substitution value {value!r} is not exact")
             clean[name] = frac
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for mono, coeff in self._terms.items():
             factor = coeff
             rest = []
@@ -348,9 +352,9 @@ class Poly:
             if not factor:
                 continue
             key = tuple(rest)
-            acc = out.get(key, Fraction(0)) + factor
+            acc = out.get(key, 0) + factor
             if acc:
-                out[key] = acc
+                out[key] = _rational(acc)
             else:
                 out.pop(key, None)
         return _trusted(out)
@@ -386,9 +390,10 @@ class Poly:
         return f"Poly({self})"
 
 
-def _trusted(terms: dict[Monomial, Fraction]) -> Poly:
-    """A Poly over terms that are already clean: nonzero Fractions, sorted
-    monomials.  The dict becomes the polynomial's own."""
+def _trusted(terms: dict[Monomial, int | Fraction]) -> Poly:
+    """A Poly over terms that are already clean: nonzero coefficients in
+    their stored form, sorted monomials.  The dict becomes the polynomial's
+    own."""
     result = Poly.__new__(Poly)
     result._terms = terms
     return result
@@ -399,7 +404,7 @@ def _operand(other) -> Poly | None:
     which takes the operation over, or for anything that is not exact."""
     if isinstance(other, Poly):
         return other
-    frac = _coerce_fraction(other)
+    frac = _rational(other)
     return None if frac is None else Poly.const(frac)
 
 
@@ -446,7 +451,8 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     while work:
         lw_mono, lw_coeff = leading(work)
         if _mono_divides(lb_mono, lw_mono):
-            t = Poly({_mono_quotient(lw_mono, lb_mono): lw_coeff / lb_coeff})
+            t = Poly({_mono_quotient(lw_mono, lb_mono):
+                      Fraction(lw_coeff) / lb_coeff})
             quotient = quotient + t
             work = work - t * b
         else:
@@ -480,7 +486,7 @@ class RatFunc:
             # over a unit denominator the numerator is kept as it is.
             scale = den.constant_term()
             if scale != 1:
-                num = num * (1 / scale)
+                num = num * (Fraction(1) / scale)
             den = _ONE
         else:
             num, den = self._reduce(num, den)
@@ -513,7 +519,7 @@ class RatFunc:
         scale = _content(den)
         if den.leading_coefficient() < 0:
             scale = -scale
-        return num * (1 / scale), den * (1 / scale)
+        return num * (Fraction(1) / scale), den * (Fraction(1) / scale)
 
     def as_poly(self) -> Poly | None:
         return self.num if self.den == _ONE else None

@@ -235,11 +235,11 @@ def criterion_twists(order: int = runner.DEFAULT_ORDER) -> CriterionResult:
     ok, lines = _checks((f"twist jordanian order {degree}", "twist",
                          ["jordanian", None, degree], "pass")
                         for degree in range(1, order + 1))
+    F = build_extended_twist(3, 2)
     status, details, R = runner._twist_verdict(
-        build_extended_twist(3, 2), catalog_get("r.jordan"),
-        "the jordanian r-matrix on sl(3)")
+        F, catalog_get("r.jordan"), "the jordanian r-matrix on sl(3)")
     held, row = _row("twist extended 3 order 2", status, details, "pass")
-    factored = factored_r_matrix(3, 2) == R
+    factored = factored_r_matrix(3, 2, F.uea) == R
     lines += row + [f"slot-factored R-matrix product equals the twisted "
                     f"universal R at order 2: {factored}"]
     return _result(10, "twists pass cocycle, counit, and quantum "

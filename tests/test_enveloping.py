@@ -434,14 +434,22 @@ def test_twist_residuals_match_the_fraction_loops(build):
         assert list(residual.coeffs.items()) == list(expected.coeffs.items())
 
 
-def _fractions_only(x) -> None:
-    """Every coefficient of an enveloping result is a Fraction or a Poly of
-    Fractions, never an int."""
+def _stored(c) -> bool:
+    """Whether c is a rational in its stored form: a nonzero int, or a
+    Fraction whose denominator is not 1."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction
+                                           and c.denominator != 1)
+
+
+def _stored_form_only(x) -> None:
+    """Every coefficient of an enveloping result is a rational in its
+    stored form or a Poly of them: never an integral Fraction, never a
+    float."""
     for c in x.coeffs.values():
-        assert type(c) is Fraction or (
-            type(c) is Poly and all(type(v) is Fraction for _, v in c.items())), c
+        assert _stored(c) or (
+            type(c) is Poly and all(_stored(v) for _, v in c.items())), c
     for c in x.terms.values():
-        assert all(type(v) is Fraction for _, v in c.items()), c
+        assert all(_stored(v) for _, v in c.items()), c
 
 
 @pytest.mark.parametrize("name", ["borel", "sl3", "osp12"])
@@ -461,7 +469,7 @@ def test_public_results_hold_no_int_coefficient(name):
                 exp_trunc(u.scaled(XI)), invert_trunc(U.one() + u.scaled(XI))]
     assert results[-4] and results[-3]  # the residuals of a non-twist
     for result in results:
-        _fractions_only(result)
+        _stored_form_only(result)
 
 
 @pytest.mark.parametrize("build", [
@@ -471,7 +479,7 @@ def test_built_twists_and_their_checks_hold_no_int_coefficient(build):
     F = build()
     R = universal_R(F)
     for result in (F, R, twist_cocycle_check(F), qybe_check(R)):
-        _fractions_only(result)
+        _stored_form_only(result)
 
 
 def test_lift_is_linear():
@@ -531,9 +539,28 @@ def test_an_enveloping_element_is_the_rank_one_tensor():
     tensor = TensorUEA(U, 1, {(word,): c for word, c in terms.items()})
     assert element == tensor and tensor == element
     assert str(element) == str(tensor) == "3 - 2*xi*x + xi*h*x + 1/2*h^2*x"
-    assert repr(element) == f"UEAElement({element})"
-    assert repr(tensor) == f"TensorUEA({tensor})"
-    assert {(word,): c for word, c in element.terms.items()} == tensor.terms
+    assert repr(element) == repr(tensor) == f"UEAElement({element})"
+    assert element.terms == tensor.terms
+
+
+def test_every_route_to_a_rank_one_sum_gives_an_element():
+    U = UEA(make_borel(), TruncationOrder(2, frozenset({"xi"})))
+    x = U.gen("x")
+    units = [U.one(), UEAElement(U, {(): 1}), TensorUEA(U, 1, {((),): 1}),
+             TensorUEA.unit(U, 1), TensorUEA.unit(U, 2).counit_slot(0),
+             TensorUEA.unit(U, 3).counit_slot(2).counit_slot(1),
+             tensor_product(U.one()), U.one().embed(1, (0,)),
+             x._one(), x - x + U.one()]
+    xs = [x, UEAElement(U, {(1,): 1}), TensorUEA(U, 1, {((1,),): 1}),
+          tensor_product(x, U.one()).counit_slot(1), tensor_product(x),
+          TensorUEA.unit(U, 1) * x, (x * U.one()).scaled(2) - x]
+    for routes in (units, xs):
+        for u in routes:
+            assert type(u) is UEAElement and u.rank == 1
+            assert u == routes[0] and routes[0] == u
+            assert list(u.terms) == list(routes[0].terms)
+            assert repr(u) == repr(routes[0])
+        assert routes[0].unit_coefficient() == (1 if routes is units else 0)
 
 
 def test_coproduct_of_a_generator_is_primitive():
@@ -672,6 +699,17 @@ def test_a_finished_check_frees_its_enveloping_algebra_without_the_gc(build):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_the_factored_r_matrix_builds_in_the_twists_own_algebra():
+    F = build_extended_twist(3, 2)
+    rewrites = len(F.uea._normal)
+    R = factored_r_matrix(3, 2, F.uea)
+    assert R.uea is F.uea and R == universal_R(F)
+    assert len(F.uea._normal) > rewrites  # the same memo served both
+    for N, order in ((4, 2), (3, 3)):
+        with pytest.raises(ValueError, match="is not U"):
+            factored_r_matrix(N, order, F.uea)
 
 
 def test_factored_r_matrix_matches_the_twist_route():

@@ -6,7 +6,8 @@ residual each take a short branch for constant, zero or unit-denominator
 operands, and the genericity check takes a matrix's cells as they are.  The general versions they replaced are copied here as
 references, and every result is compared with the reference's term by
 term, on zero, constant, unit, negative and multi-parameter operands.
-Every coefficient must stay a ``Fraction``, and no operand may change.
+Every coefficient must be in its stored form (a nonzero ``int``, or a
+``Fraction`` that is not integral), and no operand may change.
 The bialgebra's ``ad_action`` and ``schouten``, which read the index
 table, are compared the same way with their name-keyed loops.
 """
@@ -17,6 +18,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,15 +32,15 @@ from lieworkbench.liealg import (Element, GradedBasis, LieSuperAlgebra, Tensor,
 from lieworkbench.linsolve import (GenericityError, as_ratfunc, rank_at_point,
                                    rref, verify_rank_generically)
 from lieworkbench.scalars import (Poly, RatFunc, UnsupportedInputError,
-                                  _mono_mul, param)
+                                  _mono_mul, param, poly_divmod)
 
 # -- the general references -------------------------------------------------------------
 
 
 def _made(terms: dict) -> Poly:
-    result = Poly.__new__(Poly)
-    result._terms = terms
-    return result
+    """The references compute in Fractions; their result is stored through
+    the constructor, which keeps each coefficient in its stored form."""
+    return Poly(terms)
 
 
 def _as_operand(other):
@@ -87,7 +89,7 @@ def _ref_ratfunc(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not num:
         return num, Poly.one()
     if all(not mono for mono in den._terms):
-        return _ref_mul(num, 1 / den.constant_term()), Poly.one()
+        return _ref_mul(num, Fraction(1) / den.constant_term()), Poly.one()
     return RatFunc._reduce(num, den)
 
 
@@ -161,9 +163,16 @@ def _polys(draw, names=PARAMS, degree=2, size=4):
 _SCALARS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 
 
+def _stored(c) -> bool:
+    """Whether c is a coefficient in its stored form: a nonzero int, or a
+    Fraction whose denominator is not 1."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction
+                                           and c.denominator != 1)
+
+
 def _terms(poly: Poly) -> dict:
     assert isinstance(poly, Poly)
-    assert all(type(c) is Fraction and c for c in poly._terms.values())
+    assert all(_stored(c) for c in poly._terms.values())
     return dict(poly._terms)
 
 
@@ -248,6 +257,106 @@ def test_a_unit_denominator_keeps_the_numerator():
     assert _terms(RatFunc(h, 2).num) == {(("h", 1),): Fraction(1, 2)}
     assert _terms(RatFunc(h, -1).num) == {(("h", 1),): Fraction(-1)}
     assert RatFunc(h).den is RatFunc(param("s")).den
+
+
+# -- the stored form against a Fraction-only copy and sympy -----------------------------
+
+
+_SYMBOLS = {name: sympy.Symbol(name) for name in PARAMS}
+
+
+def _sympy(poly: Poly):
+    return sympy.expand(sum(
+        (sympy.Rational(c.numerator, c.denominator)
+         * sympy.Mul(*(_SYMBOLS[name] ** e for name, e in mono))
+         for mono, c in poly._terms.items()), sympy.Integer(0)))
+
+
+def _ref_divmod(a: Poly, b: Poly) -> tuple[dict, dict]:
+    """Graded-lex division with remainder on Fraction dicts, as the
+    division ran before integral coefficients were ints."""
+    names = sorted(a.parameters() | b.parameters())
+
+    def key(mono):
+        exps = dict(mono)
+        return (sum(exps.values()), tuple(exps.get(n, 0) for n in names))
+
+    def lead(terms):
+        return max(terms.items(), key=lambda item: key(item[0]))
+
+    def minus(terms, scale, mono, other):
+        out = dict(terms)
+        for m, c in other.items():
+            m = _mono_mul(mono, m)
+            acc = out.get(m, Fraction(0)) - scale * c
+            if acc:
+                out[m] = acc
+            else:
+                out.pop(m, None)
+        return out
+
+    divisor = {m: Fraction(c) for m, c in b._terms.items()}
+    lb_mono, lb_coeff = lead(divisor)
+    lb_exps = dict(lb_mono)
+    work = {m: Fraction(c) for m, c in a._terms.items()}
+    quotient, remainder = {}, {}
+    while work:
+        lw_mono, lw_coeff = lead(work)
+        exps = dict(lw_mono)
+        if all(exps.get(n, 0) >= e for n, e in lb_mono):
+            mono = tuple(sorted((n, e - lb_exps.get(n, 0))
+                                for n, e in exps.items()
+                                if e > lb_exps.get(n, 0)))
+            scale = lw_coeff / lb_coeff
+            quotient[mono] = quotient.get(mono, Fraction(0)) + scale
+            work = minus(work, scale, mono, divisor)
+        else:
+            remainder[lw_mono] = lw_coeff
+            del work[lw_mono]
+    return quotient, remainder
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_polys(), _polys(), st.integers(-6, 6).filter(bool),
+       st.fixed_dictionaries({name: st.fractions(-3, 3, max_denominator=3)
+                              for name in PARAMS}))
+def test_the_stored_form_matches_a_fraction_only_copy_and_sympy(a, b, k, point):
+    """Every Poly and RatFunc result stores each coefficient as a nonzero
+    int or a non-integral Fraction (never a float), and equals both the
+    Fraction-only reference and sympy."""
+    quotient = a / k
+    assert _terms(quotient) == _terms(_ref_mul(a, Fraction(1, k)))
+    assert _sympy(quotient) == _sympy(a) / k
+    for ours, expected in ((a + b, _sympy(a) + _sympy(b)),
+                           (a - b, _sympy(a) - _sympy(b)),
+                           (a * b, sympy.expand(_sympy(a) * _sympy(b)))):
+        _terms(ours)
+        assert _sympy(ours) == expected
+    # A RatFunc over an integral constant denominator divides its numerator.
+    for den in (k, Poly.const(k)):
+        value = RatFunc(a, den)
+        assert _terms(value.num) == _terms(quotient)
+        assert _terms(value.den) == {(): 1}
+    if b:
+        q, r = poly_divmod(a, b)
+        ref_q, ref_r = _ref_divmod(a, b)
+        assert _terms(q) == ref_q and _terms(r) == ref_r
+        assert sympy.expand(_sympy(q) * _sympy(b) + _sympy(r)) == _sympy(a)
+        kept = linsolve.distinct_up_to_scale([b, b * k, b * Fraction(1, k)])
+        assert len(kept) == 1 and kept[0] is b
+        _terms(b * (Fraction(1) / b.leading_coefficient()))
+    # Point elimination still divides in a field: every value is a Fraction.
+    at = {_SYMBOLS[n]: sympy.Rational(v.numerator, v.denominator)
+          for n, v in point.items()}
+    matrix = [[a, b], [b * k, a + b]]
+    for row in matrix:
+        for entry in row:
+            value = linsolve._value_at(entry, point)
+            assert type(value) is Fraction
+            assert value == _sympy(entry).subs(at)
+    expected = sympy.Matrix([[_sympy(e).subs(at) for e in row]
+                             for row in matrix]).rank()
+    assert rank_at_point(matrix, point) == expected
 
 
 # -- point evaluation and rank ----------------------------------------------------------
