@@ -25,7 +25,6 @@ from .liealg import (
     wedge,
 )
 from .bialgebra import (
-    Cobracket,
     adjoint_twist_r,
     check_cybe,
     check_invariant,
@@ -114,7 +113,6 @@ __all__ = [
     "pencil",
     "wedge",
     # bialgebras and r-matrices
-    "Cobracket",
     "adjoint_twist_r",
     "check_cybe",
     "check_invariant",

@@ -5,6 +5,10 @@ equations, ad-invariance scans, cobrackets obtained from r-matrices,
 dual-algebra extraction via the canonical pairing, and the adjoint
 exponential action on r-matrices.  The Schouten bracket and the adjoint
 action read the bracket off ``LieSuperAlgebra.structure`` by basis index.
+A cobracket delta: g -> g(x)g is a rank-3 ``Tensor`` in g*(x)g(x)g, keyed
+(k, i, j) for e_i(x)e_j in delta(e_k), so sums, multiples and equality of
+cobrackets are tensor arithmetic, and :func:`dual_algebra` reads its
+nonzero keys.
 
 All tensor operations carry Koszul signs; r-matrices handed to the Schouten
 bracket must consist of parity-even terms (each a(x)b with |a|+|b| even),
@@ -13,16 +17,7 @@ which covers every r-matrix this workbench constructs.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from .liealg import (
-    Element,
-    LieSuperAlgebra,
-    SparseSum,
-    Tensor,
-    accumulate,
-    canonical_tuples,
-)
+from .liealg import Element, LieSuperAlgebra, Tensor, accumulate
 from .scalars import Poly, RatFunc, UnsupportedInputError, as_poly
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "schouten",
     "check_cybe",
     "check_mcybe",
-    "Cobracket",
     "cobracket_from_r",
     "dual_algebra",
     "adjoint_twist_r",
@@ -140,59 +134,20 @@ def check_mcybe(A: LieSuperAlgebra, r: Tensor) -> bool:
             and check_invariant(A, schouten(A, r)))
 
 
-class Cobracket(SparseSum):
-    """A linear map delta: A -> A(x)A given by its values on basis elements:
-    ``coeffs`` maps a basis label to its nonzero rank-2 tensor.  It carries
-    its algebra A, so it stands for the pair (A, delta) that
-    :func:`dual_algebra` takes."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra: LieSuperAlgebra,
-                 coeffs: Mapping[str, Tensor] | None = None):
-        self.algebra = algebra
-        basis = algebra.basis
-        clean: dict[str, Tensor] = {}
-        for name, tensor in (coeffs or {}).items():
-            basis.index(name)
-            if tensor.rank != 2 or tensor.basis != basis:
-                raise ValueError(f"cobracket value for {name!r} has wrong shape")
-            if tensor:
-                clean[name] = tensor
-        self.coeffs = clean
-
-    def _like(self, coeffs: dict) -> "Cobracket":
-        out = object.__new__(Cobracket)
-        out.algebra = self.algebra
-        out.coeffs = coeffs
-        return out
-
-    def _same_space(self, other: SparseSum) -> bool:
-        return (isinstance(other, Cobracket)
-                and self.algebra.basis == other.algebra.basis)
-
-    def __call__(self, x: Element) -> Tensor:
-        out: dict[tuple, Poly] = {}
-        for name, c in x.coeffs.items():
-            value = self.coeffs.get(name)
-            if value is not None:
-                for key, v in value.coeffs.items():
-                    accumulate(out, key, v * c)
-        return Tensor(self.algebra.basis, 2, out)
-
-    def __repr__(self):
-        body = ", ".join(f"{n} -> {t}" for n, t in sorted(self.coeffs.items()))
-        return f"Cobracket({body or '0'})"
+def cobracket_from_r(A: LieSuperAlgebra, r: Tensor) -> Tensor:
+    """The coboundary cobracket delta(x) = (ad_x(x)1 + 1(x)ad_x)(r) as a
+    rank-3 tensor: its (k, i, j) coefficient is that of e_i(x)e_j in
+    delta(e_k)."""
+    out = {}
+    for name in A.basis.names:
+        for key, c in ad_action(A, A.gen(name), r).coeffs.items():
+            out[(name, *key)] = c
+    return Tensor(A.basis, 3, out)
 
 
-def cobracket_from_r(A: LieSuperAlgebra, r: Tensor) -> Cobracket:
-    """The coboundary cobracket delta(x) = (ad_x(x)1 + 1(x)ad_x)(r)."""
-    return Cobracket(A, {name: ad_action(A, A.gen(name), r)
-                         for name in A.basis.names})
-
-
-def dual_algebra(delta: Cobracket, suffix: str = "_hat") -> LieSuperAlgebra:
-    """The Lie algebra on the dual basis defined by the cobracket.
+def dual_algebra(delta: Tensor, name: str,
+                 suffix: str = "_hat") -> LieSuperAlgebra:
+    """The Lie algebra ``name`` on the dual basis defined by the cobracket.
 
     Pairing rule: [e_i-hat, e_j-hat] has, at e_k-hat, the coefficient of
     e_i^e_j in delta(e_k), read for each canonical pair i <= j.  For i < j
@@ -200,16 +155,17 @@ def dual_algebra(delta: Cobracket, suffix: str = "_hat") -> LieSuperAlgebra:
     v^v = 2 v(x)v, it is half the coefficient of v(x)v.  Dual names carry
     the given suffix and inherit parities.
     """
-    basis = delta.algebra.basis
+    basis = delta.basis
     dual_basis = basis.renamed(suffix)
-    names, dual = basis.names, dual_basis.names
-    values = [(dual[k], delta.coeffs[name].coeffs)
-              for k, name in enumerate(names) if name in delta.coeffs]
-    table = {(dual[i], dual[j]):
-             {target: c / 2 if i == j else c for target, value in values
-              if (c := value.get((names[i], names[j]))) is not None}
-             for (i, j) in canonical_tuples(basis, 2)}
-    return LieSuperAlgebra(f"dual({delta.algebra.name})", dual_basis, table)
+    dual, index, odd = dual_basis.names, basis.index, basis.parities
+    table: dict[tuple[int, int], dict[str, Poly]] = {}
+    for (k, a, b), c in delta.coeffs.items():
+        i, j = index(a), index(b)
+        if i < j or (i == j and odd[i]):
+            value = table.setdefault((i, j), {})
+            value[dual[index(k)]] = c / 2 if i == j else c
+    return LieSuperAlgebra(name, dual_basis, {
+        (dual[i], dual[j]): value for (i, j), value in sorted(table.items())})
 
 
 def adjoint_twist_r(A: LieSuperAlgebra, r: Tensor, z: Element, xi) -> Tensor:

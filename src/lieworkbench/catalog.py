@@ -217,9 +217,7 @@ def make_rfull(N: int) -> Tensor:
 def _coboundary_dual(A: LieSuperAlgebra, r: Tensor, name: str,
                      suffix: str = "_hat") -> LieSuperAlgebra:
     """The dual bracket of the coboundary bialgebra (A, delta_r), named."""
-    out = dual_algebra(cobracket_from_r(A, r), suffix)
-    out.name = name
-    return out
+    return dual_algebra(cobracket_from_r(A, r), name, suffix)
 
 
 @cache

@@ -26,8 +26,8 @@ ordered triples, and still finds the first failing ordered triple.
 Every sparse sum above ``Poly`` (here, in ``cohomology`` and in
 ``enveloping``) adds a term in place with :func:`accumulate`, which drops
 a cancelled key, and prints with :func:`render_sum`.  The sums that are
-values (``Element``, ``Tensor``, ``bialgebra.Cobracket`` and the
-enveloping terms) take their arithmetic and comparison from
+values (``Element``, ``Tensor``, whose rank-3 case is a cobracket, and
+the enveloping terms) take their arithmetic and comparison from
 :class:`SparseSum`.
 """
 

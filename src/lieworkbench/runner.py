@@ -458,7 +458,7 @@ def _tensor_witness(t: Tensor, what: str) -> list[str]:
     items = sorted(t.coeffs.items())
     key, coeff = items[0]
     return [f"{what} has {len(items)} nonzero coordinate(s)",
-            f"first at {key}: {scalar_str(coeff)}"]
+            f"first at {args_label(key)}: {scalar_str(coeff)}"]
 
 
 def _residual_text(residual) -> str:

@@ -179,7 +179,7 @@ def criterion_double() -> CriterionResult:
     split = (cobracket_from_r(g1, r_double).scaled(a1)
              + cobracket_from_r(g2, r_double).scaled(a2))
     factorizes = delta == split
-    dual = dual_algebra(delta)
+    dual = dual_algebra(delta, f"dual({combined.name})")
     expected = pencil(g1dual, g2dual, a1, a2)
     dual_matches = dual == expected
     lines = [

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lieworkbench.bialgebra import (
     ad_action,
@@ -36,7 +38,13 @@ from lieworkbench.catalog import (
     make_rjordan,
     make_sl,
 )
-from lieworkbench.liealg import LieSuperAlgebra, Tensor, otimes, wedge
+from lieworkbench.liealg import (
+    LieSuperAlgebra,
+    Tensor,
+    canonical_tuples,
+    otimes,
+    wedge,
+)
 from lieworkbench.scalars import Poly, RatFunc, UnsupportedInputError, param
 
 XI = param("xi")
@@ -155,7 +163,7 @@ def test_osp12_r_matrices_solve_both_equations():
         assert check_cybe(A, r)
         assert check_mcybe(A, r)
         # Co-Jacobi of the cobracket is Jacobi of its dual bracket.
-        assert dual_algebra(cobracket_from_r(A, r)).verify_jacobi().ok
+        assert dual_algebra(cobracket_from_r(A, r), "dual").verify_jacobi().ok
     assert check_invariant(A, sym_part(r1))
 
 
@@ -170,8 +178,8 @@ def test_invariance_fails_for_a_non_invariant_tensor():
 def test_cobracket_values_on_the_borel_pair():
     A = make_borel()
     delta = cobracket_from_r(A, make_rborel())
-    assert delta(A.gen("h")) == wedge(A.gen("h"), A.gen("x")).scaled(2)
-    assert not delta(A.gen("x"))
+    assert delta == Tensor(A.basis, 3, {("h", "h", "x"): 2,
+                                        ("h", "x", "h"): -2})
 
 
 def test_dual_algebra_of_the_standard_sl2_bracket():
@@ -203,18 +211,82 @@ def test_dual_pairing_convention():
     r2 = wedge(Xp, h) + otimes(vp, vp).scaled(4)
     for A, r in ((make_sl(2), make_rjordan(2)), (B, r2)):
         delta = cobracket_from_r(A, r)
-        dual = dual_algebra(delta)
+        dual = dual_algebra(delta, "dual")
         for i, a in enumerate(A.basis.names):
             for j, b in enumerate(A.basis.names):
                 value = dual.bracket_basis(dual.basis.names[i],
                                            dual.basis.names[j])
                 for k, c in enumerate(A.basis.names):
-                    expected = delta(A.gen(c)).coefficient((a, b))
+                    expected = delta.coefficient((c, a, b))
                     if i == j:
                         expected = expected * Fraction(1, 2)
                     assert value.coefficient(dual.basis.names[k]) == expected
-    assert delta(h).coefficient(("vp", "vp")) == 8
+    assert delta.coefficient(("h", "vp", "vp")) == 8
     assert dual.bracket_basis("vp_hat", "vp_hat") == dual.gen("h_hat").scaled(4)
+
+
+def _values_reference(A: LieSuperAlgebra, r: Tensor) -> dict[str, Tensor]:
+    """delta(e_k) = ad_{e_k}(r) per generator, the nonzero ones only."""
+    values = {name: ad_action(A, A.gen(name), r) for name in A.basis.names}
+    return {name: value for name, value in values.items() if value}
+
+
+def _dual_reference(A: LieSuperAlgebra, values: dict[str, Tensor], name: str,
+                    suffix: str) -> LieSuperAlgebra:
+    """The dual bracket read at every canonical pair (i, j) off every
+    delta(e_k): the coefficient of e_i(x)e_j, halved at an odd repeat."""
+    basis = A.basis
+    dual_basis = basis.renamed(suffix)
+    names, dual = basis.names, dual_basis.names
+    rows = [(dual[k], values[n].coeffs)
+            for k, n in enumerate(names) if n in values]
+    table = {(dual[i], dual[j]):
+             {target: c / 2 if i == j else c for target, value in rows
+              if (c := value.get((names[i], names[j]))) is not None}
+             for (i, j) in canonical_tuples(basis, 2)}
+    return LieSuperAlgebra(name, dual_basis, table)
+
+
+_CROSS_CHECKED = {"borel": make_borel, "sl2": lambda: make_sl(2),
+                  "sl3": lambda: make_sl(3), "osp12": lambda: make_osp12()[0]}
+
+
+@st.composite
+def _algebras_and_r(draw):
+    """An algebra of ``_CROSS_CHECKED`` and a random parity-even rank-2 r
+    on it, with coefficients a + b*xi; its symmetric part is in general
+    not invariant, so delta has coefficients in both orders of a pair and
+    at even repeats."""
+    A = _CROSS_CHECKED[draw(st.sampled_from(sorted(_CROSS_CHECKED)))]()
+    parity = A.basis.parity
+    keys = [(a, b) for a in A.basis.names for b in A.basis.names
+            if parity(a) == parity(b)]
+    coeffs = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
+        lambda ab: ab[0] + XI * ab[1])
+    return A, Tensor(A.basis, 2, draw(st.dictionaries(
+        st.sampled_from(keys), coeffs, min_size=1, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_algebras_and_r(), st.sampled_from(("_hat", "")))
+@example((make_sl(2), Tensor(make_sl(2).basis, 2, {
+    ("E12", "E12"): 1, ("H1", "E12"): XI})), "_hat")
+@example((make_osp12()[0], Tensor(make_osp12()[0].basis, 2, {
+    ("vp", "vp"): 4, ("vm", "vp"): XI, ("h", "Xp"): 1})), "_hat")
+def test_cobracket_and_dual_match_the_per_generator_reference(pair, suffix):
+    A, r = pair
+    delta = cobracket_from_r(A, r)
+    values = _values_reference(A, r)
+    assert delta.rank == 3 and delta.basis == A.basis
+    for name in A.basis.names:
+        row = {key[1:]: c for key, c in delta.coeffs.items() if key[0] == name}
+        assert Tensor(A.basis, 2, row) == values.get(name, Tensor(A.basis, 2))
+    dual = dual_algebra(delta, "dual", suffix)
+    expected = _dual_reference(A, values, "dual", suffix)
+    assert dual.name == expected.name
+    assert dual.basis == expected.basis
+    assert dual.basis.parities == A.basis.parities
+    assert list(dual.table.items()) == list(expected.table.items())
 
 
 # -- adjoint twisting ------------------------------------------------------------------

@@ -453,7 +453,7 @@ def _stored_form_only(x) -> None:
 
 
 @pytest.mark.parametrize("name", ["borel", "sl3", "osp12"])
-def test_public_results_hold_no_int_coefficient(name):
+def test_public_results_hold_coefficients_in_stored_form(name):
     U = UEA(catalog_get(name), TruncationOrder(2, frozenset({"xi"})))
     names = U.algebra.basis.names
     a, b = U.gen(names[-1]), U.gen(names[0])
@@ -475,7 +475,7 @@ def test_public_results_hold_no_int_coefficient(name):
 @pytest.mark.parametrize("build", [
     lambda: build_jordanian_twist(4), lambda: build_extended_twist(3, 2),
     lambda: factored_r_matrix(3, 2)], ids=["jordanian", "extended", "factored"])
-def test_built_twists_and_their_checks_hold_no_int_coefficient(build):
+def test_built_twists_and_their_checks_hold_coefficients_in_stored_form(build):
     F = build()
     R = universal_R(F)
     for result in (F, R, twist_cocycle_check(F), qybe_check(R)):

@@ -3,9 +3,10 @@
 Each module of ``src/lieworkbench`` is parsed, not imported.  A name bound
 by an import statement must be read somewhere in that module or be listed
 in its ``__all__``, and no import binds a name that another already
-binds.  A private definition must be read somewhere in the package, and a
-public function, class or method somewhere in ``src``, ``tests`` or
-``bench``: an import or an ``__all__`` entry is not a use.
+binds.  Every ``__all__`` entry is bound at module level in its module,
+and listed once.  A private definition must be read somewhere in the
+package, and a public function, class or method somewhere in ``src``,
+``tests`` or ``bench``: an import or an ``__all__`` entry is not a use.
 Every absolute import names a standard-library module: the package
 depends on nothing else.  No module imports ``dataclasses``: the
 package's value types derive from ``record.Record``, and a fresh
@@ -63,6 +64,38 @@ def test_no_name_is_imported_twice(module):
     bound = _import_bindings(
         ast.parse((PACKAGE / module).read_text(), filename=module))
     assert sorted({name for name in bound if bound.count(name) > 1}) == []
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    """The entries of the module's ``__all__``, once per listing."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """The names a module binds at module level: by a definition, an
+    assignment or an import."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(_import_bindings(ast.Module([node], [])))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return bound
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_export_is_bound_and_listed_once(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    exported = _exports(tree)
+    assert sorted(set(exported) - _module_bindings(tree)) == []
+    assert sorted({name for name in exported if exported.count(name) > 1}) == []
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

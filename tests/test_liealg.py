@@ -280,7 +280,7 @@ def _sums_of(kind: str):
     if kind == "Tensor":
         return (wedge(h, e), otimes(e, f).scaled(xi),
                 wedge(borel.gen("h"), borel.gen("x")))
-    if kind == "Cobracket":
+    if kind == "Cobracket":  # a rank-3 Tensor
         return (cobracket_from_r(sl2, wedge(h, e)),
                 cobracket_from_r(sl2, wedge(h, f)),
                 cobracket_from_r(borel, make_rborel()))

@@ -451,7 +451,7 @@ def test_cli_renders_coefficients_of_any_length(tmp_path, capsys):
                             "on sl2;\ncheck cybe t;\n")
     assert main(["run", path]) == 1
     out = capsys.readouterr().out
-    assert f"first at ('H1', 'E12', 'E12'): -2{'0' * 12000}\n" in out
+    assert f"first at (H1, E12, E12): -2{'0' * 12000}\n" in out
     assert "1 failed" in out
 
 
