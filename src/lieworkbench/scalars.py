@@ -13,6 +13,13 @@ itself: ``Poly`` addition returns the other operand when one is zero, a
 product with a constant scales the other operand's terms, subtraction works
 on a copy of the left operand, and a ``RatFunc`` over the constant 1 keeps
 its numerator as it is and shares one unit ``Poly`` as its denominator.
+A ``RatFunc`` result whose normal form its operands already fix is built
+as it is, without normalising again: the sum and difference of two
+quotients over the unit denominator combine their numerators (and their
+equality compares them), a negation keeps its operand's denominator, and
+normalisation skips the exact-division attempt when what is left of the
+denominator is one non-constant term, which cannot divide.  Products and
+quotients still go through the constructor.
 """
 
 from __future__ import annotations
@@ -495,10 +502,12 @@ class RatFunc:
 
     @staticmethod
     def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        # Cancel a common monomial factor.
+        # Cancel a common monomial factor.  Its value does not depend on the
+        # order of the terms, and dividing by it keeps distinct monomials
+        # distinct, so both read and rebuild the term dicts directly.
         common: dict[str, int] | None = None
         for poly in (num, den):
-            for mono, _ in poly.items():
+            for mono in poly._terms:
                 exps = dict(mono)
                 if common is None:
                     common = exps
@@ -509,12 +518,17 @@ class RatFunc:
                     break
         if common:
             shift = tuple(sorted(common.items()))
-            num = Poly({_mono_quotient(m, shift): c for m, c in num.items()})
-            den = Poly({_mono_quotient(m, shift): c for m, c in den.items()})
-        # Attempt exact division.
-        q, r = poly_divmod(num, den)
-        if not r:
-            return q, _ONE
+            num = _trusted({_mono_quotient(m, shift): c
+                            for m, c in num._terms.items()})
+            den = _trusted({_mono_quotient(m, shift): c
+                            for m, c in den._terms.items()})
+        # Attempt exact division, unless what is left of the denominator is
+        # one non-constant term: each of its parameters was cancelled down to
+        # exponent 0 in some numerator term, which it then cannot divide.
+        if len(den) != 1 or den.is_constant():
+            q, r = poly_divmod(num, den)
+            if not r:
+                return q, _ONE
         # Normalise the denominator: integer coefficients, positive leading.
         scale = _content(den)
         if den.leading_coefficient() < 0:
@@ -540,6 +554,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return _trusted_ratfunc(self.num + o.num, _ONE)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -548,6 +564,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return _trusted_ratfunc(self.num - o.num, _ONE)
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
@@ -557,7 +575,8 @@ class RatFunc:
         return o - self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        # -num/den is reduced when num/den is, over the same denominator.
+        return _trusted_ratfunc(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -585,6 +604,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return self.num == o.num
         return self.num * o.den == o.num * self.den
 
     def substitute(self, assignment: Mapping[str, int | Fraction]) -> "RatFunc":
@@ -603,12 +624,23 @@ class RatFunc:
         den = str(self.den)
         if " " in num or num.startswith("-"):
             num = f"({num})"
-        if " " in den:
+        if " " in den or "*" in den:
             den = f"({den})"
         return f"{num}/{den}"
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def _trusted_ratfunc(num: Poly, den: Poly) -> RatFunc:
+    """A RatFunc over a numerator and denominator already in the normal form
+    the constructor gives: ``den`` is ``_ONE`` when it is constant, and
+    otherwise shares no monomial factor with ``num``, does not divide it, and
+    has coprime integer coefficients with a positive leading one."""
+    result = RatFunc.__new__(RatFunc)
+    result.num = num
+    result.den = den
+    return result
 
 
 def scalar_str(value) -> str:

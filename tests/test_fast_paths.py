@@ -1,11 +1,14 @@
 """The scalar fast paths against the general code they short-cut.
 
 ``Poly`` addition, subtraction and multiplication, ``RatFunc``
-construction, the point evaluation behind ``rank_at_point`` and the CE
-residual each take a short branch for constant, zero or unit-denominator
-operands, and the genericity check takes a matrix's cells as they are.  The general versions they replaced are copied here as
-references, and every result is compared with the reference's term by
-term, on zero, constant, unit, negative and multi-parameter operands.
+construction, arithmetic and normalisation, the point evaluation behind
+``rank_at_point`` and the CE residual each take a short branch for
+constant, zero or unit-denominator operands, and the genericity check
+takes a matrix's cells as they are.  The general versions they replaced
+(``RatFunc._reduce`` and the ``RatFunc`` operators included) are copied
+here as references, and every result is compared with the reference's
+term by term, on zero, constant, unit, negative and multi-parameter
+operands, and on constant, one-term and several-term denominators.
 Every coefficient must be in its stored form (a nonzero ``int``, or a
 ``Fraction`` that is not integral), and no operand may change.
 The bialgebra's ``ad_action`` and ``schouten``, which read the index
@@ -14,6 +17,7 @@ table, are compared the same way with their name-keyed loops.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -22,7 +26,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieworkbench import cohomology, linsolve
+from lieworkbench import cohomology, linsolve, scalars
 from lieworkbench.catalog import catalog_get
 from lieworkbench.bialgebra import ad_action, schouten
 from lieworkbench.cohomology import Cochain1, Cochain2, h2_dim
@@ -84,13 +88,78 @@ def _ref_mul(a: Poly, other) -> Poly:
     return _made(out)
 
 
+def _ref_reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """``RatFunc._reduce`` as it was before it skipped any division: cancel
+    the common monomial, divide exactly if the denominator divides, and
+    otherwise make the denominator's coefficients coprime integers with a
+    positive leading one."""
+    common: dict | None = None
+    for poly in (num, den):
+        for mono, _ in poly.items():
+            exps = dict(mono)
+            if common is None:
+                common = exps
+            else:
+                common = {n: min(e, exps.get(n, 0))
+                          for n, e in common.items() if exps.get(n, 0)}
+    if common:
+        shift = dict(common)
+
+        def divided(poly):
+            return Poly({tuple((n, e - shift.get(n, 0)) for n, e in mono
+                               if e > shift.get(n, 0)): c
+                         for mono, c in poly.items()})
+        num, den = divided(num), divided(den)
+    q, r = _ref_divmod(num, den)
+    if not r:
+        return _made(q), Poly.one()
+    coeffs = [Fraction(c) for _, c in den.items()]
+    g = math.gcd(*(c.numerator for c in coeffs))
+    l = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(g, l)
+    if den.leading_coefficient() < 0:
+        scale = -scale
+    return (_ref_mul(num, Fraction(1) / scale),
+            _ref_mul(den, Fraction(1) / scale))
+
+
 def _ref_ratfunc(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """The (numerator, denominator) the general constructor stores."""
     if not num:
         return num, Poly.one()
     if all(not mono for mono in den._terms):
         return _ref_mul(num, Fraction(1) / den.constant_term()), Poly.one()
-    return RatFunc._reduce(num, den)
+    return _ref_reduce(num, den)
+
+
+# The general RatFunc operators on (numerator, denominator) pairs: each
+# builds its result through the general constructor.
+
+
+def _ref_q_add(x, y):
+    return _ref_ratfunc(_ref_add(_ref_mul(x[0], y[1]), _ref_mul(y[0], x[1])),
+                        _ref_mul(x[1], y[1]))
+
+
+def _ref_q_sub(x, y):
+    return _ref_ratfunc(_ref_sub(_ref_mul(x[0], y[1]), _ref_mul(y[0], x[1])),
+                        _ref_mul(x[1], y[1]))
+
+
+def _ref_q_mul(x, y):
+    return _ref_ratfunc(_ref_mul(x[0], y[0]), _ref_mul(x[1], y[1]))
+
+
+def _ref_q_div(x, y):
+    return _ref_ratfunc(_ref_mul(x[0], y[1]), _ref_mul(x[1], y[0]))
+
+
+def _ref_q_neg(x):
+    return _ref_ratfunc(_ref_sub(Poly.zero(), x[0]), x[1])
+
+
+def _ref_q_eq(x, y):
+    return _ref_mul(x[0], y[1])._terms == _ref_mul(y[0], x[1])._terms
 
 
 def _ref_value_at(entry, point):
@@ -257,6 +326,100 @@ def test_a_unit_denominator_keeps_the_numerator():
     assert _terms(RatFunc(h, 2).num) == {(("h", 1),): Fraction(1, 2)}
     assert _terms(RatFunc(h, -1).num) == {(("h", 1),): Fraction(-1)}
     assert RatFunc(h).den is RatFunc(param("s")).den
+
+
+@st.composite
+def _quotients(draw):
+    """``RatFunc(a, d)`` with d a constant, one term in one or two
+    parameters (with any sign and content; a numerator divisible by it
+    cancels it to a constant), or several terms; or a Poly or a Python
+    scalar, which the operators coerce over the unit denominator."""
+    a = draw(_polys(degree=2, size=3))
+    kind = draw(st.sampled_from(("constant", "term", "cancelling", "terms",
+                                 "poly", "scalar")))
+    monomials = _monomials(("h", "s"), 2)
+    if kind == "scalar":
+        return draw(_SCALARS)
+    if kind == "poly":
+        return a
+    if kind == "constant":
+        d = Poly.const(draw(_NONZERO))
+    elif kind == "terms":
+        d = Poly(draw(st.dictionaries(monomials, _NONZERO, min_size=2,
+                                      max_size=3)))
+    else:
+        mono = draw(monomials.filter(bool))
+        d = Poly({mono: draw(_NONZERO)})
+        if kind == "cancelling":
+            a = a * Poly({mono: draw(_NONZERO)})
+    return a, d
+
+
+def _quotient(drawn):
+    """The drawn operand as its value and as the reference's (numerator,
+    denominator) pair."""
+    if isinstance(drawn, tuple):
+        value = RatFunc(*drawn)
+        reference = _ref_ratfunc(*drawn)
+        assert _terms(value.num) == _terms(reference[0])
+        assert _terms(value.den) == _terms(reference[1])
+        return value, reference
+    return drawn, _ref_ratfunc(_as_operand(drawn), Poly.one())
+
+
+def _quotient_snapshot(*values):
+    return [(dict(v.num._terms), dict(v.den._terms), id(v.num), id(v.den))
+            if isinstance(v, RatFunc) else _snapshot(v) for v in values]
+
+
+def _same_quotient(value, reference):
+    assert isinstance(value, RatFunc)
+    assert _terms(value.num) == _terms(reference[0])
+    assert _terms(value.den) == _terms(reference[1])
+    if value.den.is_constant():
+        assert value.den is scalars._ONE
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_quotients(), _quotients())
+def test_ratfunc_operators_match_the_general_constructor(left, right):
+    """Every operator over constant, one-term and several-term denominators
+    gives the reference's numerator and denominator term by term, every
+    unit denominator is the shared one, and no operand changes."""
+    x, ref_x = _quotient(left)
+    y, ref_y = _quotient(right)
+    if not isinstance(x, RatFunc):
+        if not isinstance(y, RatFunc):
+            return
+        x, y, ref_x, ref_y = y, x, ref_y, ref_x
+    before = _quotient_snapshot(x, y)
+    ops = [(x + y, _ref_q_add(ref_x, ref_y)), (y + x, _ref_q_add(ref_y, ref_x)),
+           (x - y, _ref_q_sub(ref_x, ref_y)), (y - x, _ref_q_sub(ref_y, ref_x)),
+           (x * y, _ref_q_mul(ref_x, ref_y)), (y * x, _ref_q_mul(ref_y, ref_x)),
+           (-x, _ref_q_neg(ref_x))]
+    if isinstance(y, RatFunc):
+        ops.append((-y, _ref_q_neg(ref_y)))
+    if ref_y[0]:
+        ops.append((x / y, _ref_q_div(ref_x, ref_y)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if ref_x[0]:
+        ops.append((y / x, _ref_q_div(ref_y, ref_x)))
+    for value, reference in ops:
+        _same_quotient(value, reference)
+    assert (x == y) == (y == x) == _ref_q_eq(ref_x, ref_y)
+    assert x == x and (x != -x) == bool(ref_x[0])
+    assert _quotient_snapshot(x, y) == before
+
+
+def test_a_denominator_that_cancels_to_a_constant_is_divided():
+    h, s = param("h"), param("s")
+    value = RatFunc(h ** 2 * s, 3 * h)
+    assert str(value) == "1/3*h*s" and value.den is scalars._ONE
+    value = RatFunc(2 * h + 1, 3 * h ** 2)
+    assert str(value) == "(1/3 + 2/3*h)/h^2"
+    assert _terms(value.den) == {(("h", 2),): 1}
 
 
 # -- the stored form against a Fraction-only copy and sympy -----------------------------

@@ -102,6 +102,15 @@ def test_canonical_string_forms():
     assert scalar_str(RatFunc(XI * 2, H)) == "2*xi/h"
 
 
+def test_a_product_denominator_is_parenthesised():
+    # "(1/2 - 1/2*h)/h*s" would read as ((1/2 - 1/2*h)/h)*s.
+    s = param("s")
+    assert str(RatFunc(H - 1, -2 * H * s)) == "(1/2 - 1/2*h)/(h*s)"
+    assert str(RatFunc(XI, H * s ** 2)) == "xi/(h*s^2)"
+    assert str(RatFunc(XI, H ** 2)) == "xi/h^2"
+    assert str(RatFunc(XI, H + s)) == "xi/(h + s)"
+
+
 def test_equal_polynomials_print_identically():
     left = (H + XI) * (H - XI)
     right = H * H - XI * XI
